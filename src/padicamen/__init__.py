@@ -10,29 +10,27 @@ byte-stable JSON documents.
 
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      SpecParseError, ToolkitError)
-from .valued_field import (INFINITE_VALUATION, FieldDescriptor, abs_compare,
-                           abs_exponent, field_arith, format_scalar,
-                           format_valuation, is_prime, parse_scalar,
+from .valued_field import (INFINITE_VALUATION, FieldDescriptor, is_prime,
                            valuation)
 from .finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV, FiniteGroup,
                            Subgroup, catalog, cyclic, dihedral,
                            enumerate_subgroups, from_spec, order_cap,
                            product, quaternion8, subgroup_index, symmetric)
 from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
-                            augmentation, convolve, dual_right_action,
-                            format_norm_exponent, i0_basis, i0_identity,
-                            i0_membership, left_translate, norm_exponent)
-from .hopf import (ENVELOPING, PLAIN, HopfStructure, SparseLinearMap,
-                   TensorElement, antipode, basis_tensor, comultiply, e_map,
-                   eq1_check, lemma2_iso_check, lemma2_relations, pi0,
-                   tensor_of, verify_hopf_axioms)
-from .amenability import (Bimodule, DerivationReport, JohnsonCertificate,
-                          SchikhofVerdict, VirtualDiagonal, certify,
-                          derivation_spaces, diagonal_ideal_identity,
-                          invariant_functional_space, johnson_check,
-                          mean_from_diagonal, outer_tensor_bimodule,
-                          regular_bimodule, render_json, schikhof_check,
-                          stock_bimodules, trivial_bimodule,
-                          virtual_diagonal_construct)
+                            augmentation, convolve, format_norm_exponent,
+                            i0_basis, i0_identity, i0_membership,
+                            left_translate, norm_exponent)
+from .hopf import (ENVELOPING, PLAIN, BasisMap, TensorElement, antipode,
+                   basis_tensor, comultiply, e_map, eq1_check,
+                   lemma2_iso_check, lemma2_relations, pi0, tensor_of,
+                   verify_hopf_axioms)
+from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,
+                          JohnsonCertificate, SchikhofVerdict,
+                          VirtualDiagonal, certify, derivation_spaces,
+                          diagonal_ideal_identity, invariant_functional_space,
+                          johnson_check, mean_from_diagonal,
+                          outer_tensor_bimodule, regular_bimodule,
+                          render_json, schikhof_check, stock_bimodules,
+                          trivial_bimodule, virtual_diagonal_construct)
 
 __version__ = "0.1.0"

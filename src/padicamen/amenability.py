@@ -37,10 +37,9 @@ from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
 from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
                             convolve, format_norm_exponent, i0_identity,
                             left_translate, norm_exponent)
-from .hopf import (ENVELOPING, SparseLinearMap, TensorElement, basis_tensor,
-                   e_map, env_left_mult_matrix, eq1_check, lemma2_data,
-                   lemma2_iso_check, pi0, tensor_from_flat, tensor_of,
-                   verify_hopf_axioms)
+from .hopf import (ENVELOPING, BasisMap, TensorElement, basis_tensor, e_map,
+                   eq1_check, lemma2_data, lemma2_iso_check, pi0,
+                   tensor_from_flat, tensor_of, verify_hopf_axioms)
 from .valued_field import valuation
 
 _ZERO = Fraction(0)
@@ -281,18 +280,20 @@ def _verify_diagonal(alg: GroupAlgebra, d: TensorElement) -> None:
                 "pi0(d) is not a two-sided identity at %s" % grp.labels[a])
 
 
-def virtual_diagonal_construct(group: FiniteGroup,
-                               prime: int) -> VirtualDiagonal:
+def virtual_diagonal_construct(group: FiniteGroup, prime: int,
+                               johnson: Optional[JohnsonCertificate] = None
+                               ) -> VirtualDiagonal:
     """Build the virtual diagonal by tracing the proof of the equivalence.
 
     Steps: form the quotient of the enveloping algebra by the relations
     u.E(a) - epsilon(a).u; lift delta_e through the induced isomorphism
     and confirm the lift is the class of delta_e (x) delta_e; push the
     normalized mean through E and multiply; then verify the closed form
-    and both virtual-diagonal identities exactly.
+    and both virtual-diagonal identities exactly.  A Johnson certificate
+    already computed for (group, prime) may be passed in as johnson.
     """
     require_within_cap(group.order, "virtual diagonal construction")
-    jc = johnson_check(group, prime)
+    jc = johnson_check(group, prime) if johnson is None else johnson
     if not jc.amenable:
         raise InternalCheckError(
             "virtual diagonal requires a Johnson mean for %s" % group.name)
@@ -373,17 +374,16 @@ def mean_from_diagonal(diagonal: VirtualDiagonal) -> DualFunctional:
 
 
 class Bimodule:
-    """Two-sided module over l(G): one exact matrix per group element and
-    side, stored column-sparse.
+    """Two-sided module over l(G) whose group elements permute a basis:
+    one BasisMap per group element and side.
 
     Construction checks that the left action is a unital representation,
-    the right action a unital antirepresentation (as matrices), and that
-    the two commute.
+    the right action a unital antirepresentation, and that the two
+    commute.  Each action map then has an inverse, so it is a permutation.
     """
 
     def __init__(self, name: str, algebra: GroupAlgebra, dimension: int,
-                 left: Sequence[SparseLinearMap],
-                 right: Sequence[SparseLinearMap]):
+                 left: Sequence[BasisMap], right: Sequence[BasisMap]):
         self.name = name
         self.algebra = algebra
         self.dimension = dimension
@@ -402,7 +402,7 @@ class Bimodule:
                 raise ValueError(
                     "bimodule %s: matrix is not %d x %d"
                     % (self.name, self.dimension, self.dimension))
-        ident = SparseLinearMap.identity(self.dimension)
+        ident = BasisMap.identity(self.dimension)
         e = grp.identity
         if self.left[e] != ident or self.right[e] != ident:
             raise ValueError("bimodule %s: actions are not unital" % self.name)
@@ -425,68 +425,58 @@ class Bimodule:
                         % (self.name, grp.labels[g], grp.labels[h]))
 
     def fingerprint(self):
-        items = []
-        for side, maps in (("L", self.left), ("R", self.right)):
-            for g, mp in enumerate(maps):
-                for j in sorted(mp.cols):
-                    for i, v in sorted(mp.cols[j].items()):
-                        items.append(
-                            (side, g, j, i, v.numerator, v.denominator))
-        return (self.algebra.group, self.dimension, tuple(items))
+        return (self.algebra.group, self.dimension,
+                tuple(mp.images for mp in self.left),
+                tuple(mp.images for mp in self.right))
 
     def __repr__(self):
         return f"Bimodule({self.name!r}, dim={self.dimension})"
 
 
+def _translations(group: FiniteGroup):
+    """The maps x -> gx and x -> xg on l(G), for every g."""
+    n = group.order
+    return ([BasisMap(n, group.table[g]) for g in range(n)],
+            [BasisMap(n, group.opposite_table[g]) for g in range(n)])
+
+
 def regular_bimodule(algebra: GroupAlgebra) -> Bimodule:
     """X = l(G) itself, both actions by convolution."""
-    grp = algebra.group
-    n = grp.order
-    left = [
-        SparseLinearMap(n, n, {x: {grp.table[g][x]: _ONE} for x in range(n)})
-        for g in range(n)
-    ]
-    right = [
-        SparseLinearMap(n, n, {x: {grp.table[x][g]: _ONE} for x in range(n)})
-        for g in range(n)
-    ]
-    return Bimodule("regular", algebra, n, left, right)
+    left, right = _translations(algebra.group)
+    return Bimodule("regular", algebra, algebra.group.order, left, right)
 
 
 def trivial_bimodule(algebra: GroupAlgebra) -> Bimodule:
     """One-dimensional module where both sides act through epsilon."""
     n = algebra.group.order
-    ident = SparseLinearMap.identity(1)
+    ident = BasisMap.identity(1)
     return Bimodule("trivial", algebra, 1, [ident] * n, [ident] * n)
 
 
 def outer_tensor_bimodule(algebra: GroupAlgebra) -> Bimodule:
     """X = l(G) (x) l(G) with the left action on the left leg and the
     right action on the right leg."""
-    grp = algebra.group
-    n = grp.order
-    dim = n * n
-    left = []
-    right = []
-    for g in range(n):
-        lcols = {}
-        rcols = {}
-        for x in range(n):
-            gx_base = grp.table[g][x] * n
-            for y in range(n):
-                lcols[x * n + y] = {gx_base + y: _ONE}
-                rcols[x * n + y] = {x * n + grp.table[y][g]: _ONE}
-        left.append(SparseLinearMap(dim, dim, lcols))
-        right.append(SparseLinearMap(dim, dim, rcols))
-    return Bimodule("outer_tensor", algebra, dim, left, right)
+    n = algebra.group.order
+    ident = BasisMap.identity(n)
+    left, right = _translations(algebra.group)
+    return Bimodule("outer_tensor", algebra, n * n,
+                    [lg.kron(ident) for lg in left],
+                    [ident.kron(rg) for rg in right])
 
 
-def stock_bimodules(algebra: GroupAlgebra) -> Dict[str, Bimodule]:
-    return {
-        "regular": regular_bimodule(algebra),
-        "trivial": trivial_bimodule(algebra),
-        "outer_tensor": outer_tensor_bimodule(algebra),
+STOCK_BIMODULES = ("regular", "trivial", "outer_tensor")
+
+
+def stock_bimodules(algebra: GroupAlgebra,
+                    names: Sequence[str] = STOCK_BIMODULES
+                    ) -> Dict[str, Bimodule]:
+    """The stock bimodules with the given names, built in that order."""
+    builders = {
+        "regular": regular_bimodule,
+        "trivial": trivial_bimodule,
+        "outer_tensor": outer_tensor_bimodule,
     }
+    return {name: builders[name](algebra) for name in names}
 
 
 @dataclass
@@ -579,35 +569,32 @@ def _solve_derivation_spaces(group: FiniteGroup, bimodule: Bimodule):
 
     # D(delta_g delta_h) = delta_g . D(delta_h) + D(delta_g) . delta_h,
     # component by component; the left dual action is R_g transposed, the
-    # right dual action is L_h transposed
+    # right dual action is L_h transposed.  The actions are permutations,
+    # so row c of a transpose is the image of e_c.
     rows: List[SparseVec] = []
     for g in range(n):
-        rg_cols = bimodule.right[g].cols
+        rg = bimodule.right[g].images
         for h in range(n):
-            lh_cols = bimodule.left[h].cols
+            lh = bimodule.left[h].images
             gh = group.table[g][h]
             for c in range(dim):
                 row: SparseVec = {}
                 _acc(row, gh * dim + c, _ONE)
-                for k, val in rg_cols.get(c, {}).items():
-                    _acc(row, h * dim + k, -val)
-                for k, val in lh_cols.get(c, {}).items():
-                    _acc(row, g * dim + k, -val)
+                _acc(row, h * dim + rg[c], -_ONE)
+                _acc(row, g * dim + lh[c], -_ONE)
                 if row:
                     rows.append(row)
     der_basis = kernel_basis_sparse(rows, ncols)
 
     # inner generators, one per basis functional xi = e_c of the dual
-    right_t = [mp.transpose() for mp in bimodule.right]
-    left_t = [mp.transpose() for mp in bimodule.left]
+    right_t = [mp.transpose().images for mp in bimodule.right]
+    left_t = [mp.transpose().images for mp in bimodule.left]
     inner_gens: List[SparseVec] = []
     for c in range(dim):
         vec: SparseVec = {}
         for g in range(n):
-            for k, val in right_t[g].cols.get(c, {}).items():
-                _acc(vec, g * dim + k, val)
-            for k, val in left_t[g].cols.get(c, {}).items():
-                _acc(vec, g * dim + k, -val)
+            _acc(vec, g * dim + right_t[g][c], _ONE)
+            _acc(vec, g * dim + left_t[g][c], -_ONE)
         if vec:
             inner_gens.append(vec)
 
@@ -615,6 +602,20 @@ def _solve_derivation_spaces(group: FiniteGroup, bimodule: Bimodule):
     inner_basis = [v for v in inner_gens if ech.add_row(dict(v))]
     all_inner = spans_equal(der_basis, inner_gens, ncols)
     return der_basis, inner_basis, all_inner
+
+
+def _left_mult_rows(t: TensorElement) -> Dict[int, SparseVec]:
+    """Rows of the matrix of w -> t.w over the flat basis of the
+    enveloping algebra, read off the products t.(delta_a (x) delta_b)."""
+    alg = t.algebra
+    n = alg.group.order
+    rows: Dict[int, SparseVec] = {}
+    for a in range(n):
+        for b in range(n):
+            col = (t * basis_tensor(alg, ENVELOPING, a, b)).flat()
+            for i, v in col.items():
+                rows.setdefault(i, {})[a * n + b] = v
+    return rows
 
 
 def diagonal_ideal_identity(group: FiniteGroup, prime: int,
@@ -655,10 +656,7 @@ def diagonal_ideal_identity(group: FiniteGroup, prime: int,
                     row[g * n + h] = _ONE
         rows.append(row)
     # right identity against the ideal generator: (1x1 - d).u = 1x1 - d
-    gen_rows: Dict[int, SparseVec] = {}
-    for j, col in env_left_mult_matrix(expected).cols.items():
-        for i, v in col.items():
-            gen_rows.setdefault(i, {})[j] = v
+    gen_rows = _left_mult_rows(expected)
     for i in range(ncells):
         row = gen_rows.get(i, {})
         rhs = expected_flat.get(i)
@@ -667,11 +665,7 @@ def diagonal_ideal_identity(group: FiniteGroup, prime: int,
         if row:
             rows.append(row)
     # pinning: d.u = 0 selects the unique solution 1x1 - d
-    pin_rows: Dict[int, SparseVec] = {}
-    for j, col in env_left_mult_matrix(d).cols.items():
-        for i, v in col.items():
-            pin_rows.setdefault(i, {})[j] = v
-    rows.extend(pin_rows.values())
+    rows.extend(_left_mult_rows(d).values())
 
     sol = solve_augmented(rows, ncells)
     if sol is None:
@@ -735,7 +729,7 @@ def certify(group: FiniteGroup, prime: int) -> dict:
     i0_identity(alg)
     checks["augmentation_ideal_identity"] = "pass"
 
-    vd = virtual_diagonal_construct(group, prime)
+    vd = virtual_diagonal_construct(group, prime, johnson=jc)
     checks["virtual_diagonal_closed_form"] = "pass"
     checks["virtual_diagonal_identities"] = "pass"
 

@@ -20,8 +20,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .amenability import (certify, derivation_spaces, johnson_check,
-                          render_json, schikhof_check, stock_bimodules)
+from .amenability import (STOCK_BIMODULES, certify, derivation_spaces,
+                          johnson_check, render_json, schikhof_check,
+                          stock_bimodules)
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      SpecParseError)
 from .finite_group import FiniteGroup, catalog, enumerate_subgroups, from_spec
@@ -193,9 +194,8 @@ def cmd_derivations(args) -> int:
     group = from_spec(args.group)
     prime = _require_prime(args.prime)
     alg = GroupAlgebra(group, prime)
-    stock = stock_bimodules(alg)
-    if args.bimodule != "all":
-        stock = {args.bimodule: stock[args.bimodule]}
+    names = STOCK_BIMODULES if args.bimodule == "all" else (args.bimodule,)
+    stock = stock_bimodules(alg, names)
     reports = {
         name: derivation_spaces(group, prime, bim)
         for name, bim in stock.items()
@@ -271,7 +271,7 @@ def build_parser() -> _ArgumentParser:
     sp.add_argument("--group", required=True)
     sp.add_argument("--prime", required=True, type=int)
     sp.add_argument("--bimodule", default="all",
-                    choices=("all", "regular", "trivial", "outer_tensor"))
+                    choices=("all",) + STOCK_BIMODULES)
     common(sp)
     sp.set_defaults(func=cmd_derivations)
 

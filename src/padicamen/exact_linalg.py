@@ -10,16 +10,10 @@ near the dimension of the solution space instead of the ambient space.
 
 Pivoting is deterministic (smallest eligible column), so kernels, solved
 vectors, and quotient representatives are reproducible byte for byte.
-
-A dense matrix facade (ExactMatrix, kernel_basis, solve, quotient_basis)
-wraps the same engine for callers that think in terms of small dense
-systems; `solve` additionally tracks row combinations so an inconsistent
-system is returned together with a machine-checkable certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -59,9 +53,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
-
-    def pivot_columns(self) -> List[int]:
-        return sorted(self.pivot_rows)
 
     def free_columns(self) -> List[int]:
         return [c for c in range(self.ncols) if c not in self.pivot_rows]
@@ -182,144 +173,6 @@ def spans_equal(vecs_a: Sequence[VecLike], vecs_b: Sequence[VecLike],
         all(ech_b.contains(v) for v in vecs_a)
 
 
-class _TrackedEchelon:
-    """Echelon variant that remembers, for every stored row, which
-    combination of input rows produced it.  Used only by the dense solver
-    to emit inconsistency certificates; the hot paths stay untracked."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.pivot_rows: Dict[int, SparseVec] = {}
-        self.combos: Dict[int, SparseVec] = {}
-
-    def add_row(self, row: VecLike, tag: int) -> None:
-        row = as_sparse(row)
-        combo: SparseVec = {tag: _ONE}
-        pivots = self.pivot_rows
-        for c in sorted(row):
-            if c not in pivots:
-                continue
-            coef = row.pop(c)
-            for j, v in pivots[c].items():
-                if j == c:
-                    continue
-                nv = row.get(j, 0) - coef * v
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-            for j, v in self.combos[c].items():
-                nv = combo.get(j, 0) - coef * v
-                if nv:
-                    combo[j] = nv
-                else:
-                    combo.pop(j, None)
-        if not row:
-            return
-        pc = min(row)
-        inv = _ONE / row[pc]
-        nrow = {j: inv * v for j, v in row.items()}
-        ncombo = {j: inv * v for j, v in combo.items()}
-        for c in list(self.pivot_rows):
-            prow = self.pivot_rows[c]
-            coef = prow.pop(pc, None)
-            if coef is None:
-                continue
-            for j, v in nrow.items():
-                if j == pc:
-                    continue
-                nv = prow.get(j, 0) - coef * v
-                if nv:
-                    prow[j] = nv
-                else:
-                    prow.pop(j, None)
-            pcombo = self.combos[c]
-            for j, v in ncombo.items():
-                nv = pcombo.get(j, 0) - coef * v
-                if nv:
-                    pcombo[j] = nv
-                else:
-                    pcombo.pop(j, None)
-        self.pivot_rows[pc] = nrow
-        self.combos[pc] = ncombo
-
-
-@dataclass
-class ExactMatrix:
-    """Dense matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: List[DenseVec]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        entries = [[Fraction(v) for v in row] for row in rows]
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows in matrix")
-        return cls(nrows, ncols, entries)
-
-    def row_sparse(self, i: int) -> SparseVec:
-        return as_sparse(self.entries[i])
-
-
-def rank(matrix: ExactMatrix) -> int:
-    ech = Echelon(matrix.cols)
-    for i in range(matrix.rows):
-        ech.add_row(matrix.row_sparse(i))
-    return ech.rank
-
-
-def kernel_basis(matrix: ExactMatrix) -> List[DenseVec]:
-    """Basis of the null space as dense vectors; empty for injective maps."""
-    ech = Echelon(matrix.cols)
-    for i in range(matrix.rows):
-        ech.add_row(matrix.row_sparse(i))
-    return [as_dense(v, matrix.cols) for v in ech.kernel_basis()]
-
-
-@dataclass
-class SolveResult:
-    """Outcome of a dense solve.
-
-    Either `solution` (free variables set to zero) or `certificate`, a
-    coefficient per input row whose combination yields the contradictory
-    equation 0 = 1.
-    """
-
-    consistent: bool
-    solution: Optional[DenseVec]
-    certificate: Optional[DenseVec]
-
-
-def solve(matrix: ExactMatrix, rhs: Sequence) -> SolveResult:
-    if len(rhs) != matrix.rows:
-        raise ValueError(
-            "dimension mismatch: %d rows vs rhs of length %d"
-            % (matrix.rows, len(rhs))
-        )
-    sent = matrix.cols
-    ech = _TrackedEchelon(matrix.cols + 1)
-    for i in range(matrix.rows):
-        row = matrix.row_sparse(i)
-        b = Fraction(rhs[i])
-        if b:
-            row[sent] = b
-        ech.add_row(row, i)
-    if sent in ech.pivot_rows:
-        cert = as_dense(ech.combos[sent], matrix.rows)
-        return SolveResult(False, None, cert)
-    sol: SparseVec = {}
-    for c, prow in ech.pivot_rows.items():
-        v = prow.get(sent)
-        if v:
-            sol[c] = v
-    return SolveResult(True, as_dense(sol, matrix.cols), None)
-
-
 class QuotientSpace:
     """Ambient space modulo the span of relation vectors.
 
@@ -341,17 +194,3 @@ class QuotientSpace:
     def project_sparse(self, vec: VecLike) -> SparseVec:
         """Class of vec as a sparse dict keyed by representative column."""
         return self.relations.reduce(vec)
-
-    def project(self, vec: VecLike) -> DenseVec:
-        """Class of vec as dense coordinates aligned with representatives."""
-        res = self.project_sparse(vec)
-        return [Fraction(res.get(c, 0)) for c in self.representatives]
-
-    def is_zero_class(self, vec: VecLike) -> bool:
-        return not self.project_sparse(vec)
-
-
-def quotient_basis(ambient_dim: int,
-                   relation_vectors: Iterable[VecLike]) -> QuotientSpace:
-    """Quotient of K^ambient_dim by the span of the given relations."""
-    return QuotientSpace(ambient_dim, relation_vectors)

@@ -14,6 +14,7 @@ subgroup lattice without scanning 2**n subsets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -62,11 +63,10 @@ class FiniteGroup:
     inverses: Tuple[int, ...]
     labels: Tuple[str, ...]
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
+    @functools.cached_property
+    def opposite_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Cayley table of the opposite group: opposite_table[h][y] = yh."""
+        return tuple(zip(*self.table))
 
     def elements(self) -> range:
         return range(self.order)
@@ -90,7 +90,8 @@ def _validate_table(name: str, labels: Sequence[str],
         if len(row) != n:
             raise GroupValidationError(
                 f"{name}: row {i} has length {len(row)}, expected {n}")
-        if any(not isinstance(x, int) or not 0 <= x < n for x in row):
+        # type(), not isinstance: JSON true/false arrive as bool, an int
+        if any(type(x) is not int or not 0 <= x < n for x in row):
             raise GroupValidationError(
                 f"{name}: row {i} contains an out-of-range entry")
         if sorted(row) != full:
@@ -259,7 +260,7 @@ def from_file(path: str) -> FiniteGroup:
     labels, table = doc["labels"], doc["table"]
     if not isinstance(name, str):
         raise SpecParseError(f"group file {path!r}: name must be a string")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SpecParseError(f"group file {path!r}: bad order {n!r}")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SpecParseError(f"group file {path!r}: labels must be strings")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .errors import InternalCheckError, SpecParseError
+from .errors import InternalCheckError
 from .finite_group import FiniteGroup
 from .valued_field import FieldDescriptor, valuation
 
@@ -65,18 +65,6 @@ class GroupAlgebra:
     def ones(self) -> "AlgebraElement":
         """The all-ones vector, i.e. the constant function 1 on G."""
         return AlgebraElement(self, (_ONE,) * self.group.order)
-
-    def basis(self) -> List["AlgebraElement"]:
-        return [self.delta(g) for g in self.group.elements()]
-
-    def from_doc(self, doc: Dict[str, str]) -> "AlgebraElement":
-        index = {lab: i for i, lab in enumerate(self.group.labels)}
-        coeffs = [_ZERO] * self.group.order
-        for lab, text in doc.items():
-            if lab not in index:
-                raise SpecParseError(f"unknown element label {lab!r}")
-            coeffs[index[lab]] = Fraction(text)
-        return AlgebraElement(self, tuple(coeffs))
 
     def functional(self, coeffs: Sequence) -> "DualFunctional":
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -258,12 +246,3 @@ def left_translate(g: int, phi: AlgebraElement) -> AlgebraElement:
         tuple(phi.coeffs[row[x]] for x in grp.elements()),
     )
 
-
-def dual_right_action(phi: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
-    """The right module action of l(G) on functions: phi . h = htilde * phi,
-    where htilde(s) = h(s^{-1})."""
-    phi._require_same(h)
-    grp = phi.algebra.group
-    htilde = AlgebraElement(
-        h.algebra, tuple(h.coeffs[grp.inverses[s]] for s in grp.elements()))
-    return convolve(htilde, phi)

@@ -8,10 +8,12 @@ E = (1 (x) S) Delta into A^e = A (x) A^op, the dual-action identity
 E^*(phi).c = E^*(phi.E(c)), and the quotient isomorphism
 A^e_E (x)_A K ~ A are all decided exactly.
 
-Diagram sides are computed through genuinely independent code paths
-(sparse matrix composition on one side, direct coefficient formulas or
-tensor products on the other), so a transposition or index mistake in one
-path cannot cancel against the same mistake in the other.
+Every structure map sends a basis vector to one basis vector, so each is
+stored as a BasisMap, a tuple of basis indices.  Diagram sides are
+computed through genuinely independent code paths (composition of index
+tuples on one side, direct coefficient formulas or tensor products on the
+other), so a transposition or index mistake in one path cannot cancel
+against the same mistake in the other.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InternalCheckError
-from .exact_linalg import Echelon, QuotientSpace, SparseVec, quotient_basis
+from .exact_linalg import QuotientSpace, SparseVec
 from .finite_group import FiniteGroup, require_within_cap
 from .group_algebra import AlgebraElement, GroupAlgebra, augmentation, convolve
 
@@ -35,18 +36,20 @@ _ONE = Fraction(1)
 PairKey = Tuple[int, int]
 
 
-def _mul_coeffs(table, flavor: str,
+def _mul_coeffs(first, second,
                 c1: Dict[PairKey, Fraction],
                 c2: Dict[PairKey, Fraction]) -> Dict[PairKey, Fraction]:
-    """Product of tensor coefficient dicts under the given flavor."""
+    """Product of tensor coefficient dicts:
+    (delta_g (x) delta_h)(delta_x (x) delta_y) = first[g][x] (x) second[h][y].
+
+    first is the Cayley table of G; second is G's table for the plain
+    product and the opposite group's table for the enveloping one.
+    """
     out: Dict[PairKey, Fraction] = {}
-    enveloping = flavor == ENVELOPING
     for (g, h), a in c1.items():
+        row_g, row_h = first[g], second[h]
         for (x, y), b in c2.items():
-            if enveloping:
-                key = (table[g][x], table[y][h])
-            else:
-                key = (table[g][x], table[h][y])
+            key = (row_g[x], row_h[y])
             v = out.get(key, _ZERO) + a * b
             if v:
                 out[key] = v
@@ -120,10 +123,11 @@ class TensorElement:
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         self._require_same(other)
-        table = self.algebra.group.table
+        grp = self.algebra.group
+        second = grp.table if self.flavor == PLAIN else grp.opposite_table
         return TensorElement(
             self.algebra, self.flavor,
-            _mul_coeffs(table, self.flavor, self.coeffs, other.coeffs))
+            _mul_coeffs(grp.table, second, self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -139,13 +143,6 @@ class TensorElement:
         """Coefficients over the flat index g*n + h."""
         n = self.algebra.group.order
         return {g * n + h: v for (g, h), v in self.coeffs.items()}
-
-    def matrix(self) -> List[List[Fraction]]:
-        n = self.algebra.group.order
-        out = [[_ZERO] * n for _ in range(n)]
-        for (g, h), v in self.coeffs.items():
-            out[g][h] = v
-        return out
 
     def to_doc(self) -> Dict[str, Dict[str, str]]:
         labels = self.algebra.group.labels
@@ -229,190 +226,143 @@ def pi0(t: TensorElement) -> AlgebraElement:
     return AlgebraElement(t.algebra, tuple(out))
 
 
-class SparseLinearMap:
-    """Exact linear map stored column-sparse: cols[j] = image of e_j."""
+class BasisMap:
+    """Linear map sending every basis vector to one basis vector or to 0.
 
-    __slots__ = ("nrows", "ncols", "cols")
+    images[j] is the index of the image of e_j, taken with coefficient 1,
+    or None when e_j maps to 0; nrows is the dimension of the target.
+    The Hopf structure maps, translations by group elements and the
+    actions of the stock bimodules all have this form, so composition,
+    tensor product, transposition and equality act on index tuples.
+    """
 
-    def __init__(self, nrows: int, ncols: int,
-                 cols: Dict[int, SparseVec]):
+    __slots__ = ("nrows", "images")
+
+    def __init__(self, nrows: int, images: Iterable[Optional[int]]):
         self.nrows = nrows
-        self.ncols = ncols
-        self.cols = {
-            j: {i: v for i, v in col.items() if v}
-            for j, col in cols.items() if col
-        }
-        self.cols = {j: col for j, col in self.cols.items() if col}
+        self.images = tuple(images)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.images)
 
     @classmethod
-    def identity(cls, n: int) -> "SparseLinearMap":
-        return cls(n, n, {j: {j: _ONE} for j in range(n)})
+    def identity(cls, n: int) -> "BasisMap":
+        return cls(n, range(n))
 
     def apply(self, vec: SparseVec) -> SparseVec:
         out: SparseVec = {}
         for j, c in vec.items():
-            col = self.cols.get(j)
-            if not col:
+            i = self.images[j]
+            if i is None:
                 continue
-            for i, v in col.items():
-                nv = out.get(i, _ZERO) + c * v
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
+            nv = out.get(i, _ZERO) + c
+            if nv:
+                out[i] = nv
+            else:
+                out.pop(i, None)
         return out
 
-    def compose(self, other: "SparseLinearMap") -> "SparseLinearMap":
+    def compose(self, other: "BasisMap") -> "BasisMap":
         """self after other."""
         if other.nrows != self.ncols:
             raise ValueError("composition dimension mismatch")
-        return SparseLinearMap(
-            self.nrows, other.ncols,
-            {j: self.apply(col) for j, col in other.cols.items()})
+        im = self.images
+        return BasisMap(
+            self.nrows, (None if j is None else im[j] for j in other.images))
 
-    def kron(self, other: "SparseLinearMap") -> "SparseLinearMap":
+    def kron(self, other: "BasisMap") -> "BasisMap":
         """Tensor product map on flat indices (i, j) -> i*rows(other)+j."""
-        cols: Dict[int, SparseVec] = {}
-        for a, ca in self.cols.items():
-            for b, cb in other.cols.items():
-                col: SparseVec = {}
-                for i, va in ca.items():
-                    for j, vb in cb.items():
-                        col[i * other.nrows + j] = va * vb
-                cols[a * other.ncols + b] = col
-        return SparseLinearMap(self.nrows * other.nrows,
-                               self.ncols * other.ncols, cols)
+        m = other.nrows
+        return BasisMap(self.nrows * m, (
+            None if i is None or j is None else i * m + j
+            for i in self.images for j in other.images))
 
-    def transpose(self) -> "SparseLinearMap":
-        cols: Dict[int, SparseVec] = {}
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                cols.setdefault(i, {})[j] = v
-        return SparseLinearMap(self.ncols, self.nrows, cols)
+    def transpose(self) -> "BasisMap":
+        """Transpose of an injective map: e_i goes to e_j where
+        images[j] = i, and to 0 where i is no image."""
+        out: List[Optional[int]] = [None] * self.nrows
+        for j, i in enumerate(self.images):
+            if i is None:
+                continue
+            if out[i] is not None:
+                raise ValueError("transpose of a non-injective basis map")
+            out[i] = j
+        return BasisMap(self.ncols, out)
 
     def __eq__(self, other):
-        if not isinstance(other, SparseLinearMap):
+        if not isinstance(other, BasisMap):
             return NotImplemented
-        return (self.nrows, self.ncols, self.cols) == \
-            (other.nrows, other.ncols, other.cols)
+        return (self.nrows, self.images) == (other.nrows, other.images)
 
-    def first_column_difference(self, other: "SparseLinearMap") -> Optional[int]:
-        """Smallest column index where the maps differ, None if equal."""
-        for j in range(self.ncols):
-            if self.cols.get(j, {}) != other.cols.get(j, {}):
+    def first_column_difference(self, other: "BasisMap") -> Optional[int]:
+        """Smallest column index where two maps of one shape differ, None
+        if they are equal."""
+        for j, (a, b) in enumerate(zip(self.images, other.images)):
+            if a != b:
                 return j
         return None
 
 
-def delta_matrix(algebra: GroupAlgebra) -> SparseLinearMap:
-    n = algebra.group.order
-    return SparseLinearMap(
-        n * n, n, {g: {g * n + g: _ONE} for g in range(n)})
+def delta_map(group: FiniteGroup) -> BasisMap:
+    """Comultiplication: delta_g -> delta_g (x) delta_g."""
+    n = group.order
+    return BasisMap(n * n, (g * n + g for g in range(n)))
 
 
-def counit_matrix(algebra: GroupAlgebra) -> SparseLinearMap:
-    n = algebra.group.order
-    return SparseLinearMap(1, n, {g: {0: _ONE} for g in range(n)})
+def counit_map(group: FiniteGroup) -> BasisMap:
+    return BasisMap(1, (0,) * group.order)
 
 
-def antipode_matrix(algebra: GroupAlgebra,
-                    perm: Optional[Sequence[int]] = None) -> SparseLinearMap:
-    grp = algebra.group
-    n = grp.order
+def antipode_map(group: FiniteGroup,
+                 perm: Optional[Sequence[int]] = None) -> BasisMap:
+    """S delta_g = delta_x where perm(x) = g; perm defaults to inversion."""
     if perm is None:
-        perm = grp.inverses
-    # column g is the image of delta_g: nonzero where perm(x) = g
-    inv_perm = [0] * n
-    for x in range(n):
-        inv_perm[perm[x]] = x
-    return SparseLinearMap(n, n, {g: {inv_perm[g]: _ONE} for g in range(n)})
+        perm = group.inverses
+    images = [0] * group.order
+    for x, g in enumerate(perm):
+        images[g] = x
+    return BasisMap(group.order, images)
 
 
-def mult_matrix(algebra: GroupAlgebra) -> SparseLinearMap:
-    grp = algebra.group
-    n = grp.order
-    return SparseLinearMap(
-        n, n * n,
-        {g * n + h: {grp.table[g][h]: _ONE}
-         for g in range(n) for h in range(n)})
+def mult_map(group: FiniteGroup) -> BasisMap:
+    n = group.order
+    return BasisMap(n, (group.table[g][h] for g in range(n) for h in range(n)))
 
 
-def unit_matrix(algebra: GroupAlgebra) -> SparseLinearMap:
-    n = algebra.group.order
-    return SparseLinearMap(n, 1, {0: {algebra.group.identity: _ONE}})
+def unit_map(group: FiniteGroup) -> BasisMap:
+    return BasisMap(group.order, (group.identity,))
 
 
-def e_matrix(algebra: GroupAlgebra) -> SparseLinearMap:
-    grp = algebra.group
-    n = grp.order
-    return SparseLinearMap(
-        n * n, n,
-        {g: {g * n + grp.inverses[g]: _ONE} for g in range(n)})
+def e_basis_map(group: FiniteGroup) -> BasisMap:
+    """E: delta_g -> delta_g (x) delta_{g^{-1}}."""
+    n = group.order
+    return BasisMap(n * n, (g * n + group.inverses[g] for g in range(n)))
 
 
-def left_conv_matrix(algebra: GroupAlgebra, c: int) -> SparseLinearMap:
-    """Matrix of x -> delta_c * x on l(G)."""
-    grp = algebra.group
-    n = grp.order
-    return SparseLinearMap(
-        n, n, {x: {grp.table[c][x]: _ONE} for x in range(n)})
+def left_conv_map(group: FiniteGroup, c: int) -> BasisMap:
+    """x -> delta_c * x on l(G)."""
+    return BasisMap(group.order, group.table[c])
 
 
-def env_left_mult_matrix(t: TensorElement) -> SparseLinearMap:
-    """Matrix of w -> t . w in the enveloping algebra, built through the
-    generic tensor product so it is an independent code path."""
+def env_left_mult_matrix(t: TensorElement) -> BasisMap:
+    """Map w -> t . w in the enveloping algebra for a basis tensor t,
+    built through the generic tensor product so it is an independent code
+    path."""
     if t.flavor != ENVELOPING:
         raise ValueError("enveloping flavor required")
     alg = t.algebra
     n = alg.group.order
-    cols: Dict[int, SparseVec] = {}
+    images = []
     for a in range(n):
         for b in range(n):
             col = (t * basis_tensor(alg, ENVELOPING, a, b)).flat()
-            cols[a * n + b] = col
-    return SparseLinearMap(n * n, n * n, cols)
-
-
-class HopfStructure:
-    """The Hopf data for one group algebra, as exact matrices.
-
-    Construction cross-checks the two tensor-flavor product rules on all
-    basis quadruples, comparing the generic sparse product against the
-    closed-form single-basis-vector answer.
-    """
-
-    def __init__(self, algebra: GroupAlgebra,
-                 antipode_perm: Optional[Sequence[int]] = None):
-        require_within_cap(algebra.group.order, "Hopf structure verification")
-        self.algebra = algebra
-        self.antipode_perm = tuple(antipode_perm) if antipode_perm else None
-        self.comultiplication = delta_matrix(algebra)
-        self.counit = counit_matrix(algebra)
-        self.antipode = antipode_matrix(algebra, antipode_perm)
-        self.multiplication = mult_matrix(algebra)
-        self.unit = unit_matrix(algebra)
-        self._verify_flavor_products()
-
-    def _verify_flavor_products(self):
-        table = self.algebra.group.table
-        n = self.algebra.group.order
-        one = _ONE
-        for g in range(n):
-            for h in range(n):
-                left = {(g, h): one}
-                for a in range(n):
-                    for b in range(n):
-                        right = {(a, b): one}
-                        got = _mul_coeffs(table, ENVELOPING, left, right)
-                        if got != {(table[g][a], table[b][h]): one}:
-                            raise InternalCheckError(
-                                "enveloping product wrong on basis quadruple "
-                                f"({g},{h},{a},{b})")
-                        got = _mul_coeffs(table, PLAIN, left, right)
-                        if got != {(table[g][a], table[h][b]): one}:
-                            raise InternalCheckError(
-                                "plain product wrong on basis quadruple "
-                                f"({g},{h},{a},{b})")
+            if list(col.values()) != [_ONE]:
+                raise ValueError(
+                    "left multiplication does not map basis tensors to "
+                    "basis tensors")
+            images.extend(col)
+    return BasisMap(n * n, images)
 
 
 @dataclass
@@ -452,7 +402,7 @@ class HopfReport:
 
 
 def _matrix_axiom(report: HopfReport, labels, name: str,
-                  lhs: SparseLinearMap, rhs: SparseLinearMap, checked: str):
+                  lhs: BasisMap, rhs: BasisMap, checked: str):
     j = lhs.first_column_difference(rhs)
     if j is None:
         report.axioms[name] = AxiomResult(True, checked)
@@ -472,41 +422,40 @@ def verify_hopf_axioms(group: FiniteGroup, prime: int,
     negative control and must break both antipode diagrams.
     """
     alg = GroupAlgebra(group, prime)
-    hs = HopfStructure(alg, antipode_perm)
+    require_within_cap(group.order, "Hopf structure verification")
     n = group.order
     labels = group.labels
-    ident = SparseLinearMap.identity(n)
+    perm = tuple(antipode_perm) if antipode_perm else None
+    delta = delta_map(group)
+    counit = counit_map(group)
+    s = antipode_map(group, perm)
+    mult = mult_map(group)
+    ident = BasisMap.identity(n)
     report = HopfReport(group.name, n, prime, antipode_perm is not None)
 
     basis_note = f"all {n} basis columns"
     _matrix_axiom(
         report, labels, "coassociativity",
-        hs.comultiplication.kron(ident).compose(hs.comultiplication),
-        ident.kron(hs.comultiplication).compose(hs.comultiplication),
+        delta.kron(ident).compose(delta), ident.kron(delta).compose(delta),
         basis_note)
     _matrix_axiom(
         report, labels, "counit_left",
-        hs.counit.kron(ident).compose(hs.comultiplication), ident, basis_note)
+        counit.kron(ident).compose(delta), ident, basis_note)
     _matrix_axiom(
         report, labels, "counit_right",
-        ident.kron(hs.counit).compose(hs.comultiplication), ident, basis_note)
-    nu_eps = hs.unit.compose(hs.counit)
+        ident.kron(counit).compose(delta), ident, basis_note)
+    nu_eps = unit_map(group).compose(counit)
     _matrix_axiom(
         report, labels, "antipode_left",
-        hs.multiplication.compose(hs.antipode.kron(ident))
-        .compose(hs.comultiplication),
-        nu_eps, basis_note)
+        mult.compose(s.kron(ident)).compose(delta), nu_eps, basis_note)
     _matrix_axiom(
         report, labels, "antipode_right",
-        hs.multiplication.compose(ident.kron(hs.antipode))
-        .compose(hs.comultiplication),
-        nu_eps, basis_note)
+        mult.compose(ident.kron(s)).compose(delta), nu_eps, basis_note)
     _matrix_axiom(
         report, labels, "antipode_involutive",
-        hs.antipode.compose(hs.antipode), ident, basis_note)
+        s.compose(s), ident, basis_note)
 
     pair_note = f"all {n * n} basis pairs"
-    perm = hs.antipode_perm
 
     def first_pair_failure(predicate):
         for g in range(n):
@@ -567,17 +516,17 @@ def eq1_check(group: FiniteGroup, prime: int) -> Eq1Report:
     """Verify E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
     the enveloping algebra and every basis element c.
 
-    The left side routes through transposed convolution matrices, the
-    right side through the generic enveloping product; comparing the two
+    The left side routes through transposed convolution maps, the right
+    side through the generic enveloping product; comparing the two
     composed maps column by column covers every basis phi at once.
     """
     require_within_cap(group.order, "dual action identity check")
     alg = GroupAlgebra(group, prime)
     n = group.order
-    et = e_matrix(alg).transpose()
+    et = e_basis_map(group).transpose()
     report = Eq1Report(group.name, n, prime)
     for c in range(n):
-        lhs = left_conv_matrix(alg, c).transpose().compose(et)
+        lhs = left_conv_map(group, c).transpose().compose(et)
         env = env_left_mult_matrix(e_map(alg.delta(c)))
         rhs = et.compose(env.transpose())
         report.per_c[group.labels[c]] = lhs == rhs
@@ -648,8 +597,7 @@ def lemma2_data(group: FiniteGroup
     """
     alg = GroupAlgebra(group, 2)  # any prime works: the data is rational
     rels = lemma2_relations(alg)
-    quotient = quotient_basis(
-        group.order ** 2, (rel.flat() for rel in rels))
+    quotient = QuotientSpace(group.order ** 2, (rel.flat() for rel in rels))
     return tuple(rel.coeffs for rel in rels), quotient
 
 
@@ -673,16 +621,8 @@ def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
     reps = quotient.representatives
     pos = {r: k for k, r in enumerate(reps)}
     # induced map on representatives: class of e_r -> pi0(e_r)
-    phi_cols: Dict[int, SparseVec] = {}
-    for k, r in enumerate(reps):
-        g, h = divmod(r, n)
-        phi_cols[k] = {grp.table[g][h]: _ONE}
-    phi = SparseLinearMap(n, len(reps), phi_cols)
-
-    ech = Echelon(n)
-    for k in range(len(reps)):
-        ech.add_row(phi_cols[k])
-    bijective = quotient.dim == n and ech.rank == n
+    phi = BasisMap(n, (grp.table[r // n][r % n] for r in reps))
+    bijective = quotient.dim == n and len(set(phi.images)) == n
 
     def phi_of_class(coords: SparseVec) -> SparseVec:
         vec = {pos[r]: v for r, v in coords.items()}

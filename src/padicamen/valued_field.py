@@ -2,9 +2,9 @@
 
 Coefficient arithmetic everywhere in this package is plain
 `fractions.Fraction` arithmetic, i.e. arithmetic in the rational subfield
-of Q_p.  The prime enters only through valuations and absolute-value
-comparisons.  Absolute values |x|_p = p**(-v_p(x)) are never evaluated as
-real numbers; only the integer exponent is stored or compared.
+of Q_p.  The prime enters only through valuations.  Absolute values
+|x|_p = p**(-v_p(x)) are never evaluated as real numbers; only the
+integer exponent is stored or compared.
 """
 
 from __future__ import annotations
@@ -14,18 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-#: Elements of the ground field are exact rationals in lowest terms.
-#: `fractions.Fraction` already guarantees canonical form and arbitrary
-#: precision, which is the entire data contract.
-PAdicScalar = Fraction
-
 ScalarLike = Union[Fraction, int]
 
 #: Valuation of zero.  An IEEE infinity compares correctly against every
 #: integer valuation, which is the only arithmetic it ever sees.
 INFINITE_VALUATION = math.inf
-
-_ARITH_OPS = ("add", "sub", "mul", "div")
 
 
 def is_prime(n: int) -> bool:
@@ -44,26 +37,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """The ground field Q_p: a prime together with its residue characteristic.
-
-    For Q_p the residue class field is Z/pZ, so the residue characteristic
-    always equals the prime.  Both names are kept because divisibility
-    tests downstream are stated against the residue characteristic.
-    """
+    """The ground field Q_p, given by its prime."""
 
     prime: int
-    residue_characteristic: int = 0
 
     def __post_init__(self):
         if not isinstance(self.prime, int) or not is_prime(self.prime):
             raise ValueError(f"not a prime: {self.prime!r}")
-        if self.residue_characteristic == 0:
-            object.__setattr__(self, "residue_characteristic", self.prime)
-        if self.residue_characteristic != self.prime:
-            raise ValueError(
-                "residue characteristic %r does not match prime %r"
-                % (self.residue_characteristic, self.prime)
-            )
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -81,62 +61,3 @@ def valuation(x: ScalarLike, p: int):
     if x == 0:
         return INFINITE_VALUATION
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-
-
-def abs_exponent(x: ScalarLike, p: int):
-    """The exponent e with |x|_p = p**e, or None for |0|_p = 0."""
-    v = valuation(x, p)
-    if isinstance(v, float) and math.isinf(v):
-        return None
-    return -v
-
-
-def abs_compare(a: ScalarLike, b: ScalarLike, p: int) -> int:
-    """Ordering of |a|_p versus |b|_p: -1 (less), 0 (equal), +1 (greater).
-
-    Larger valuation means smaller absolute value; zero has the smallest
-    absolute value of all.
-    """
-    va = valuation(a, p)
-    vb = valuation(b, p)
-    if va == vb:
-        return 0
-    return -1 if va > vb else 1
-
-
-def field_arith(a: ScalarLike, op: str, b: ScalarLike) -> Fraction:
-    """Exact field arithmetic; op is one of add/sub/mul/div."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}, expected one of {_ARITH_OPS}")
-
-
-def format_scalar(x: ScalarLike) -> str:
-    """Serialize a scalar as the exact string "num/den"."""
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_scalar(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer string) into an exact scalar."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact scalar: {text!r}") from exc
-
-
-def format_valuation(v) -> str:
-    """Serialize a valuation as a decimal integer or the token "inf"."""
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return str(int(v))

@@ -9,11 +9,15 @@ Three independent oracles anchor the derived quantities:
   dim Der = |G|^2 - |G|, and 0 on the trivial bimodule.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padicamen.amenability as amenability
 from padicamen.amenability import (Bimodule, certify, derivation_spaces,
                                    diagonal_ideal_identity,
                                    invariant_functional_space, johnson_check,
@@ -305,6 +309,33 @@ def test_certify_document_shape_and_stability():
     # diagonal block carries the closed form
     assert doc["diagonal"]["norm_exponent"] == 1
     assert doc["diagonal"]["pi0"] == {"0": "1/1"}
+
+
+def test_certify_runs_johnson_check_once(monkeypatch):
+    calls = []
+    real = amenability.johnson_check
+
+    def counting(group, prime):
+        calls.append((group.name, prime))
+        return real(group, prime)
+    monkeypatch.setattr(amenability, "johnson_check", counting)
+    for spec, p in [("cyclic:4", 2), ("symmetric:3", 3)]:
+        calls.clear()
+        certify(from_spec(spec), p)
+        assert calls == [(spec, p)]
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("grp", catalog(8), ids=lambda g: g.name)
+def test_certificates_match_golden_digests(grp):
+    # digests of documents recorded from an earlier version of the package
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+    for p in (2, 3):
+        text = render_json(certify(grp, p))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            digests["certify %s p%d" % (grp.name, p)], (grp.name, p)
 
 
 def test_certify_trivial_group():

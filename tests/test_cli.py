@@ -190,6 +190,32 @@ def test_internal_failure_exits_2(capsys, monkeypatch):
     assert "internal check failed: forced failure" in err
 
 
+def test_derivations_builds_only_the_requested_bimodule(capsys, monkeypatch):
+    import padicamen.amenability as amenability
+
+    def refuse(algebra):
+        raise AssertionError("outer_tensor bimodule built")
+    monkeypatch.setattr(amenability, "outer_tensor_bimodule", refuse)
+    rc, out, err = run(capsys, ["derivations", "--group", "dihedral:3",
+                                "--prime", "2", "--bimodule", "regular"])
+    assert rc == 0 and err == ""
+    assert "bimodule regular: module_dim 6, derivation_dim 3, inner_dim 3, " \
+           "all_inner true" in out
+    assert "outer_tensor" not in out
+
+
+def test_boolean_table_entry_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "name": "bool-table", "order": 2, "labels": ["a", "b"],
+        "table": [[0, True], [True, 0]],
+    }), encoding="utf-8")
+    rc, out, err = run(capsys, ["check", "--group", str(path),
+                                "--prime", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_table_file_round_trip(capsys, tmp_path):
     from padicamen.finite_group import dihedral
     grp = dihedral(3)

@@ -3,14 +3,11 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
-from padicamen.exact_linalg import (Echelon, ExactMatrix, QuotientSpace,
-                                    as_dense, as_sparse, kernel_basis,
-                                    kernel_basis_sparse, quotient_basis, rank,
-                                    solve, solve_augmented, span_echelon,
-                                    spans_equal)
+from padicamen.exact_linalg import (Echelon, QuotientSpace, as_dense,
+                                    as_sparse, kernel_basis_sparse,
+                                    solve_augmented, span_echelon, spans_equal)
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=6):
@@ -36,8 +33,9 @@ def test_rank_matches_sympy():
     for _ in range(60):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = random_matrix(rng, nrows, ncols)
-        mat = ExactMatrix.from_rows(rows)
-        assert rank(mat) == to_sympy(rows, ncols).rank()
+        ech = Echelon(ncols)
+        ech.add_rows(rows)
+        assert ech.rank == to_sympy(rows, ncols).rank()
 
 
 def test_kernel_matches_sympy():
@@ -45,8 +43,7 @@ def test_kernel_matches_sympy():
     for _ in range(60):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_matrix(rng, nrows, ncols)
-        mat = ExactMatrix.from_rows(rows)
-        kb = kernel_basis(mat)
+        kb = [as_dense(v, ncols) for v in kernel_basis_sparse(rows, ncols)]
         null = to_sympy(rows, ncols).nullspace()
         assert len(kb) == len(null)
         # every kernel vector annihilates every row, exactly
@@ -61,6 +58,17 @@ def test_kernel_matches_sympy():
             assert ours.contains(sv)
 
 
+def augmented(rows, rhs, ncols):
+    """Sparse augmented rows: column ncols holds the right-hand side."""
+    out = []
+    for row, b in zip(rows, rhs):
+        aug = as_sparse(row)
+        if b:
+            aug[ncols] = b
+        out.append(aug)
+    return out
+
+
 def test_solve_consistent_randomized():
     rng = random.Random(777)
     for _ in range(60):
@@ -69,28 +77,20 @@ def test_solve_consistent_randomized():
         x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
              for _ in range(ncols)]
         rhs = [sum(r * v for r, v in zip(row, x)) for row in rows]
-        res = solve(ExactMatrix.from_rows(rows), rhs)
-        assert res.consistent
+        sol = solve_augmented(augmented(rows, rhs, ncols), ncols)
+        assert sol is not None
+        sol = as_dense(sol, ncols)
         for row, b in zip(rows, rhs):
-            assert sum(r * v for r, v in zip(row, res.solution)) == b
-
-
-def test_solve_inconsistent_certificate():
-    # rows sum to zero but the right-hand sides do not
-    rows = [[1, 2], [3, 4], [4, 6]]
-    rhs = [1, 1, 3]  # row0 + row1 = row2 but 1 + 1 != 3
-    res = solve(ExactMatrix.from_rows(rows), rhs)
-    assert not res.consistent and res.solution is None
-    lam = res.certificate
-    assert lam is not None
-    for j in range(2):
-        assert sum(lam[i] * Fraction(rows[i][j]) for i in range(3)) == 0
-    assert sum(lam[i] * Fraction(rhs[i]) for i in range(3)) == 1
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve(ExactMatrix.from_rows([[1, 2]]), [1, 2])
+            assert sum(r * v for r, v in zip(row, sol)) == b
+        # sympy agrees that the system is consistent
+        a = to_sympy(rows, ncols)
+        assert a.rank() == a.row_join(to_sympy([[b] for b in rhs], 1)).rank()
+    # row0 + row1 = row2 but 1 + 1 != 3: inconsistent, as sympy confirms
+    rows = [[Fraction(v) for v in row] for row in ([1, 2], [3, 4], [4, 6])]
+    rhs = [Fraction(1), Fraction(1), Fraction(3)]
+    a = to_sympy(rows, 2)
+    assert a.rank() < a.row_join(to_sympy([[b] for b in rhs], 1)).rank()
+    assert solve_augmented(augmented(rows, rhs, 2), 2) is None
 
 
 def test_solve_augmented_known():
@@ -116,7 +116,7 @@ def test_echelon_incremental_rank_and_contains():
     assert not ech.add_row({0: Fraction(2), 1: Fraction(2)})
     assert ech.add_row({2: Fraction(5)})
     assert ech.rank == 2
-    assert ech.pivot_columns() == [0, 2]
+    assert sorted(ech.pivot_rows) == [0, 2]
     assert ech.free_columns() == [1]
     assert ech.contains({0: Fraction(3), 1: Fraction(3), 2: Fraction(7)})
     assert not ech.contains({0: Fraction(1)})
@@ -156,17 +156,15 @@ def test_quotient_space():
     # ambient Q^4 mod span(e0 - e1, e1 - e2): dimension 2
     rels = [{0: Fraction(1), 1: Fraction(-1)},
             {1: Fraction(1), 2: Fraction(-1)}]
-    q = quotient_basis(4, rels)
-    assert isinstance(q, QuotientSpace)
+    q = QuotientSpace(4, rels)
     assert q.dim == 2
+    assert q.representatives == [2, 3]
     # e0 and e2 fall in the same class
     assert q.project_sparse({0: Fraction(1)}) == \
-        q.project_sparse({2: Fraction(1)})
-    assert q.is_zero_class({0: Fraction(1), 2: Fraction(-1)})
-    assert not q.is_zero_class({0: Fraction(1), 3: Fraction(-1)})
-    # projection is aligned with the representatives
-    dense = q.project({0: Fraction(1)})
-    assert len(dense) == 2
+        q.project_sparse({2: Fraction(1)}) == {2: Fraction(1)}
+    assert not q.project_sparse({0: Fraction(1), 2: Fraction(-1)})
+    assert q.project_sparse({0: Fraction(1), 3: Fraction(-1)}) == \
+        {2: Fraction(1), 3: Fraction(-1)}
 
 
 def test_sparse_dense_round_trip():

@@ -114,6 +114,15 @@ def test_validation_rejects_broken_tables():
         from_table("empty", [], [])
 
 
+def test_validation_rejects_boolean_entries():
+    # bool is an int subclass, and True == 1, so this table would otherwise
+    # validate as the cyclic group of order 2
+    with pytest.raises(GroupValidationError, match="out-of-range"):
+        from_table("x", ["a", "b"], [[0, True], [True, 0]])
+    with pytest.raises(GroupValidationError):
+        from_table("x", ["a", "b"], [[False, 1], [1, False]])
+
+
 def test_from_spec_strings():
     assert from_spec("cyclic:12").order == 12
     assert from_spec("dihedral:5").order == 10

@@ -7,11 +7,12 @@ import pytest
 
 from padicamen.finite_group import cyclic, dihedral, quaternion8, symmetric
 from padicamen.group_algebra import GroupAlgebra, augmentation, convolve
-from padicamen.hopf import (ENVELOPING, PLAIN, HopfStructure, SparseLinearMap,
-                            TensorElement, antipode, basis_tensor, comultiply,
-                            e_map, eq1_check, lemma2_data, lemma2_iso_check,
-                            lemma2_relations, pi0, tensor_from_flat, tensor_of,
-                            verify_hopf_axioms)
+import padicamen.hopf as hopf
+from padicamen.hopf import (ENVELOPING, PLAIN, BasisMap, TensorElement,
+                            antipode, antipode_map, basis_tensor, comultiply,
+                            delta_map, e_map, eq1_check, lemma2_data,
+                            lemma2_iso_check, lemma2_relations, mult_map, pi0,
+                            tensor_from_flat, tensor_of, verify_hopf_axioms)
 
 GROUPS = [cyclic(1), cyclic(4), cyclic(6), dihedral(3), dihedral(4),
           symmetric(3), quaternion8()]
@@ -68,6 +69,7 @@ def test_corrupted_antipode_fails_antipode_axioms():
     assert not report.axioms["antipode_left"].passed
     assert not report.axioms["antipode_right"].passed
     assert report.axioms["antipode_left"].witness is not None
+    assert report.axioms["antipode_right"].witness is not None
     # the untouched diagrams still commute
     assert report.axioms["coassociativity"].passed
     assert report.axioms["counit_left"].passed
@@ -172,19 +174,30 @@ def test_tensor_element_ops():
         t + other  # flavor mismatch
 
 
-def test_sparse_linear_map_basics():
+def test_basis_map_basics():
     f = Fraction
-    m = SparseLinearMap(2, 2, {0: {0: f(1), 1: f(2)}, 1: {1: f(3)}})
-    ident = SparseLinearMap.identity(2)
+    # e0 -> e2, e1 -> 0, e2 -> e0 inside a 3-dimensional target
+    m = BasisMap(3, (2, None, 0))
+    ident = BasisMap.identity(3)
+    assert m.ncols == 3
     assert m.compose(ident) == m == ident.compose(m)
-    assert m.apply({0: f(1), 1: f(1)}) == {0: f(1), 1: f(5)}
-    mt = m.transpose()
-    assert mt.cols == {0: {0: f(1)}, 1: {0: f(2), 1: f(3)}}
-    kron = m.kron(ident)
-    assert kron.nrows == 4 and kron.ncols == 4
-    assert kron.apply({0: f(1)}) == {0: f(1), 2: f(2)}
+    assert m.compose(m).images == (0, None, 2)
+    assert m.apply({0: f(1), 1: f(4), 2: f(3)}) == {2: f(1), 0: f(3)}
+    assert BasisMap(1, (0, 0)).apply({0: f(1), 1: f(-1)}) == {}
+    assert m.transpose().images == (2, None, 0)
+    e = BasisMap(4, (3, 1))  # injective, rank 2 in a 4-dimensional target
+    assert e.transpose().images == (None, 1, None, 0)
+    assert e.transpose().compose(e) == BasisMap.identity(2)
+    with pytest.raises(ValueError):
+        BasisMap(1, (0, 0)).transpose()
+    with pytest.raises(ValueError):
+        m.compose(e)  # e lands in dimension 4, m reads dimension 3
+    kron = e.kron(m)
+    assert kron.nrows == 12 and kron.ncols == 6
+    assert kron.images == (11, None, 9, 5, None, 3)
     assert m.first_column_difference(ident) == 0
     assert m.first_column_difference(m) is None
+    assert m != BasisMap(4, (2, None, 0))
 
 
 def test_eq1_identity_on_catalog_groups():
@@ -226,12 +239,81 @@ def test_lemma2_iso_check_on_catalog_groups():
 
 
 def test_hopf_structure_builds_and_validates():
-    alg = GroupAlgebra(quaternion8(), 2)
-    hs = HopfStructure(alg)
-    assert hs.comultiplication.ncols == 8
-    assert hs.comultiplication.nrows == 64
-    assert hs.antipode.ncols == 8
-    assert hs.multiplication.nrows == 8
+    grp = quaternion8()
+    delta = delta_map(grp)
+    assert delta.ncols == 8 and delta.nrows == 64
+    assert delta.images == tuple(g * 8 + g for g in range(8))
+    s = antipode_map(grp)
+    assert s.ncols == 8 and s.images == grp.inverses
+    mult = mult_map(grp)
+    assert mult.nrows == 8 and mult.ncols == 64
+    assert mult.images[2 * 8 + 4] == grp.table[2][4]
+    # a corrupting permutation is inverted: S delta_g = delta_x, perm(x) = g
+    assert antipode_map(grp, [1, 2, 0, 3, 4, 5, 6, 7]).images[:3] == (2, 0, 1)
+
+
+@pytest.mark.parametrize("grp", [symmetric(3), quaternion8(), dihedral(4)],
+                         ids=lambda g: g.name)
+def test_tensor_products_match_per_leg_convolution(grp):
+    # both product rules on every basis quadruple, each leg computed by
+    # convolution instead of the Cayley-table lookup of the product rule
+    alg = GroupAlgebra(grp, 2)
+    n = grp.order
+    delta = [alg.delta(g) for g in range(n)]
+    for g in range(n):
+        for h in range(n):
+            plain_gh = basis_tensor(alg, PLAIN, g, h)
+            env_gh = basis_tensor(alg, ENVELOPING, g, h)
+            for a in range(n):
+                first = convolve(delta[g], delta[a])
+                for b in range(n):
+                    assert plain_gh * basis_tensor(alg, PLAIN, a, b) == \
+                        tensor_of(first, convolve(delta[h], delta[b]), PLAIN)
+                    assert env_gh * basis_tensor(alg, ENVELOPING, a, b) == \
+                        tensor_of(first, convolve(delta[b], delta[h]),
+                                  ENVELOPING)
+
+
+def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
+    grp = symmetric(3)
+    n = grp.order
+    e = grp.identity
+    # delta_g -> delta_g (x) delta_e breaks the left counit law; it is
+    # still coassociative, since both sides send delta_g to g (x) e (x) e
+    monkeypatch.setattr(hopf, "delta_map",
+                        lambda group: BasisMap(n * n, (g * n + e
+                                                       for g in range(n))))
+    report = verify_hopf_axioms(grp, 2)
+    assert not report.axioms["counit_left"].passed
+    assert report.axioms["counit_left"].witness == "basis column 021"
+    assert report.axioms["counit_right"].passed
+    assert report.axioms["coassociativity"].passed
+    # delta_g -> delta_g (x) delta_{tg}, t != e, breaks coassociativity too:
+    # the sides give g (x) tg (x) tg and g (x) tg (x) ttg
+    t = 1
+    monkeypatch.setattr(hopf, "delta_map",
+                        lambda group: BasisMap(n * n, (g * n + grp.table[t][g]
+                                                       for g in range(n))))
+    report = verify_hopf_axioms(grp, 2)
+    for name in ("coassociativity", "counit_left"):
+        assert not report.axioms[name].passed, name
+        assert report.axioms[name].witness == "basis column 012", name
+    assert report.axioms["counit_right"].passed
+    assert not report.all_pass
+
+
+def test_corrupted_e_fails_dual_action_identity(monkeypatch):
+    grp = symmetric(3)
+    # E(delta_g) = delta_g (x) delta_g instead of delta_g (x) delta_{g^-1}
+    monkeypatch.setattr(
+        hopf, "e_map",
+        lambda f: TensorElement(f.algebra, ENVELOPING,
+                                {(g, g): c for g, c in enumerate(f.coeffs)
+                                 if c}))
+    report = eq1_check(grp, 2)
+    assert False in report.per_c.values()
+    assert report.per_c["012"]  # the identity element still commutes
+    assert not report.all_pass
 
 
 def test_tensor_norm_and_doc_stability():

@@ -7,9 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicamen.valued_field import (INFINITE_VALUATION, FieldDescriptor,
-                                    abs_compare, abs_exponent, field_arith,
-                                    format_scalar, format_valuation, is_prime,
-                                    parse_scalar, valuation)
+                                    is_prime, valuation)
 
 
 def oracle_valuation(x, p):
@@ -73,53 +71,12 @@ def test_ultrametric_with_equality_case():
             assert vs == min(vx, vy)
 
 
-def test_abs_exponent_and_compare():
-    assert abs_exponent(8, 2) == -3
-    assert abs_exponent(Fraction(1, 9), 3) == 2
-    assert abs_exponent(0, 5) is None
-    # |4|_2 = 1/4 < |3|_2 = 1
-    assert abs_compare(4, 3, 2) == -1
-    assert abs_compare(3, 4, 2) == 1
-    assert abs_compare(5, 7, 2) == 0
-    assert abs_compare(0, 1, 2) == -1
-    assert abs_compare(0, 0, 2) == 0
-
-
 def test_field_descriptor():
-    fd = FieldDescriptor(5)
-    assert fd.prime == 5 and fd.residue_characteristic == 5
-    assert FieldDescriptor(3, 3).residue_characteristic == 3
-    with pytest.raises(ValueError):
-        FieldDescriptor(6)
-    with pytest.raises(ValueError):
-        FieldDescriptor(5, 3)
-
-
-def test_field_arith():
-    assert field_arith(Fraction(1, 2), "add", Fraction(1, 3)) == Fraction(5, 6)
-    assert field_arith(3, "sub", 5) == -2
-    assert field_arith(Fraction(2, 3), "mul", 6) == 4
-    assert field_arith(1, "div", 4) == Fraction(1, 4)
-    with pytest.raises(ZeroDivisionError):
-        field_arith(1, "div", 0)
-    with pytest.raises(ValueError):
-        field_arith(1, "pow", 2)
-
-
-def test_scalar_formatting_round_trip():
-    rng = random.Random(5)
-    for _ in range(200):
-        x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        assert parse_scalar(format_scalar(x)) == x
-    assert format_scalar(Fraction(3)) == "3/1"
-    assert format_scalar(Fraction(-1, 2)) == "-1/2"
-    assert parse_scalar("7") == 7
-
-
-def test_format_valuation():
-    assert format_valuation(3) == "3"
-    assert format_valuation(-2) == "-2"
-    assert format_valuation(INFINITE_VALUATION) == "inf"
+    assert FieldDescriptor(5).prime == 5
+    assert FieldDescriptor(3) == FieldDescriptor(3)
+    for bad in (6, 1, 0, -3, 2.0):
+        with pytest.raises(ValueError):
+            FieldDescriptor(bad)
 
 
 def test_is_prime():
