@@ -25,7 +25,7 @@ because each identity holds by theorem for valid inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,12 +34,12 @@ from .exact_linalg import (Echelon, SparseVec, as_dense, kernel_basis_sparse,
                            solve_augmented, spans_equal)
 from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
                            require_within_cap, subgroup_index)
-from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
-                            convolve, format_norm_exponent, i0_identity,
+from .group_algebra import (DualFunctional, GroupAlgebra, convolve,
+                            format_norm_exponent, i0_identity,
                             left_translate, norm_exponent)
 from .hopf import (ENVELOPING, BasisMap, TensorElement, basis_tensor, e_map,
                    eq1_check, lemma2_data, lemma2_iso_check, pi0,
-                   tensor_from_flat, tensor_of, verify_hopf_axioms)
+                   tensor_of, verify_hopf_axioms)
 from .valued_field import valuation
 
 _ZERO = Fraction(0)
@@ -287,10 +287,12 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
 
     Steps: form the quotient of the enveloping algebra by the relations
     u.E(a) - epsilon(a).u; lift delta_e through the induced isomorphism
-    and confirm the lift is the class of delta_e (x) delta_e; push the
-    normalized mean through E and multiply; then verify the closed form
-    and both virtual-diagonal identities exactly.  A Johnson certificate
-    already computed for (group, prime) may be passed in as johnson.
+    and confirm the lift is the class of delta_e (x) delta_e; check that
+    right multiplication by E(mean) kills every relation, which reduces to
+    E(delta_a).E(mean) = E(mean) for the n basis elements a; multiply the
+    lift by E(mean); then verify the closed form and both virtual-diagonal
+    identities exactly.  A Johnson certificate already computed for
+    (group, prime) may be passed in as johnson.
     """
     require_within_cap(group.order, "virtual diagonal construction")
     jc = johnson_check(group, prime) if johnson is None else johnson
@@ -300,7 +302,7 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
     alg = GroupAlgebra(group, prime)
     grp = group
     n = grp.order
-    rel_coeffs, quotient = lemma2_data(group)
+    _, quotient = lemma2_data(group)
     if quotient.dim != n:
         raise InternalCheckError(
             "quotient dimension %d differs from group order %d"
@@ -329,14 +331,18 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
         alg, ENVELOPING, {divmod(r, n): v for r, v in lift_by_rep.items()})
 
     # push the mean through E; relations must die, making the step a map
-    # on the quotient rather than on representatives
-    m_vec = alg.element(jc.mean.coeffs)
-    em = e_map(m_vec)
-    for coeffs in rel_coeffs:
-        rel = TensorElement(alg, ENVELOPING, coeffs)
-        if not (rel * em).is_zero():
+    # on the quotient rather than on representatives.  Each relation is
+    # u.(E(delta_a) - 1 (x) 1) for a basis tensor u, and left
+    # multiplication by delta_g (x) delta_h sends delta_x (x) delta_y to
+    # delta_gx (x) delta_yh, a bijection of the basis, so it is injective:
+    # every relation dies under .E(m) exactly when E(delta_a).E(m) = E(m)
+    # for every a.
+    em = e_map(alg.element(jc.mean.coeffs))
+    for a in range(n):
+        if e_map(alg.delta(a)) * em != em:
             raise InternalCheckError(
-                "a quotient relation survives multiplication by E(mean)")
+                "a quotient relation survives multiplication by E(mean) "
+                "at %s" % grp.labels[a])
     d = u0 * em
 
     closed = TensorElement(
@@ -424,11 +430,6 @@ class Bimodule:
                         "bimodule %s: actions do not commute at (%s, %s)"
                         % (self.name, grp.labels[g], grp.labels[h]))
 
-    def fingerprint(self):
-        return (self.algebra.group, self.dimension,
-                tuple(mp.images for mp in self.left),
-                tuple(mp.images for mp in self.right))
-
     def __repr__(self):
         return f"Bimodule({self.name!r}, dim={self.dimension})"
 
@@ -484,8 +485,7 @@ class DerivationReport:
     """Derivation space versus inner derivations for one bimodule.
 
     Vectors live over the flat index g*dim + c: component c of the value
-    D(delta_g) in the dual module.  Treat the basis lists as read-only;
-    they may be shared between reports for the same group and bimodule.
+    D(delta_g) in the dual module.
     """
 
     group_name: str
@@ -517,7 +517,12 @@ class DerivationReport:
         }
 
 
-_derivation_cache: Dict[tuple, tuple] = {}
+def _acc(row: SparseVec, key: int, val) -> None:
+    nv = row.get(key, 0) + val
+    if nv:
+        row[key] = nv
+    else:
+        row.pop(key, None)
 
 
 def derivation_spaces(group: FiniteGroup, prime: int,
@@ -527,42 +532,13 @@ def derivation_spaces(group: FiniteGroup, prime: int,
 
     The dual actions are the transposes of X's actions with the sides
     exchanged.  The derivation identity is imposed on every basis pair
-    (g, h), not just on generators.  The linear algebra is rational and
-    prime-independent, so results are cached per (group, bimodule).
+    (g, h), not just on generators.  The linear algebra is rational, so
+    the bases do not depend on the prime.
     """
     # bimodules are prime-agnostic; only the group must match
     if bimodule.algebra.group.table != group.table:
         raise ValueError("bimodule was built over a different group")
     require_within_cap(group.order, "derivation solve")
-
-    key = bimodule.fingerprint()
-    cached = _derivation_cache.get(key)
-    if cached is None:
-        cached = _solve_derivation_spaces(group, bimodule)
-        _derivation_cache[key] = cached
-    der_basis, inner_basis, all_inner = cached
-    return DerivationReport(
-        group_name=group.name,
-        order=group.order,
-        prime=prime,
-        bimodule_name=bimodule.name,
-        module_dim=bimodule.dimension,
-        unknowns=group.order * bimodule.dimension,
-        derivation_basis=der_basis,
-        inner_basis=inner_basis,
-        all_inner=all_inner,
-    )
-
-
-def _acc(row: SparseVec, key: int, val) -> None:
-    nv = row.get(key, 0) + val
-    if nv:
-        row[key] = nv
-    else:
-        row.pop(key, None)
-
-
-def _solve_derivation_spaces(group: FiniteGroup, bimodule: Bimodule):
     n = group.order
     dim = bimodule.dimension
     ncols = n * dim
@@ -599,85 +575,44 @@ def _solve_derivation_spaces(group: FiniteGroup, bimodule: Bimodule):
             inner_gens.append(vec)
 
     ech = Echelon(ncols)
-    inner_basis = [v for v in inner_gens if ech.add_row(dict(v))]
-    all_inner = spans_equal(der_basis, inner_gens, ncols)
-    return der_basis, inner_basis, all_inner
-
-
-def _left_mult_rows(t: TensorElement) -> Dict[int, SparseVec]:
-    """Rows of the matrix of w -> t.w over the flat basis of the
-    enveloping algebra, read off the products t.(delta_a (x) delta_b)."""
-    alg = t.algebra
-    n = alg.group.order
-    rows: Dict[int, SparseVec] = {}
-    for a in range(n):
-        for b in range(n):
-            col = (t * basis_tensor(alg, ENVELOPING, a, b)).flat()
-            for i, v in col.items():
-                rows.setdefault(i, {})[a * n + b] = v
-    return rows
+    return DerivationReport(
+        group_name=group.name,
+        order=n,
+        prime=prime,
+        bimodule_name=bimodule.name,
+        module_dim=dim,
+        unknowns=ncols,
+        derivation_basis=der_basis,
+        inner_basis=[v for v in inner_gens if ech.add_row(dict(v))],
+        all_inner=spans_equal(der_basis, inner_gens, ncols),
+    )
 
 
 def diagonal_ideal_identity(group: FiniteGroup, prime: int,
                             diagonal: Optional[VirtualDiagonal] = None
                             ) -> TensorElement:
-    """Solve for a right identity of ker pi0 and verify it is 1 (x) 1 - d.
+    """Verify that u = 1 (x) 1 - d is a right identity of ker pi0.
 
-    The kernel is the left ideal generated by 1 (x) 1 - d, so the right
-    identity condition reduces to one vector equation on that generator;
-    membership in the kernel and the pinning condition d.u = 0 (which
-    rules out the non-uniqueness coming from d.A^e inside the kernel)
-    complete the system.  The solution is then verified directly against
-    a full kernel basis.
+    Three exact checks: pi0(u) = 0; d.u = 0; and v.u = v for every v of
+    the kernel basis delta_g (x) delta_h - delta_e (x) delta_gh, g != e,
+    hence for all of ker pi0.  They determine u: if u' passes them too,
+    then x = u - u' lies in ker pi0, so (1 (x) 1 - d).x = u.u - u.u' =
+    u - u = 0 and d.x = 0, and x = (1 (x) 1).x = 0.
     """
-    require_within_cap(group.order, "kernel identity solve")
+    require_within_cap(group.order, "kernel identity check")
     if diagonal is None:
         diagonal = virtual_diagonal_construct(group, prime)
     d = diagonal.tensor
     alg = d.algebra
     grp = group
     n = grp.order
-    ncells = n * n
-    sent = ncells
     e = grp.identity
 
-    one_t = basis_tensor(alg, ENVELOPING, e, e)
-    expected = one_t - d
-    expected_flat = expected.flat()
-
-    rows: List[SparseVec] = []
-    # membership: pi0(u) = 0
-    for a in range(n):
-        row: SparseVec = {}
-        for g in range(n):
-            row_g = grp.table[g]
-            for h in range(n):
-                if row_g[h] == a:
-                    row[g * n + h] = _ONE
-        rows.append(row)
-    # right identity against the ideal generator: (1x1 - d).u = 1x1 - d
-    gen_rows = _left_mult_rows(expected)
-    for i in range(ncells):
-        row = gen_rows.get(i, {})
-        rhs = expected_flat.get(i)
-        if rhs:
-            row[sent] = rhs
-        if row:
-            rows.append(row)
-    # pinning: d.u = 0 selects the unique solution 1x1 - d
-    rows.extend(_left_mult_rows(d).values())
-
-    sol = solve_augmented(rows, ncells)
-    if sol is None:
-        raise InternalCheckError(
-            "no right identity of ker pi0 found for %s" % grp.name)
-    u = tensor_from_flat(alg, ENVELOPING, sol)
-    if u != expected:
-        raise InternalCheckError(
-            "right identity of ker pi0 differs from 1 (x) 1 - d")
+    u = basis_tensor(alg, ENVELOPING, e, e) - d
     if not pi0(u).is_zero():
-        raise InternalCheckError("right identity is not in ker pi0")
-    # direct verification on the sparse kernel basis
+        raise InternalCheckError("1 (x) 1 - d is not in ker pi0")
+    if not (d * u).is_zero():
+        raise InternalCheckError("d.(1 (x) 1 - d) is not zero")
     for g in range(n):
         if g == e:
             continue

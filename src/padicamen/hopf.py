@@ -161,13 +161,6 @@ class TensorElement:
         return f"TensorElement[{self.flavor}]({body})"
 
 
-def tensor_from_flat(algebra: GroupAlgebra, flavor: str,
-                     flat: SparseVec) -> TensorElement:
-    n = algebra.group.order
-    return TensorElement(
-        algebra, flavor, {divmod(k, n): v for k, v in flat.items()})
-
-
 def basis_tensor(algebra: GroupAlgebra, flavor: str,
                  g: int, h: int) -> TensorElement:
     return TensorElement(algebra, flavor, {(g, h): _ONE})
@@ -624,36 +617,29 @@ def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
     phi = BasisMap(n, (grp.table[r // n][r % n] for r in reps))
     bijective = quotient.dim == n and len(set(phi.images)) == n
 
-    def phi_of_class(coords: SparseVec) -> SparseVec:
-        vec = {pos[r]: v for r, v in coords.items()}
-        return phi.apply(vec)
+    def phi_of_class(coords: SparseVec) -> Tuple[Fraction, ...]:
+        vec = phi.apply({pos[r]: v for r, v in coords.items()})
+        return tuple(vec.get(i, _ZERO) for i in range(n))
 
-    action_commutes = True
-    if well_defined:
-        for wg in range(n):
-            for wh in range(n):
-                w = basis_tensor(alg, ENVELOPING, wg, wh)
-                dg, dh = alg.delta(wg), alg.delta(wh)
-                for r in reps:
-                    g, h = divmod(r, n)
-                    # through the quotient: project w.e_r, apply the map
-                    moved = w * basis_tensor(alg, ENVELOPING, g, h)
-                    via_quotient = phi_of_class(
-                        quotient.project_sparse(moved.flat()))
-                    # directly on l(G): w acts by a -> delta_wg * a * delta_wh
-                    img = phi_of_class(quotient.project_sparse({r: _ONE}))
-                    x = AlgebraElement(
-                        alg, tuple(img.get(i, _ZERO) for i in range(n)))
-                    direct = convolve(convolve(dg, x), dh)
-                    if tuple(
-                        via_quotient.get(i, _ZERO) for i in range(n)
-                    ) != direct.coeffs:
-                        action_commutes = False
-                        break
-                if not action_commutes:
-                    break
-            if not action_commutes:
-                break
+    # the direct side's image of the class of e_r does not depend on w
+    images = [(divmod(r, n), AlgebraElement(
+        alg, phi_of_class(quotient.project_sparse({r: _ONE}))))
+        for r in reps]
+
+    def commutes(wg: int, wh: int) -> bool:
+        w = basis_tensor(alg, ENVELOPING, wg, wh)
+        dg, dh = alg.delta(wg), alg.delta(wh)
+        for (g, h), x in images:
+            # through the quotient: project w.e_r, apply the map
+            moved = w * basis_tensor(alg, ENVELOPING, g, h)
+            via_quotient = phi_of_class(quotient.project_sparse(moved.flat()))
+            # directly on l(G): w acts by a -> delta_wg * a * delta_wh
+            if via_quotient != convolve(convolve(dg, x), dh).coeffs:
+                return False
+        return True
+
+    action_commutes = not well_defined or all(
+        commutes(wg, wh) for wg in range(n) for wh in range(n))
 
     return Lemma2Report(
         group_name=grp.name,

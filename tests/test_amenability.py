@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 import padicamen.amenability as amenability
-from padicamen.amenability import (Bimodule, certify, derivation_spaces,
-                                   diagonal_ideal_identity,
+from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
+                                   derivation_spaces, diagonal_ideal_identity,
                                    invariant_functional_space, johnson_check,
                                    mean_from_diagonal, outer_tensor_bimodule,
                                    regular_bimodule, render_json,
@@ -27,10 +27,12 @@ from padicamen.amenability import (Bimodule, certify, derivation_spaces,
                                    trivial_bimodule, VirtualDiagonal,
                                    virtual_diagonal_construct)
 from padicamen.errors import InternalCheckError
+from padicamen.exact_linalg import QuotientSpace
 from padicamen.finite_group import (catalog, cyclic, dihedral, from_spec,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import GroupAlgebra, convolve
-from padicamen.hopf import ENVELOPING, basis_tensor, pi0, tensor_of
+from padicamen.hopf import (ENVELOPING, TensorElement, basis_tensor, pi0,
+                            tensor_of)
 from padicamen.valued_field import valuation
 
 
@@ -179,7 +181,6 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
                     Fraction(rng.randint(-3, 3))
                 for _ in range(4)
             }
-            from padicamen.hopf import TensorElement
             v = TensorElement(alg, ENVELOPING, raw)
             v = v - tensor_of(pi0(v), alg.one(), ENVELOPING)
             assert pi0(v).is_zero()
@@ -189,6 +190,72 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
 def test_diagonal_ideal_identity_trivial_group():
     u = diagonal_ideal_identity(cyclic(1), 5)
     assert u.is_zero()
+
+
+def test_virtual_diagonal_construct_rejects_each_corruption(monkeypatch):
+    grp = symmetric(3)
+    n, e, inv = grp.order, grp.identity, grp.inverses
+    alg = GroupAlgebra(grp, 5)
+    jc = johnson_check(grp, 5)
+
+    def build(johnson=jc):
+        return virtual_diagonal_construct(grp, 5, johnson=johnson)
+
+    def certificate(mean):
+        return JohnsonCertificate(grp.name, n, 5, mean is not None, 1, mean,
+                                  None)
+
+    with pytest.raises(InternalCheckError, match="requires a Johnson mean"):
+        build(certificate(None))
+    # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
+    with pytest.raises(InternalCheckError, match="quotient relation"):
+        build(certificate(alg.functional(alg.one().coeffs)))
+    # twice the mean is invariant too, so only the closed form catches it
+    with pytest.raises(InternalCheckError, match="closed form"):
+        build(certificate(jc.mean.scale(2)))
+
+    def quotient_keeping(reps):
+        q = QuotientSpace(n * n, [{i: Fraction(1)}
+                                  for i in range(n * n) if i not in reps])
+        monkeypatch.setattr(amenability, "lemma2_data", lambda group: ((), q))
+
+    others = {e * n + a for a in range(n) if a != e}
+    quotient_keeping(others)
+    with pytest.raises(InternalCheckError, match="quotient dimension"):
+        build()
+    # no representative multiplies to e
+    t = 1
+    quotient_keeping(others | {t * n + e})
+    with pytest.raises(InternalCheckError, match="not in the image"):
+        build()
+    # the representative over e is delta_t (x) delta_{t^-1}, not e (x) e
+    quotient_keeping(others | {t * n + inv[t]})
+    with pytest.raises(InternalCheckError, match="not the class of"):
+        build()
+
+
+def _ideal_identity_with(grp, coeffs):
+    alg = GroupAlgebra(grp, 5)
+    fake = VirtualDiagonal(TensorElement(alg, ENVELOPING, coeffs))
+    return diagonal_ideal_identity(grp, 5, diagonal=fake)
+
+
+def test_diagonal_ideal_identity_rejects_corrupted_diagonals():
+    grp = symmetric(3)
+    n, e = grp.order, grp.identity
+    g = 1  # a transposition
+    # 2d: pi0(1 (x) 1 - 2d) = -delta_e
+    doubled = {(x, grp.inverses[x]): Fraction(2, n) for x in range(n)}
+    with pytest.raises(InternalCheckError, match="not in ker pi0"):
+        _ideal_identity_with(grp, doubled)
+    # delta_g (x) delta_{g^-1}: pi0 gives delta_e, but d.d != d
+    with pytest.raises(InternalCheckError, match="is not zero"):
+        _ideal_identity_with(grp, {(g, grp.inverses[g]): Fraction(1)})
+    # delta_e (x) delta_e: u = 0 annihilates the kernel instead of fixing it
+    with pytest.raises(InternalCheckError,
+                       match=r"kernel basis at \(%s, %s\)"
+                       % (grp.labels[1], grp.labels[0])):
+        _ideal_identity_with(grp, {(e, e): Fraction(1)})
 
 
 def test_derivation_dims_match_character_theory():
@@ -240,14 +307,15 @@ def test_derivation_vectors_satisfy_leibniz():
                 assert lhs == rhs
 
 
-def test_derivation_report_caching_and_doc():
+def test_derivation_report_prime_independence_and_doc():
     grp = cyclic(4)
     alg2 = GroupAlgebra(grp, 2)
     alg3 = GroupAlgebra(grp, 3)
     r2 = derivation_spaces(grp, 2, outer_tensor_bimodule(alg2))
     r3 = derivation_spaces(grp, 3, outer_tensor_bimodule(alg3))
-    # the linear algebra is prime-independent and shared
-    assert r2.derivation_basis is r3.derivation_basis
+    # the linear algebra is rational, so the bases do not depend on p
+    assert r2.derivation_basis == r3.derivation_basis
+    assert r2.inner_basis == r3.inner_basis
     assert r2.prime == 2 and r3.prime == 3
     doc = r2.to_doc()
     assert doc == {
@@ -328,11 +396,24 @@ def test_certify_runs_johnson_check_once(monkeypatch):
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
-@pytest.mark.parametrize("grp", catalog(8), ids=lambda g: g.name)
+GOLDEN_PRIMES = (2, 3, 5, 7)
+
+
+def _golden_digests():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+
+
+def test_golden_certificates_are_catalog_12_at_four_primes():
+    recorded = {k for k in _golden_digests() if k.startswith("certify ")}
+    assert recorded == {"certify %s p%d" % (grp.name, p)
+                        for grp in catalog(12) for p in GOLDEN_PRIMES}
+
+
+@pytest.mark.parametrize("grp", catalog(12), ids=lambda g: g.name)
 def test_certificates_match_golden_digests(grp):
     # digests of documents recorded from an earlier version of the package
-    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
-    for p in (2, 3):
+    digests = _golden_digests()
+    for p in GOLDEN_PRIMES:
         text = render_json(certify(grp, p))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             digests["certify %s p%d" % (grp.name, p)], (grp.name, p)
