@@ -22,8 +22,7 @@ from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
                             left_translate, norm_exponent)
 from .hopf import (ENVELOPING, PLAIN, BasisMap, TensorElement, antipode,
                    basis_tensor, comultiply, e_map, eq1_check,
-                   lemma2_iso_check, lemma2_relations, pi0, tensor_of,
-                   verify_hopf_axioms)
+                   lemma2_iso_check, pi0, tensor_of, verify_hopf_axioms)
 from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,
                           JohnsonCertificate, SchikhofVerdict,
                           VirtualDiagonal, certify, derivation_spaces,

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .exact_linalg import (Echelon, SparseVec, as_dense, kernel_basis_sparse,
-                           solve_augmented, spans_equal)
+                           spans_equal)
 from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
                            require_within_cap, subgroup_index)
 from .group_algebra import (DualFunctional, GroupAlgebra, convolve,
@@ -285,14 +285,16 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
                                ) -> VirtualDiagonal:
     """Build the virtual diagonal by tracing the proof of the equivalence.
 
-    Steps: form the quotient of the enveloping algebra by the relations
-    u.E(a) - epsilon(a).u; lift delta_e through the induced isomorphism
-    and confirm the lift is the class of delta_e (x) delta_e; check that
-    right multiplication by E(mean) kills every relation, which reduces to
-    E(delta_a).E(mean) = E(mean) for the n basis elements a; multiply the
-    lift by E(mean); then verify the closed form and both virtual-diagonal
-    identities exactly.  A Johnson certificate already computed for
-    (group, prime) may be passed in as johnson.
+    Steps: take the classes of the basis tensors under the relations
+    u.E(a) - epsilon(a).u, which form a basis of the quotient; lift
+    delta_e through the induced isomorphism, with no solve, to the one
+    class whose representative multiplies to e, and confirm it is the
+    class of delta_e (x) delta_e; check that right multiplication by
+    E(mean) kills every relation, which reduces to E(delta_a).E(mean) =
+    E(mean) for the n basis elements a; multiply the lift by E(mean); then
+    verify the closed form and both virtual-diagonal identities exactly.
+    A Johnson certificate already computed for (group, prime) may be
+    passed in as johnson.
     """
     require_within_cap(group.order, "virtual diagonal construction")
     jc = johnson_check(group, prime) if johnson is None else johnson
@@ -302,33 +304,25 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
     alg = GroupAlgebra(group, prime)
     grp = group
     n = grp.order
-    _, quotient = lemma2_data(group)
-    if quotient.dim != n:
+    _, classes = lemma2_data(group)
+    reps = sorted(set(classes))
+    if len(reps) != n:
         raise InternalCheckError(
             "quotient dimension %d differs from group order %d"
-            % (quotient.dim, n)
+            % (len(reps), n)
         )
 
-    # lift delta_e through the induced isomorphism class(u) -> pi0(u)
-    reps = quotient.representatives
-    k_of_rep = {r: k for k, r in enumerate(reps)}
-    rows: Dict[int, SparseVec] = {a: {} for a in range(n)}
-    for r in reps:
-        g, h = divmod(r, n)
-        rows[grp.table[g][h]][k_of_rep[r]] = _ONE
-    sent = len(reps)
-    rows[grp.identity][sent] = _ONE
-    sol = solve_augmented(rows.values(), len(reps))
-    if sol is None:
+    # lift delta_e through the induced isomorphism class(e_r) -> pi0(e_r):
+    # it sends each class to one basis element, so the lift is the one
+    # class whose representative multiplies to e
+    over_e = [r for r in reps if grp.table[r // n][r % n] == grp.identity]
+    if not over_e:
         raise InternalCheckError(
             "delta_e is not in the image of the induced map")
-    lift_by_rep = {reps[k]: v for k, v in sol.items()}
-    ee = grp.identity * n + grp.identity
-    if quotient.project_sparse({ee: _ONE}) != lift_by_rep:
+    if over_e != [classes[grp.identity * n + grp.identity]]:
         raise InternalCheckError(
             "lift of delta_e is not the class of delta_e (x) delta_e")
-    u0 = TensorElement(
-        alg, ENVELOPING, {divmod(r, n): v for r, v in lift_by_rep.items()})
+    u0 = basis_tensor(alg, ENVELOPING, *divmod(over_e[0], n))
 
     # push the mean through E; relations must die, making the step a map
     # on the quotient rather than on representatives.  Each relation is

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: rank, kernel, solve, quotients.
+"""Exact linear algebra over the rationals: rank, kernels, span equality.
 
 Everything here is tolerance-free `fractions.Fraction` arithmetic.  The
 workhorse is an incremental reduced-echelon engine over sparse rows
@@ -8,14 +8,14 @@ supported on its own pivot column plus free columns only.  With the
 permutation-flavored systems produced by group algebras this keeps fill-in
 near the dimension of the solution space instead of the ambient space.
 
-Pivoting is deterministic (smallest eligible column), so kernels, solved
-vectors, and quotient representatives are reproducible byte for byte.
+Pivoting is deterministic (smallest eligible column), so kernels are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 SparseVec = Dict[int, Fraction]
 DenseVec = List[Fraction]
@@ -135,27 +135,6 @@ def kernel_basis_sparse(rows: Iterable[VecLike], ncols: int) -> List[SparseVec]:
     return ech.kernel_basis()
 
 
-def solve_augmented(rows: Iterable[VecLike], ncols: int) -> Optional[SparseVec]:
-    """Solve a system given as augmented sparse rows.
-
-    Each row is a dict over columns 0..ncols, where column `ncols` holds
-    the right-hand side: the row encodes sum_j row[j]*x_j = row[ncols].
-    Returns the solution with free variables set to zero, or None when
-    the system is inconsistent.
-    """
-    sent = ncols
-    ech = Echelon(ncols + 1)
-    ech.add_rows(rows)
-    if sent in ech.pivot_rows:
-        return None
-    sol: SparseVec = {}
-    for c, prow in ech.pivot_rows.items():
-        v = prow.get(sent)
-        if v:
-            sol[c] = v
-    return sol
-
-
 def span_echelon(vectors: Iterable[VecLike], ncols: int) -> Echelon:
     ech = Echelon(ncols)
     ech.add_rows(vectors)
@@ -171,26 +150,3 @@ def spans_equal(vecs_a: Sequence[VecLike], vecs_b: Sequence[VecLike],
         return False
     return all(ech_a.contains(v) for v in vecs_b) and \
         all(ech_b.contains(v) for v in vecs_a)
-
-
-class QuotientSpace:
-    """Ambient space modulo the span of relation vectors.
-
-    Representatives are the free columns of the relation echelon; the
-    projection reduces a vector against the relations and reads off its
-    coordinates over those columns.  Deterministic by construction.
-    """
-
-    def __init__(self, ambient_dim: int, relations: Iterable[VecLike]):
-        self.ambient_dim = ambient_dim
-        self.relations = Echelon(ambient_dim)
-        self.relations.add_rows(relations)
-        self.representatives = self.relations.free_columns()
-
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
-
-    def project_sparse(self, vec: VecLike) -> SparseVec:
-        """Class of vec as a sparse dict keyed by representative column."""
-        return self.relations.reduce(vec)

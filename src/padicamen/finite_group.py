@@ -247,7 +247,7 @@ def from_file(path: str) -> FiniteGroup:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read group file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting
         raise SpecParseError(f"group file {path!r} is not valid JSON: {exc}") \
             from exc
     if not isinstance(doc, dict):
@@ -264,9 +264,10 @@ def from_file(path: str) -> FiniteGroup:
         raise SpecParseError(f"group file {path!r}: bad order {n!r}")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SpecParseError(f"group file {path!r}: labels must be strings")
-    if not isinstance(table, list) or len(table) != n:
+    if not isinstance(table, list) or len(table) != n or \
+            not all(isinstance(row, list) for row in table):
         raise SpecParseError(
-            f"group file {path!r}: table must have {n} rows")
+            f"group file {path!r}: table must have {n} rows, each a list")
     return _validate_table(name, labels, table)
 
 

@@ -9,21 +9,22 @@ E^*(phi).c = E^*(phi.E(c)), and the quotient isomorphism
 A^e_E (x)_A K ~ A are all decided exactly.
 
 Every structure map sends a basis vector to one basis vector, so each is
-stored as a BasisMap, a tuple of basis indices.  Diagram sides are
-computed through genuinely independent code paths (composition of index
-tuples on one side, direct coefficient formulas or tensor products on the
-other), so a transposition or index mistake in one path cannot cancel
-against the same mistake in the other.
+stored as a BasisMap, a tuple of basis indices.  Every quotient relation
+is a difference of two basis tensors, so the quotient is held as a
+partition of the basis into classes.  Diagram sides are computed through
+genuinely independent code paths (composition of index tuples on one
+side, direct coefficient formulas or tensor products on the other), so a
+transposition or index mistake in one path cannot cancel against the same
+mistake in the other.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact_linalg import QuotientSpace, SparseVec
+from .exact_linalg import SparseVec
 from .finite_group import FiniteGroup, require_within_cap
 from .group_algebra import AlgebraElement, GroupAlgebra, augmentation, convolve
 
@@ -526,22 +527,6 @@ def eq1_check(group: FiniteGroup, prime: int) -> Eq1Report:
     return report
 
 
-def lemma2_relations(alg: GroupAlgebra) -> List[TensorElement]:
-    """The quotient relations u.E(delta_a) - epsilon(delta_a).u over all
-    basis u of the enveloping algebra and basis a of the algebra."""
-    grp = alg.group
-    n = grp.order
-    rels = []
-    for g in range(n):
-        for h in range(n):
-            u = basis_tensor(alg, ENVELOPING, g, h)
-            for a in range(n):
-                rel = u * e_map(alg.delta(a)) - u
-                if not rel.is_zero():
-                    rels.append(rel)
-    return rels
-
-
 @dataclass
 class Lemma2Report:
     group_name: str
@@ -577,64 +562,76 @@ class Lemma2Report:
         }
 
 
-@functools.lru_cache(maxsize=None)
 def lemma2_data(group: FiniteGroup
-                ) -> Tuple[Tuple[Dict[PairKey, Fraction], ...], QuotientSpace]:
-    """Quotient relations (as coefficient dicts) and the quotient space,
-    built once per group.
+                ) -> Tuple[List[PairKey], Tuple[int, ...]]:
+    """Quotient relations of the enveloping algebra and the classes they
+    generate, over the flat index g*n + h of delta_g (x) delta_h.
 
-    The relations and the echelon are rational data independent of the
-    prime, so they are cached on the group; callers wrap the coefficient
-    dicts in TensorElement with whatever algebra they hold.  Returned
-    objects are shared and must be treated as read-only.
+    For u = delta_g (x) delta_h, u.E(delta_a) = delta_ga (x) delta_{a^-1 h},
+    so the relation u.E(delta_a) - epsilon(delta_a).u is e_i - e_j with
+    i = flat(ga, a^-1 h) and j = flat(g, h); it vanishes for a = e and
+    i != j otherwise.  relations lists these pairs (i, j).  The quotient
+    of Q^N by span{e_i - e_j} has the classes of the equivalence the pairs
+    generate as a basis: its dimension is the number of classes and e_k
+    projects to its class, exactly over any field.  classes[k] is the
+    smallest flat index in the class of k.
     """
-    alg = GroupAlgebra(group, 2)  # any prime works: the data is rational
-    rels = lemma2_relations(alg)
-    quotient = QuotientSpace(group.order ** 2, (rel.flat() for rel in rels))
-    return tuple(rel.coeffs for rel in rels), quotient
+    n = group.order
+    table, inv = group.table, group.inverses
+    parent = list(range(n * n))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    relations: List[PairKey] = []
+    for g in range(n):
+        for h in range(n):
+            j = g * n + h
+            for a in range(n):
+                if a == group.identity:
+                    continue
+                i = table[g][a] * n + table[inv[a]][h]
+                relations.append((i, j))
+                ri, rj = root(i), root(j)
+                # the smaller root wins, so every root is its class minimum
+                parent[max(ri, rj)] = min(ri, rj)
+    return relations, tuple(root(k) for k in range(n * n))
 
 
 def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
     """Certify the isomorphism class(u) -> pi0(u) from the quotient of the
     enveloping algebra by the span of u.E(a) - epsilon(a).u onto l(G).
 
-    Checks, in order: the quotient has dimension |G|; pi0 kills every
-    relation (the map is well defined); the induced map is bijective; and
-    it commutes with the left enveloping action, computed once through
-    the quotient machinery and once directly on l(G).
+    Checks, in order: the quotient has dimension |G|; pi0 agrees at both
+    ends of every relation (the map is well defined); the class
+    representatives have |G| distinct products (the map is bijective);
+    and it commutes with the left enveloping action.  For the last, w.e_r
+    is computed through the generic enveloping product, which reads the
+    opposite table, and compared with delta_wg * pi0(e_r) * delta_wh read
+    from G's table.
     """
     require_within_cap(group.order, "quotient isomorphism check")
     alg = GroupAlgebra(group, prime)
-    grp = group
-    n = grp.order
-    rel_coeffs, quotient = lemma2_data(group)
+    n = group.order
+    table = group.table
+    relations, classes = lemma2_data(group)
     well_defined = all(
-        pi0(TensorElement(alg, ENVELOPING, c)).is_zero() for c in rel_coeffs)
-
-    reps = quotient.representatives
-    pos = {r: k for k, r in enumerate(reps)}
-    # induced map on representatives: class of e_r -> pi0(e_r)
-    phi = BasisMap(n, (grp.table[r // n][r % n] for r in reps))
-    bijective = quotient.dim == n and len(set(phi.images)) == n
-
-    def phi_of_class(coords: SparseVec) -> Tuple[Fraction, ...]:
-        vec = phi.apply({pos[r]: v for r, v in coords.items()})
-        return tuple(vec.get(i, _ZERO) for i in range(n))
-
-    # the direct side's image of the class of e_r does not depend on w
-    images = [(divmod(r, n), AlgebraElement(
-        alg, phi_of_class(quotient.project_sparse({r: _ONE}))))
-        for r in reps]
+        table[i // n][i % n] == table[j // n][j % n] for i, j in relations)
+    # induced map on classes: class of e_r -> delta_{pi0(e_r)}
+    phi = {r: table[r // n][r % n] for r in sorted(set(classes))}
+    bijective = len(phi) == n and len(set(phi.values())) == n
 
     def commutes(wg: int, wh: int) -> bool:
         w = basis_tensor(alg, ENVELOPING, wg, wh)
-        dg, dh = alg.delta(wg), alg.delta(wh)
-        for (g, h), x in images:
-            # through the quotient: project w.e_r, apply the map
-            moved = w * basis_tensor(alg, ENVELOPING, g, h)
-            via_quotient = phi_of_class(quotient.project_sparse(moved.flat()))
-            # directly on l(G): w acts by a -> delta_wg * a * delta_wh
-            if via_quotient != convolve(convolve(dg, x), dh).coeffs:
+        for r, x in phi.items():
+            moved = (w * basis_tensor(alg, ENVELOPING, *divmod(r, n))).flat()
+            if list(moved.values()) != [_ONE]:
+                return False
+            (k,) = moved
+            if phi[classes[k]] != table[table[wg][x]][wh]:
                 return False
         return True
 
@@ -642,10 +639,10 @@ def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
         commutes(wg, wh) for wg in range(n) for wh in range(n))
 
     return Lemma2Report(
-        group_name=grp.name,
+        group_name=group.name,
         order=n,
         prime=prime,
-        quotient_dim=quotient.dim,
+        quotient_dim=len(phi),
         expected_dim=n,
         well_defined=well_defined,
         bijective=bijective,

@@ -27,7 +27,6 @@ from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
                                    trivial_bimodule, VirtualDiagonal,
                                    virtual_diagonal_construct)
 from padicamen.errors import InternalCheckError
-from padicamen.exact_linalg import QuotientSpace
 from padicamen.finite_group import (catalog, cyclic, dihedral, from_spec,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import GroupAlgebra, convolve
@@ -214,22 +213,29 @@ def test_virtual_diagonal_construct_rejects_each_corruption(monkeypatch):
     with pytest.raises(InternalCheckError, match="closed form"):
         build(certificate(jc.mean.scale(2)))
 
-    def quotient_keeping(reps):
-        q = QuotientSpace(n * n, [{i: Fraction(1)}
-                                  for i in range(n * n) if i not in reps])
-        monkeypatch.setattr(amenability, "lemma2_data", lambda group: ((), q))
+    def classes_with(reps, rest):
+        """Class map whose classes are reps, every other index in rest's."""
+        classes = tuple(k if k in reps else rest for k in range(n * n))
+        monkeypatch.setattr(amenability, "lemma2_data",
+                            lambda group: ((), classes))
 
-    others = {e * n + a for a in range(n) if a != e}
-    quotient_keeping(others)
-    with pytest.raises(InternalCheckError, match="quotient dimension"):
+    # every basis tensor its own class: dimension n^2
+    classes_with(set(range(n * n)), None)
+    with pytest.raises(InternalCheckError, match="quotient dimension 36"):
         build()
-    # no representative multiplies to e
+    others = {e * n + a for a in range(n) if a != e}
     t = 1
-    quotient_keeping(others | {t * n + e})
+    # no representative multiplies to e
+    classes_with(others | {t * n + e}, t * n + e)
     with pytest.raises(InternalCheckError, match="not in the image"):
         build()
-    # the representative over e is delta_t (x) delta_{t^-1}, not e (x) e
-    quotient_keeping(others | {t * n + inv[t]})
+    # the one class over e is delta_t (x) delta_{t^-1}'s, not e (x) e's
+    classes_with(others | {t * n + inv[t]}, min(others))
+    with pytest.raises(InternalCheckError, match="not the class of"):
+        build()
+    # two classes over e, so the lift is not pinned to the class of e (x) e
+    classes_with((others - {e * n + t}) | {e * n + e, t * n + inv[t]},
+                 e * n + e)
     with pytest.raises(InternalCheckError, match="not the class of"):
         build()
 

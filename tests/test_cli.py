@@ -216,6 +216,30 @@ def test_boolean_table_entry_file_exits_1(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _group_file(table):
+    return json.dumps({"name": "hostile", "order": 2, "labels": ["a", "b"],
+                       "table": table}).encode("utf-8")
+
+
+@pytest.mark.parametrize("content", [
+    _group_file([[0, 1], [1, 0]])[:-7],            # truncated JSON
+    b"[1, 2, 3]",                                  # top level not an object
+    _group_file([[0, 1], [1]]),                    # ragged rows
+    _group_file([5, 6]),                           # a row that is no list
+    _group_file([[0, "b"], [1, 0]]),               # a string entry
+    b'{"name": "\xff\xfe"}',                     # not valid UTF-8
+    b"[" * 100000 + b"]" * 100000,                 # nested too deep
+], ids=["truncated", "non-object", "ragged", "row-not-list", "string-entry",
+        "bad-utf8", "deep-nesting"])
+def test_hostile_group_file_exits_1(capsys, tmp_path, content):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, ["check", "--group", str(path),
+                                "--prime", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_table_file_round_trip(capsys, tmp_path):
     from padicamen.finite_group import dihedral
     grp = dihedral(3)

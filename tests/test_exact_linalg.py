@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import sympy
 
-from padicamen.exact_linalg import (Echelon, QuotientSpace, as_dense,
-                                    as_sparse, kernel_basis_sparse,
-                                    solve_augmented, span_echelon, spans_equal)
+from padicamen.exact_linalg import (Echelon, as_dense, as_sparse,
+                                    kernel_basis_sparse, span_echelon,
+                                    spans_equal)
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=6):
@@ -58,58 +58,6 @@ def test_kernel_matches_sympy():
             assert ours.contains(sv)
 
 
-def augmented(rows, rhs, ncols):
-    """Sparse augmented rows: column ncols holds the right-hand side."""
-    out = []
-    for row, b in zip(rows, rhs):
-        aug = as_sparse(row)
-        if b:
-            aug[ncols] = b
-        out.append(aug)
-    return out
-
-
-def test_solve_consistent_randomized():
-    rng = random.Random(777)
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = random_matrix(rng, nrows, ncols, density=0.7)
-        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-             for _ in range(ncols)]
-        rhs = [sum(r * v for r, v in zip(row, x)) for row in rows]
-        sol = solve_augmented(augmented(rows, rhs, ncols), ncols)
-        assert sol is not None
-        sol = as_dense(sol, ncols)
-        for row, b in zip(rows, rhs):
-            assert sum(r * v for r, v in zip(row, sol)) == b
-        # sympy agrees that the system is consistent
-        a = to_sympy(rows, ncols)
-        assert a.rank() == a.row_join(to_sympy([[b] for b in rhs], 1)).rank()
-    # row0 + row1 = row2 but 1 + 1 != 3: inconsistent, as sympy confirms
-    rows = [[Fraction(v) for v in row] for row in ([1, 2], [3, 4], [4, 6])]
-    rhs = [Fraction(1), Fraction(1), Fraction(3)]
-    a = to_sympy(rows, 2)
-    assert a.rank() < a.row_join(to_sympy([[b] for b in rhs], 1)).rank()
-    assert solve_augmented(augmented(rows, rhs, 2), 2) is None
-
-
-def test_solve_augmented_known():
-    # x + y = 3, x - y = 1 -> x = 2, y = 1
-    rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(3)},
-            {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1)}]
-    sol = solve_augmented(rows, 2)
-    assert sol == {0: Fraction(2), 1: Fraction(1)}
-    # inconsistent: x = 2 and x = 3
-    bad = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(1), 1: Fraction(3)}]
-    assert solve_augmented(bad, 1) is None
-
-
-def test_solve_augmented_free_variables_zero():
-    # single equation x + y = 5 over two unknowns: y free, set to zero
-    sol = solve_augmented([{0: Fraction(1), 1: Fraction(1), 2: Fraction(5)}], 2)
-    assert sol == {0: Fraction(5)}
-
-
 def test_echelon_incremental_rank_and_contains():
     ech = Echelon(3)
     assert ech.add_row({0: Fraction(1), 1: Fraction(1)})
@@ -150,21 +98,6 @@ def test_spans_equal():
     c = [{0: Fraction(1)}]
     assert not spans_equal(a, c, 2)
     assert spans_equal([], [], 3)
-
-
-def test_quotient_space():
-    # ambient Q^4 mod span(e0 - e1, e1 - e2): dimension 2
-    rels = [{0: Fraction(1), 1: Fraction(-1)},
-            {1: Fraction(1), 2: Fraction(-1)}]
-    q = QuotientSpace(4, rels)
-    assert q.dim == 2
-    assert q.representatives == [2, 3]
-    # e0 and e2 fall in the same class
-    assert q.project_sparse({0: Fraction(1)}) == \
-        q.project_sparse({2: Fraction(1)}) == {2: Fraction(1)}
-    assert not q.project_sparse({0: Fraction(1), 2: Fraction(-1)})
-    assert q.project_sparse({0: Fraction(1), 3: Fraction(-1)}) == \
-        {2: Fraction(1), 3: Fraction(-1)}
 
 
 def test_sparse_dense_round_trip():

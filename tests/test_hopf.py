@@ -2,17 +2,22 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from padicamen.finite_group import cyclic, dihedral, quaternion8, symmetric
+from padicamen.amenability import certify
+from padicamen.errors import InternalCheckError
+from padicamen.exact_linalg import Echelon
+from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
+                                    quaternion8, symmetric)
 from padicamen.group_algebra import GroupAlgebra, augmentation, convolve
 import padicamen.hopf as hopf
 from padicamen.hopf import (ENVELOPING, PLAIN, BasisMap, TensorElement,
                             antipode, antipode_map, basis_tensor, comultiply,
                             delta_map, e_map, eq1_check, lemma2_data,
-                            lemma2_iso_check, lemma2_relations, mult_map, pi0,
-                            tensor_of, verify_hopf_axioms)
+                            lemma2_iso_check, mult_map, pi0, tensor_of,
+                            verify_hopf_axioms)
 
 GROUPS = [cyclic(1), cyclic(4), cyclic(6), dihedral(3), dihedral(4),
           symmetric(3), quaternion8()]
@@ -207,23 +212,50 @@ def test_eq1_identity_on_catalog_groups():
 
 
 def test_lemma2_relation_count():
-    # the relation for a = identity vanishes; all others are two-term
+    # the relation for a = identity vanishes; all others are e_i - e_j,
+    # which the generic enveloping product confirms pair by pair
     for grp in [cyclic(3), symmetric(3)]:
         alg = GroupAlgebra(grp, 2)
-        rels = lemma2_relations(alg)
+        relations, _ = lemma2_data(grp)
         n = grp.order
-        assert len(rels) == n * n * n - n * n
-        for rel in rels:
-            assert len(rel.coeffs) == 2
-            assert sorted(rel.coeffs.values()) == [Fraction(-1), Fraction(1)]
+        assert len(relations) == n * n * n - n * n
+        products = []
+        for g in range(n):
+            for h in range(n):
+                u = basis_tensor(alg, ENVELOPING, g, h)
+                for a in range(n):
+                    rel = u * e_map(alg.delta(a)) - u
+                    if not rel.is_zero():
+                        products.append(rel.flat())
+        assert products == [{i: Fraction(1), j: Fraction(-1)}
+                            for i, j in relations]
 
 
 def test_lemma2_data_cached_and_consistent():
+    # nothing is cached: two builds are equal objects, not one shared one
     grp = dihedral(3)
-    coeffs1, quotient1 = lemma2_data(grp)
-    coeffs2, quotient2 = lemma2_data(dihedral(3))
-    assert coeffs1 is coeffs2 and quotient1 is quotient2  # same cache entry
-    assert quotient1.dim == grp.order
+    first = lemma2_data(grp)
+    second = lemma2_data(dihedral(3))
+    assert first == second and first[1] is not second[1]
+    assert len(set(first[1])) == grp.order
+
+
+def test_lemma2_classes_match_echelon_oracle():
+    for grp in catalog(8):
+        n = grp.order
+        relations, classes = lemma2_data(grp)
+        ech = Echelon(n * n)
+        ech.add_rows({i: Fraction(1), j: Fraction(-1)} for i, j in relations)
+        assert len(set(classes)) == n * n - ech.rank, grp.name
+        for k, c in enumerate(classes):
+            assert c == min(x for x in range(n * n) if classes[x] == c)
+            if k != c:
+                assert ech.contains({k: Fraction(1), c: Fraction(-1)})
+        products = [grp.table[k // n][k % n] for k in range(n * n)]
+        for k in range(n * n):
+            for m in range(n * n):
+                assert (classes[k] == classes[m]) == \
+                    (products[k] == products[m])
 
 
 def test_lemma2_iso_check_on_catalog_groups():
@@ -235,6 +267,67 @@ def test_lemma2_iso_check_on_catalog_groups():
         assert report.action_commutes
         doc = report.to_doc()
         assert doc["dim_ok"] and doc["all_pass"]
+
+
+def test_quotient_isomorphism_fails_with_diagonal_e(monkeypatch):
+    # E(delta_a) = delta_a (x) delta_a: read the relations off a stand-in
+    # group whose inversion is the identity map
+    real = hopf.lemma2_data
+
+    def data(group):
+        return real(SimpleNamespace(
+            order=group.order, table=group.table, identity=group.identity,
+            inverses=tuple(range(group.order))))
+    monkeypatch.setattr(hopf, "lemma2_data", data)
+    report = lemma2_iso_check(symmetric(3), 2)
+    assert report.quotient_dim == 2
+    assert not (report.dim_ok or report.well_defined or report.bijective)
+    assert not report.all_pass
+    with pytest.raises(InternalCheckError,
+                       match="^quotient isomorphism check failed$"):
+        certify(symmetric(3), 2)
+
+
+def test_quotient_isomorphism_fails_with_missing_relations(monkeypatch):
+    # keep the relations of a = e (none) and the involution a = (12) only:
+    # they pair each tensor j with one other, so the 36 fall into 18 pairs
+    grp = symmetric(3)
+    n, t = grp.order, grp.labels.index("102")
+    relations = [(i, j) for i, j in lemma2_data(grp)[0]
+                 if grp.table[grp.inverses[j // n]][i // n] == t]
+    assert [j for _, j in relations] == list(range(n * n))
+    classes = tuple(min(i, j) for i, j in relations)
+    monkeypatch.setattr(hopf, "lemma2_data", lambda group: (relations, classes))
+    report = lemma2_iso_check(grp, 2)
+    assert report.quotient_dim == 18
+    assert report.well_defined
+    assert not (report.dim_ok or report.bijective or report.all_pass)
+    # n classes, e (x) e, t (x) t^-1 and e (x) a for a >= 2, two over e
+    e = grp.identity
+    reps = {e * n + e, t * n + grp.inverses[t]} | set(range(e * n + 2, n))
+    classes = tuple(k if k in reps else e * n + e for k in range(n * n))
+    monkeypatch.setattr(hopf, "lemma2_data", lambda group: ([], classes))
+    report = lemma2_iso_check(grp, 2)
+    assert report.dim_ok and report.well_defined
+    assert not report.bijective and not report.all_pass
+
+
+def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
+    # the enveloping product read through G's own table, not the opposite
+    monkeypatch.setattr(FiniteGroup, "opposite_table",
+                        property(lambda self: self.table))
+    report = lemma2_iso_check(symmetric(3), 2)
+    assert report.dim_ok and report.well_defined and report.bijective
+    assert not report.action_commutes and not report.all_pass
+    # a product that is twice a basis tensor lands in the right class,
+    # but is not one basis tensor with coefficient 1
+    monkeypatch.undo()
+    mul = TensorElement.__mul__
+    monkeypatch.setattr(TensorElement, "__mul__",
+                        lambda self, other: mul(self, other).scale(2))
+    report = lemma2_iso_check(symmetric(3), 2)
+    assert report.dim_ok and report.well_defined and report.bijective
+    assert not report.action_commutes
 
 
 def test_hopf_structure_builds_and_validates():
