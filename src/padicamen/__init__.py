@@ -9,7 +9,7 @@ byte-stable JSON documents.
 """
 
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
-                     SpecParseError, ToolkitError)
+                     OutputError, SpecParseError, ToolkitError)
 from .valued_field import (INFINITE_VALUATION, FieldDescriptor, is_prime,
                            valuation)
 from .finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV, FiniteGroup,
@@ -17,12 +17,12 @@ from .finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV, FiniteGroup,
                            enumerate_subgroups, from_spec, order_cap,
                            product, quaternion8, subgroup_index, symmetric)
 from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
-                            augmentation, convolve, format_norm_exponent,
-                            i0_basis, i0_identity, i0_membership,
-                            left_translate, norm_exponent)
-from .hopf import (ENVELOPING, PLAIN, BasisMap, TensorElement, antipode,
-                   basis_tensor, comultiply, e_map, eq1_check,
-                   lemma2_iso_check, pi0, tensor_of, verify_hopf_axioms)
+                            TensorAlgebra, augmentation, convolve,
+                            format_norm_exponent, i0_basis, i0_identity,
+                            i0_membership, norm_exponent)
+from .hopf import (BasisMap, antipode, basis_tensor, comultiply, e_map,
+                   eq1_check, lemma2_iso_check, pi0, tensor_of,
+                   verify_hopf_axioms)
 from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,
                           JohnsonCertificate, SchikhofVerdict,
                           VirtualDiagonal, certify, derivation_spaces,

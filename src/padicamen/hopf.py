@@ -8,12 +8,17 @@ E = (1 (x) S) Delta into A^e = A (x) A^op, the dual-action identity
 E^*(phi).c = E^*(phi.E(c)), and the quotient isomorphism
 A^e_E (x)_A K ~ A are all decided exactly.
 
-Every structure map sends a basis vector to one basis vector, so each is
-stored as a BasisMap, a tuple of basis indices.  Every quotient relation
-is a difference of two basis tensors, so the quotient is held as a
-partition of the basis into classes.  Diagram sides are computed through
-genuinely independent code paths (composition of index tuples on one
-side, direct coefficient formulas or tensor products on the other), so a
+Tensors are elements of the group algebras l(G x G) = A (x) A and
+l(G x G^op) = A^e of group_algebra, so Delta, E and pi0 are maps between
+l(G) and those two.  Every structure map also sends a basis vector to one
+basis vector, so each is stored as a BasisMap, a tuple of basis indices.
+Every quotient relation is a difference of two basis tensors, so the
+quotient is held as a partition of the basis into classes.  Diagram sides
+are computed through genuinely independent code paths: composition of
+index tuples on one side, direct coefficient formulas or generic products
+in the tensor algebras on the other.  eq1_check compares transposed index
+tuples with generic enveloping products, and the action check of the
+quotient isomorphism compares generic products with G's table, so a
 transposition or index mistake in one path cannot cancel against the same
 mistake in the other.
 """
@@ -28,164 +33,35 @@ from .exact_linalg import SparseVec
 from .finite_group import FiniteGroup, require_within_cap
 from .group_algebra import AlgebraElement, GroupAlgebra, augmentation, convolve
 
-PLAIN = "plain"
-ENVELOPING = "enveloping"
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 PairKey = Tuple[int, int]
 
 
-def _mul_coeffs(first, second,
-                c1: Dict[PairKey, Fraction],
-                c2: Dict[PairKey, Fraction]) -> Dict[PairKey, Fraction]:
-    """Product of tensor coefficient dicts:
-    (delta_g (x) delta_h)(delta_x (x) delta_y) = first[g][x] (x) second[h][y].
-
-    first is the Cayley table of G; second is G's table for the plain
-    product and the opposite group's table for the enveloping one.
-    """
-    out: Dict[PairKey, Fraction] = {}
-    for (g, h), a in c1.items():
-        row_g, row_h = first[g], second[h]
-        for (x, y), b in c2.items():
-            key = (row_g[x], row_h[y])
-            v = out.get(key, _ZERO) + a * b
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-class TensorElement:
-    """Element of l(G) (x) l(G), sparse over the delta (x) delta basis.
-
-    flavor selects the second-leg multiplication: plain means
-    (a (x) b)(c (x) d) = ac (x) bd, enveloping means ac (x) db, i.e. the
-    second factor carries the opposite algebra.
-    """
-
-    __slots__ = ("algebra", "flavor", "coeffs")
-
-    def __init__(self, algebra: GroupAlgebra, flavor: str,
-                 coeffs: Dict[PairKey, Fraction]):
-        if flavor not in (PLAIN, ENVELOPING):
-            raise ValueError(f"unknown tensor flavor {flavor!r}")
-        self.algebra = algebra
-        self.flavor = flavor
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-
-    def coeff(self, g: int, h: int) -> Fraction:
-        return self.coeffs.get((g, h), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _require_same(self, other: "TensorElement"):
-        if not isinstance(other, TensorElement) or \
-                self.flavor != other.flavor or \
-                not self.algebra.compatible(other.algebra):
-            raise ValueError("tensor operands disagree in algebra or flavor")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._require_same(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, _ZERO) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return TensorElement(self.algebra, self.flavor, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        self._require_same(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, _ZERO) - v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return TensorElement(self.algebra, self.flavor, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(
-            self.algebra, self.flavor, {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, c) -> "TensorElement":
-        c = Fraction(c)
-        if not c:
-            return TensorElement(self.algebra, self.flavor, {})
-        return TensorElement(
-            self.algebra, self.flavor, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        self._require_same(other)
-        grp = self.algebra.group
-        second = grp.table if self.flavor == PLAIN else grp.opposite_table
-        return TensorElement(
-            self.algebra, self.flavor,
-            _mul_coeffs(grp.table, second, self.coeffs, other.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.flavor == other.flavor
-                and self.algebra.compatible(other.algebra)
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.flavor, tuple(sorted(self.coeffs.items()))))
-
-    def flat(self) -> SparseVec:
-        """Coefficients over the flat index g*n + h."""
-        n = self.algebra.group.order
-        return {g * n + h: v for (g, h), v in self.coeffs.items()}
-
-    def to_doc(self) -> Dict[str, Dict[str, str]]:
-        labels = self.algebra.group.labels
-        doc: Dict[str, Dict[str, str]] = {}
-        for (g, h), v in sorted(self.coeffs.items()):
-            doc.setdefault(labels[g], {})[labels[h]] = \
-                f"{v.numerator}/{v.denominator}"
-        return doc
-
-    def __repr__(self):
-        labels = self.algebra.group.labels
-        body = " + ".join(
-            f"{v}*({labels[g]}(x){labels[h]})"
-            for (g, h), v in sorted(self.coeffs.items())
-        ) or "0"
-        return f"TensorElement[{self.flavor}]({body})"
-
-
-def basis_tensor(algebra: GroupAlgebra, flavor: str,
-                 g: int, h: int) -> TensorElement:
-    return TensorElement(algebra, flavor, {(g, h): _ONE})
+def basis_tensor(algebra: GroupAlgebra, g: int, h: int) -> AlgebraElement:
+    """delta_g (x) delta_h in the tensor algebra given."""
+    return algebra.delta(g * algebra.base.dim + h)
 
 
 def tensor_of(f: AlgebraElement, h: AlgebraElement,
-              flavor: str) -> TensorElement:
-    """The elementary tensor f (x) h."""
+              target: GroupAlgebra) -> AlgebraElement:
+    """The elementary tensor f (x) h in target, a tensor algebra of the
+    algebra of f and h."""
     f._require_same(h)
-    coeffs: Dict[PairKey, Fraction] = {}
-    for g, a in enumerate(f.coeffs):
-        if not a:
-            continue
-        for x, b in enumerate(h.coeffs):
-            if b:
-                coeffs[(g, x)] = a * b
-    return TensorElement(f.algebra, flavor, coeffs)
+    if target is target.base or not target.base.compatible(f.algebra):
+        raise ValueError("%r is no tensor algebra of %r" % (target, f.algebra))
+    n = f.algebra.dim
+    return AlgebraElement(target, {
+        g * n + x: a * b
+        for g, a in f.coeffs.items() for x, b in h.coeffs.items()})
 
 
-def comultiply(f: AlgebraElement) -> TensorElement:
+def comultiply(f: AlgebraElement) -> AlgebraElement:
     """Delta(f): diagonal tensor sum_g f(g) delta_g (x) delta_g."""
-    return TensorElement(
-        f.algebra, PLAIN,
-        {(g, g): c for g, c in enumerate(f.coeffs) if c})
+    n = f.algebra.dim
+    return AlgebraElement(
+        f.algebra.tensor, {g * n + g: c for g, c in f.coeffs.items()})
 
 
 def antipode(f: AlgebraElement,
@@ -195,29 +71,31 @@ def antipode(f: AlgebraElement,
     The perm override exists for negative controls that deliberately
     break the antipode axioms.
     """
-    grp = f.algebra.group
     if perm is None:
-        perm = grp.inverses
-    return AlgebraElement(
-        f.algebra, tuple(f.coeffs[perm[g]] for g in grp.elements()))
+        perm = f.algebra.group.inverses
+    return AlgebraElement(f.algebra, {
+        g: f.coeffs[x] for g, x in enumerate(perm) if x in f.coeffs})
 
 
-def e_map(f: AlgebraElement) -> TensorElement:
+def e_map(f: AlgebraElement) -> AlgebraElement:
     """E = (1 (x) S) Delta into the enveloping algebra:
     E(delta_g) = delta_g (x) delta_{g^{-1}}."""
     inv = f.algebra.group.inverses
-    return TensorElement(
-        f.algebra, ENVELOPING,
-        {(g, inv[g]): c for g, c in enumerate(f.coeffs) if c})
+    n = f.algebra.dim
+    return AlgebraElement(
+        f.algebra.enveloping, {g * n + inv[g]: c for g, c in f.coeffs.items()})
 
 
-def pi0(t: TensorElement) -> AlgebraElement:
-    """The multiplication map: sum t_{g,h} delta_{gh} (either flavor)."""
-    grp = t.algebra.group
-    out = [_ZERO] * grp.order
-    for (g, h), v in t.coeffs.items():
-        out[grp.table[g][h]] += v
-    return AlgebraElement(t.algebra, tuple(out))
+def pi0(t: AlgebraElement) -> AlgebraElement:
+    """The multiplication map sum t_{g,h} delta_g (x) delta_h ->
+    sum t_{g,h} delta_{gh}, from either tensor algebra to l(G)."""
+    table = t.algebra.group.table
+    n = len(table)
+    out: Dict[int, Fraction] = {}
+    for k, v in t.coeffs.items():
+        gh = table[k // n][k % n]
+        out[gh] = out.get(gh, _ZERO) + v
+    return AlgebraElement(t.algebra.base, {k: v for k, v in out.items() if v})
 
 
 class BasisMap:
@@ -339,24 +217,22 @@ def left_conv_map(group: FiniteGroup, c: int) -> BasisMap:
     return BasisMap(group.order, group.table[c])
 
 
-def env_left_mult_matrix(t: TensorElement) -> BasisMap:
+def env_left_mult_matrix(t: AlgebraElement) -> BasisMap:
     """Map w -> t . w in the enveloping algebra for a basis tensor t,
-    built through the generic tensor product so it is an independent code
+    built through the generic product so it is an independent code
     path."""
-    if t.flavor != ENVELOPING:
-        raise ValueError("enveloping flavor required")
     alg = t.algebra
-    n = alg.group.order
+    if not alg.compatible(alg.enveloping):
+        raise ValueError("an element of the enveloping algebra is required")
     images = []
-    for a in range(n):
-        for b in range(n):
-            col = (t * basis_tensor(alg, ENVELOPING, a, b)).flat()
-            if list(col.values()) != [_ONE]:
-                raise ValueError(
-                    "left multiplication does not map basis tensors to "
-                    "basis tensors")
-            images.extend(col)
-    return BasisMap(n * n, images)
+    for k in range(alg.dim):
+        col = (t * alg.delta(k)).coeffs
+        if list(col.values()) != [_ONE]:
+            raise ValueError(
+                "left multiplication does not map basis tensors to "
+                "basis tensors")
+        images.extend(col)
+    return BasisMap(alg.dim, images)
 
 
 @dataclass
@@ -614,7 +490,7 @@ def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
     from G's table.
     """
     require_within_cap(group.order, "quotient isomorphism check")
-    alg = GroupAlgebra(group, prime)
+    env = GroupAlgebra(group, prime).enveloping
     n = group.order
     table = group.table
     relations, classes = lemma2_data(group)
@@ -625,9 +501,9 @@ def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
     bijective = len(phi) == n and len(set(phi.values())) == n
 
     def commutes(wg: int, wh: int) -> bool:
-        w = basis_tensor(alg, ENVELOPING, wg, wh)
+        w = basis_tensor(env, wg, wh)
         for r, x in phi.items():
-            moved = (w * basis_tensor(alg, ENVELOPING, *divmod(r, n))).flat()
+            moved = (w * env.delta(r)).coeffs
             if list(moved.values()) != [_ONE]:
                 return False
             (k,) = moved

@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import padicamen.amenability as amenability
+import padicamen.group_algebra as group_algebra
+from padicamen import cli
 from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
                                    derivation_spaces, diagonal_ideal_identity,
                                    invariant_functional_space, johnson_check,
@@ -29,9 +31,9 @@ from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
 from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (catalog, cyclic, dihedral, from_spec,
                                     quaternion8, symmetric)
-from padicamen.group_algebra import GroupAlgebra, convolve
-from padicamen.hopf import (ENVELOPING, TensorElement, basis_tensor, pi0,
-                            tensor_of)
+from padicamen.group_algebra import (AlgebraElement, DualFunctional,
+                                     GroupAlgebra, convolve)
+from padicamen.hopf import basis_tensor, pi0, tensor_of
 from padicamen.valued_field import valuation
 
 
@@ -55,7 +57,8 @@ def test_invariant_space_is_one_dimensional_and_uniform():
         assert len(basis) == 1
         m = basis[0]
         # constant vector: scaling it normalizes to the averaging oracle
-        assert len(set(m.coeffs)) == 1
+        assert len(m.coeffs) == grp.order
+        assert len(set(m.coeffs.values())) == 1
         assert m.coeffs[0] != 0
 
 
@@ -64,10 +67,9 @@ def test_johnson_mean_is_averaging_functional():
         grp = from_spec(spec)
         for p in (2, 3, 5):
             jc = johnson_check(grp, p)
-            assert jc.amenable
             assert jc.invariant_space_dim == 1
             n = grp.order
-            assert jc.mean.coeffs == (Fraction(1, n),) * n
+            assert jc.mean.coeffs == dict.fromkeys(range(n), Fraction(1, n))
             assert jc.mean_norm_exponent == valuation(n, p)
             doc = jc.to_doc()
             assert doc["amenable"] is True
@@ -120,10 +122,11 @@ def test_virtual_diagonal_closed_form():
             vd = virtual_diagonal_construct(grp, p)
             n = grp.order
             expected = {
-                (g, grp.inverses[g]): Fraction(1, n) for g in range(n)
+                g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
             }
             assert vd.tensor.coeffs == expected
-            assert vd.tensor.flavor == ENVELOPING
+            env = GroupAlgebra(grp, p).enveloping
+            assert vd.tensor.algebra.compatible(env)
 
 
 def test_virtual_diagonal_identities_reverified():
@@ -134,8 +137,8 @@ def test_virtual_diagonal_identities_reverified():
     # (a (x) 1) d = (1 (x) a) d for every basis a
     for a in range(grp.order):
         da = alg.delta(a)
-        left = tensor_of(da, one, ENVELOPING) * d
-        right = tensor_of(one, da, ENVELOPING) * d
+        left = tensor_of(da, one, alg.enveloping) * d
+        right = tensor_of(one, da, alg.enveloping) * d
         assert left == right
         assert convolve(pi0(d), da) == da
         assert convolve(da, pi0(d)) == da
@@ -156,7 +159,7 @@ def test_mean_from_diagonal_round_trip():
 def test_mean_from_diagonal_rejects_tampered_tensor():
     grp = cyclic(3)
     alg = GroupAlgebra(grp, 2)
-    fake = VirtualDiagonal(basis_tensor(alg, ENVELOPING, 0, 0))
+    fake = VirtualDiagonal(basis_tensor(alg.enveloping, 0, 0))
     with pytest.raises(InternalCheckError):
         mean_from_diagonal(fake)
 
@@ -167,8 +170,8 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
         alg = GroupAlgebra(grp, 3)
         vd = virtual_diagonal_construct(grp, 3)
         u = diagonal_ideal_identity(grp, 3, diagonal=vd)
-        expected = basis_tensor(
-            alg, ENVELOPING, grp.identity, grp.identity) - vd.tensor
+        env = alg.enveloping
+        expected = basis_tensor(env, grp.identity, grp.identity) - vd.tensor
         assert u == expected
         assert pi0(u).is_zero()
         # right-identity property on random kernel elements
@@ -180,8 +183,9 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
                     Fraction(rng.randint(-3, 3))
                 for _ in range(4)
             }
-            v = TensorElement(alg, ENVELOPING, raw)
-            v = v - tensor_of(pi0(v), alg.one(), ENVELOPING)
+            v = sum((basis_tensor(env, g, h).scale(c)
+                     for (g, h), c in raw.items()), env.zero())
+            v = v - tensor_of(pi0(v), alg.one(), env)
             assert pi0(v).is_zero()
             assert v * u == v
 
@@ -201,14 +205,12 @@ def test_virtual_diagonal_construct_rejects_each_corruption(monkeypatch):
         return virtual_diagonal_construct(grp, 5, johnson=johnson)
 
     def certificate(mean):
-        return JohnsonCertificate(grp.name, n, 5, mean is not None, 1, mean,
-                                  None)
+        return JohnsonCertificate(grp.name, n, 5, 1, mean,
+                                  jc.mean_norm_exponent)
 
-    with pytest.raises(InternalCheckError, match="requires a Johnson mean"):
-        build(certificate(None))
     # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
     with pytest.raises(InternalCheckError, match="quotient relation"):
-        build(certificate(alg.functional(alg.one().coeffs)))
+        build(certificate(DualFunctional(alg, alg.one().coeffs)))
     # twice the mean is invariant too, so only the closed form catches it
     with pytest.raises(InternalCheckError, match="closed form"):
         build(certificate(jc.mean.scale(2)))
@@ -241,8 +243,10 @@ def test_virtual_diagonal_construct_rejects_each_corruption(monkeypatch):
 
 
 def _ideal_identity_with(grp, coeffs):
-    alg = GroupAlgebra(grp, 5)
-    fake = VirtualDiagonal(TensorElement(alg, ENVELOPING, coeffs))
+    env = GroupAlgebra(grp, 5).enveloping
+    n = grp.order
+    fake = VirtualDiagonal(AlgebraElement(
+        env, {g * n + h: c for (g, h), c in coeffs.items()}))
     return diagonal_ideal_identity(grp, 5, diagonal=fake)
 
 
@@ -423,6 +427,103 @@ def test_certificates_match_golden_digests(grp):
         text = render_json(certify(grp, p))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             digests["certify %s p%d" % (grp.name, p)], (grp.name, p)
+
+
+# CLI documents of the golden set, with the order cap each needs
+GOLDEN_CLI = {
+    "check --group symmetric:4 --prime 3": None,
+    "check --group cyclic:30 --prime 7": "30",
+    "verify --group symmetric:4 --prime 3": None,
+    "sweep --max-order 4": None,
+    "sweep --max-order 24": None,
+    "derivations --group symmetric:4 --prime 2 --bimodule regular": None,
+}
+# too slow for this suite (3 s and 13 s); the benchmark's seed-0 gate
+# checks them
+GOLDEN_SKIPPED = {
+    "derivations --group dihedral:6 --prime 2",
+    "derivations --group dihedral:8 --prime 2",
+}
+
+
+def test_golden_set_is_covered():
+    keys = set(_golden_digests())
+    certified = {k for k in keys if k.startswith("certify ")}
+    assert keys == certified | set(GOLDEN_CLI) | GOLDEN_SKIPPED
+    assert not GOLDEN_SKIPPED & set(GOLDEN_CLI)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CLI))
+def test_cli_documents_match_golden_digests(capsys, monkeypatch, tmp_path,
+                                            key):
+    if GOLDEN_CLI[key] is not None:
+        monkeypatch.setenv("PADICAMEN_ORDER_CAP", GOLDEN_CLI[key])
+    out = tmp_path / "doc.json"
+    assert cli.main(key.split() + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        _golden_digests()[key]
+
+
+def _fails_internally(capsys, grp, p, match):
+    """certify raises InternalCheckError matching match, and the CLI exits
+    2 with one line on stderr."""
+    with pytest.raises(InternalCheckError, match=match):
+        certify(grp, p)
+    assert cli.main(["check", "--group", grp.name, "--prime", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: ") and err.count("\n") == 1
+
+
+def test_zero_total_invariant_functional_exits_2(capsys, monkeypatch):
+    # a functional that vanishes on 1 cannot be normalized into a mean
+    def vanishing(group, prime):
+        alg = GroupAlgebra(group, prime)
+        return [DualFunctional(alg, (alg.delta(1) - alg.one()).coeffs)]
+    monkeypatch.setattr(amenability, "invariant_functional_space", vanishing)
+    _fails_internally(capsys, symmetric(3), 3, "vanishes on 1")
+
+
+def _two_functionals(group, prime):
+    basis = invariant_functional_space(group, prime)
+    return basis + basis
+
+
+def _nonconstant_functional(group, prime):
+    alg = GroupAlgebra(group, prime)
+    return [alg.functional(range(1, group.order + 1))]
+
+
+# one corrupted input per named check: (module, name, stand-in, message)
+NEGATIVE_CONTROLS = {
+    "invariant_space_dimension_one": (
+        amenability, "invariant_functional_space", _two_functionals,
+        "has dimension 2, expected 1"),
+    "mean_normalized_and_invariant": (
+        amenability, "invariant_functional_space", _nonconstant_functional,
+        "disagrees with the averaging functional"),
+    # every index 1: the lattice method passes although p | |G|
+    "schikhof_methods_agree": (
+        amenability, "subgroup_index", lambda s1, s2: 1,
+        "norm and lattice methods disagree"),
+    # delta_e is not in I_0, and e_0 is no identity for it
+    "augmentation_ideal_identity": (
+        group_algebra, "i0_basis", lambda algebra: [algebra.one()],
+        "I_0 identity fails on basis element"),
+    "mean_diagonal_round_trip": (
+        amenability, "mean_from_diagonal",
+        lambda vd: mean_from_diagonal(vd).scale(2),
+        "mean/diagonal round trip failed"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NEGATIVE_CONTROLS))
+def test_named_check_fails_on_corrupted_input(capsys, monkeypatch, check):
+    module, name, stand_in, message = NEGATIVE_CONTROLS[check]
+    grp = symmetric(3)
+    assert check in certify(grp, 3)["checks"]
+    monkeypatch.setattr(module, name, stand_in)
+    _fails_internally(capsys, grp, 3, message)
 
 
 def test_certify_trivial_group():

@@ -180,6 +180,23 @@ def test_order_cap_env_lowers_limit(capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--group", "cyclic:2", "--prime", "2"],
+    ["sweep", "--max-order", "2", "--primes", "2"],
+    ["verify", "--group", "cyclic:2", "--prime", "2"],
+    ["derivations", "--group", "cyclic:2", "--prime", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_1(capsys, tmp_path, argv, target):
+    out = tmp_path / "absent" / "x.json" if target == "missing-directory" \
+        else tmp_path
+    rc, _, err = run(capsys, argv + ["--out", str(out)])
+    assert rc == 1
+    assert err.startswith("error: cannot write %s: " % out)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "absent").exists()
+
+
 def test_internal_failure_exits_2(capsys, monkeypatch):
     def boom(group, prime):
         raise InternalCheckError("forced failure")

@@ -11,13 +11,13 @@ from padicamen.errors import InternalCheckError
 from padicamen.exact_linalg import Echelon
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
                                     quaternion8, symmetric)
-from padicamen.group_algebra import GroupAlgebra, augmentation, convolve
+from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
+                                     augmentation, convolve, norm_exponent)
 import padicamen.hopf as hopf
-from padicamen.hopf import (ENVELOPING, PLAIN, BasisMap, TensorElement,
-                            antipode, antipode_map, basis_tensor, comultiply,
-                            delta_map, e_map, eq1_check, lemma2_data,
-                            lemma2_iso_check, mult_map, pi0, tensor_of,
-                            verify_hopf_axioms)
+from padicamen.hopf import (BasisMap, antipode, antipode_map, basis_tensor,
+                            comultiply, delta_map, e_map, eq1_check,
+                            lemma2_data, lemma2_iso_check, mult_map, pi0,
+                            tensor_of, verify_hopf_axioms)
 
 GROUPS = [cyclic(1), cyclic(4), cyclic(6), dihedral(3), dihedral(4),
           symmetric(3), quaternion8()]
@@ -34,11 +34,11 @@ def test_comultiply_is_diagonal():
     alg = GroupAlgebra(symmetric(3), 2)
     f = alg.element([1, 2, 0, Fraction(1, 3), 0, -5])
     t = comultiply(f)
-    assert t.flavor == PLAIN
+    assert t.algebra is alg.tensor
     for g in range(6):
         for h in range(6):
-            expected = f.coeffs[g] if g == h else 0
-            assert t.coeff(g, h) == expected
+            expected = f.coeffs.get(g, 0) if g == h else 0
+            assert t.coeffs.get(g * 6 + h, 0) == expected
 
 
 def test_antipode_reverses():
@@ -121,9 +121,10 @@ def test_pi0_collapses_e_map_to_augmentation():
 def test_pi0_on_both_flavors():
     alg = GroupAlgebra(symmetric(3), 2)
     grp = alg.group
-    for flavor in (PLAIN, ENVELOPING):
-        t = basis_tensor(alg, flavor, 1, 2)
+    for target in (alg.tensor, alg.enveloping):
+        t = basis_tensor(target, 1, 2)
         assert pi0(t) == alg.delta(grp.table[1][2])
+        assert pi0(t).algebra is alg
 
 
 def test_pi0_is_left_module_map():
@@ -138,10 +139,11 @@ def test_pi0_is_left_module_map():
                 Fraction(rng.randint(-4, 4))
             for _ in range(5)
         }
-        u = TensorElement(alg, ENVELOPING, coeffs)
+        u = sum((basis_tensor(alg.enveloping, g, h).scale(c)
+                 for (g, h), c in coeffs.items()), alg.enveloping.zero())
         for wg in range(n):
             for wh in range(n):
-                w = basis_tensor(alg, ENVELOPING, wg, wh)
+                w = basis_tensor(alg.enveloping, wg, wh)
                 lhs = pi0(w * u)
                 rhs = convolve(convolve(alg.delta(wg), pi0(u)),
                                alg.delta(wh))
@@ -151,20 +153,37 @@ def test_pi0_is_left_module_map():
 def test_tensor_flavors_differ():
     grp = symmetric(3)
     alg = GroupAlgebra(grp, 2)
+    n = grp.order
     g, h, a, b = 1, 2, 3, 4
-    plain = basis_tensor(alg, PLAIN, g, h) * basis_tensor(alg, PLAIN, a, b)
-    env = basis_tensor(alg, ENVELOPING, g, h) \
-        * basis_tensor(alg, ENVELOPING, a, b)
-    assert plain.coeffs == {(grp.table[g][a], grp.table[h][b]): Fraction(1)}
-    assert env.coeffs == {(grp.table[g][a], grp.table[b][h]): Fraction(1)}
+    plain = basis_tensor(alg.tensor, g, h) * basis_tensor(alg.tensor, a, b)
+    env = basis_tensor(alg.enveloping, g, h) \
+        * basis_tensor(alg.enveloping, a, b)
+    assert plain.coeffs == {grp.table[g][a] * n + grp.table[h][b]: 1}
+    assert env.coeffs == {grp.table[g][a] * n + grp.table[b][h]: 1}
     assert plain.coeffs != env.coeffs  # S3 is nonabelian at these points
+
+
+def test_tensor_algebras_built_once_per_algebra():
+    grp = symmetric(3)
+    alg = GroupAlgebra(grp, 2)
+    assert alg.tensor is alg.tensor and alg.enveloping is alg.enveloping
+    for target in (alg.tensor, alg.enveloping):
+        assert target.base is alg and target.dim == 36
+        assert target.tensor is alg.tensor
+        assert target.enveloping is alg.enveloping
+        # the factor tables are G's own, no n^4-entry table of G x G^op
+        assert target.first is grp.table and len(target.second) == 6
+    assert alg.enveloping.second is grp.opposite_table
+    assert alg.enveloping.one() == basis_tensor(alg.enveloping, 0, 0)
+    # an algebra built separately over the same data is compatible
+    assert GroupAlgebra(symmetric(3), 2).enveloping.compatible(alg.enveloping)
+    assert not GroupAlgebra(grp, 3).enveloping.compatible(alg.enveloping)
 
 
 def test_tensor_element_ops():
     alg = GroupAlgebra(cyclic(3), 2)
-    t = tensor_of(alg.element([1, 2, 0]), alg.element([0, 1, 1]), PLAIN)
-    assert t.coeff(0, 1) == 1 and t.coeff(1, 2) == 2 and t.coeff(2, 2) == 0
-    assert t.flat() == {1: 1, 2: 1, 4: 2, 5: 2}
+    t = tensor_of(alg.element([1, 2, 0]), alg.element([0, 1, 1]), alg.tensor)
+    assert t.coeffs == {1: 1, 2: 1, 4: 2, 5: 2}
     assert (t - t).is_zero()
     assert t.scale(0).is_zero()
     assert (t + t) == t.scale(2)
@@ -172,10 +191,23 @@ def test_tensor_element_ops():
     doc = t.to_doc()
     assert doc["0"]["1"] == "1/1"
     with pytest.raises(ValueError):
-        TensorElement(alg, "weird", {})
-    other = TensorElement(alg, ENVELOPING, {})
+        tensor_of(alg.one(), alg.one(), alg)  # l(G) is no tensor algebra
     with pytest.raises(ValueError):
-        t + other  # flavor mismatch
+        tensor_of(alg.one(), alg.one(), GroupAlgebra(cyclic(3), 3).tensor)
+    with pytest.raises(ValueError):
+        t + alg.ones()  # l(G) and l(G x G)
+    with pytest.raises(ValueError):
+        convolve(alg.ones(), t)
+    # G is abelian, so G^op = G and the two tensor algebras coincide
+    assert alg.tensor.compatible(alg.enveloping)
+    nab = GroupAlgebra(symmetric(3), 2)
+    plain, env = nab.tensor.one(), nab.enveloping.one()
+    assert plain != env
+    for op in (lambda a, b: a + b, lambda a, b: a - b, convolve):
+        with pytest.raises(ValueError):
+            op(plain, env)
+    with pytest.raises(ValueError):
+        hopf.env_left_mult_matrix(plain)
 
 
 def test_basis_map_basics():
@@ -215,18 +247,18 @@ def test_lemma2_relation_count():
     # the relation for a = identity vanishes; all others are e_i - e_j,
     # which the generic enveloping product confirms pair by pair
     for grp in [cyclic(3), symmetric(3)]:
-        alg = GroupAlgebra(grp, 2)
+        env = GroupAlgebra(grp, 2).enveloping
         relations, _ = lemma2_data(grp)
         n = grp.order
         assert len(relations) == n * n * n - n * n
         products = []
         for g in range(n):
             for h in range(n):
-                u = basis_tensor(alg, ENVELOPING, g, h)
+                u = basis_tensor(env, g, h)
                 for a in range(n):
-                    rel = u * e_map(alg.delta(a)) - u
+                    rel = u * e_map(env.base.delta(a)) - u
                     if not rel.is_zero():
-                        products.append(rel.flat())
+                        products.append(rel.coeffs)
         assert products == [{i: Fraction(1), j: Fraction(-1)}
                             for i, j in relations]
 
@@ -322,8 +354,8 @@ def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
     # a product that is twice a basis tensor lands in the right class,
     # but is not one basis tensor with coefficient 1
     monkeypatch.undo()
-    mul = TensorElement.__mul__
-    monkeypatch.setattr(TensorElement, "__mul__",
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__",
                         lambda self, other: mul(self, other).scale(2))
     report = lemma2_iso_check(symmetric(3), 2)
     assert report.dim_ok and report.well_defined and report.bijective
@@ -354,16 +386,17 @@ def test_tensor_products_match_per_leg_convolution(grp):
     delta = [alg.delta(g) for g in range(n)]
     for g in range(n):
         for h in range(n):
-            plain_gh = basis_tensor(alg, PLAIN, g, h)
-            env_gh = basis_tensor(alg, ENVELOPING, g, h)
+            plain_gh = basis_tensor(alg.tensor, g, h)
+            env_gh = basis_tensor(alg.enveloping, g, h)
             for a in range(n):
                 first = convolve(delta[g], delta[a])
                 for b in range(n):
-                    assert plain_gh * basis_tensor(alg, PLAIN, a, b) == \
-                        tensor_of(first, convolve(delta[h], delta[b]), PLAIN)
-                    assert env_gh * basis_tensor(alg, ENVELOPING, a, b) == \
+                    assert plain_gh * basis_tensor(alg.tensor, a, b) == \
+                        tensor_of(first, convolve(delta[h], delta[b]),
+                                  alg.tensor)
+                    assert env_gh * basis_tensor(alg.enveloping, a, b) == \
                         tensor_of(first, convolve(delta[b], delta[h]),
-                                  ENVELOPING)
+                                  alg.enveloping)
 
 
 def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
@@ -399,9 +432,8 @@ def test_corrupted_e_fails_dual_action_identity(monkeypatch):
     # E(delta_g) = delta_g (x) delta_g instead of delta_g (x) delta_{g^-1}
     monkeypatch.setattr(
         hopf, "e_map",
-        lambda f: TensorElement(f.algebra, ENVELOPING,
-                                {(g, g): c for g, c in enumerate(f.coeffs)
-                                 if c}))
+        lambda f: AlgebraElement(f.algebra.enveloping,
+                                 {g * 6 + g: c for g, c in f.coeffs.items()}))
     report = eq1_check(grp, 2)
     assert False in report.per_c.values()
     assert report.per_c["012"]  # the identity element still commutes
@@ -410,7 +442,9 @@ def test_corrupted_e_fails_dual_action_identity(monkeypatch):
 
 def test_tensor_norm_and_doc_stability():
     alg = GroupAlgebra(cyclic(2), 2)
-    t = tensor_of(alg.ones(), alg.ones(), ENVELOPING).scale(Fraction(1, 2))
+    t = tensor_of(alg.ones(), alg.ones(), alg.enveloping).scale(Fraction(1, 2))
+    assert norm_exponent(t) == 1
+    assert norm_exponent(alg.enveloping.zero()) is None
     doc = t.to_doc()
     assert doc == {"0": {"0": "1/2", "1": "1/2"},
                    "1": {"0": "1/2", "1": "1/2"}}
