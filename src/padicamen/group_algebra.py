@@ -10,12 +10,12 @@ the one product rule is delta_(g,h) * delta_(x,y) = delta_(gx, second[h][y]).
 l(G) is l(G x 1); its tensor and enveloping algebras take H = G and
 H = G^op, the opposite group.
 
-Elements are sparse: a dict from flat basis index to nonzero Fraction, the
-SparseVec of exact_linalg.  An element of l(G) is read in three ways, all
-legitimate in finite dimension: as an algebra element sum alpha_g delta_g,
-as a bounded function on G, and (via the explicit pairing) as a
-functional on functions.  DualFunctional is a separate type reserved for
-means, i.e. functionals on the function space.
+Elements are sparse: a SparseVec, a dict from flat basis index to nonzero
+Fraction.  An element of l(G) is read in three ways, all legitimate in
+finite dimension: as an algebra element sum alpha_g delta_g, as a bounded
+function on G, and (via the explicit pairing) as a functional on
+functions.  DualFunctional is a separate type reserved for means, i.e.
+functionals on the function space.
 
 The norm is the sup of |alpha|_p over the coefficients, tracked as an
 integer exponent; the zero element gets the marker None since its norm is
@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .exact_linalg import SparseVec
 from .finite_group import FiniteGroup
 from .valued_field import FieldDescriptor, valuation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _TRIVIAL = ((0,),)  # Cayley table of the trivial group
+
+SparseVec = Dict[int, Fraction]
 
 
 def _text(c: Fraction) -> str:
@@ -307,3 +308,27 @@ def i0_identity(algebra: GroupAlgebra) -> AlgebraElement:
             raise InternalCheckError(
                 "I_0 identity fails on basis element %r" % (f,))
     return e0
+
+
+def basis_classes(size: int,
+                  pairs: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+    """The quotient of Q^size by span{e_i - e_j : (i, j) in pairs}.
+
+    Its basis is the classes of the equivalence the pairs generate: the
+    dimension is the number of classes and e_k projects to its class,
+    exactly over any field.  Entry k of the result is the smallest index
+    in the class of k.
+    """
+    parent = list(range(size))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for i, j in pairs:
+        ri, rj = root(i), root(j)
+        # the smaller root wins, so every root is its class minimum
+        parent[max(ri, rj)] = min(ri, rj)
+    return tuple(root(k) for k in range(size))

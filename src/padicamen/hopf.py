@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact_linalg import SparseVec
 from .finite_group import FiniteGroup, require_within_cap
-from .group_algebra import AlgebraElement, GroupAlgebra, augmentation, convolve
+from .group_algebra import (AlgebraElement, GroupAlgebra, SparseVec,
+                            augmentation, basis_classes, convolve)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -446,35 +446,16 @@ def lemma2_data(group: FiniteGroup
     For u = delta_g (x) delta_h, u.E(delta_a) = delta_ga (x) delta_{a^-1 h},
     so the relation u.E(delta_a) - epsilon(delta_a).u is e_i - e_j with
     i = flat(ga, a^-1 h) and j = flat(g, h); it vanishes for a = e and
-    i != j otherwise.  relations lists these pairs (i, j).  The quotient
-    of Q^N by span{e_i - e_j} has the classes of the equivalence the pairs
-    generate as a basis: its dimension is the number of classes and e_k
-    projects to its class, exactly over any field.  classes[k] is the
+    i != j otherwise.  relations lists these pairs (i, j), and classes
+    is their partition of the basis from basis_classes: entry k is the
     smallest flat index in the class of k.
     """
     n = group.order
     table, inv = group.table, group.inverses
-    parent = list(range(n * n))
-
-    def root(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    relations: List[PairKey] = []
-    for g in range(n):
-        for h in range(n):
-            j = g * n + h
-            for a in range(n):
-                if a == group.identity:
-                    continue
-                i = table[g][a] * n + table[inv[a]][h]
-                relations.append((i, j))
-                ri, rj = root(i), root(j)
-                # the smaller root wins, so every root is its class minimum
-                parent[max(ri, rj)] = min(ri, rj)
-    return relations, tuple(root(k) for k in range(n * n))
+    relations = [(table[g][a] * n + table[inv[a]][h], g * n + h)
+                 for g in range(n) for h in range(n)
+                 for a in range(n) if a != group.identity]
+    return relations, basis_classes(n * n, relations)
 
 
 def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:

@@ -1,13 +1,12 @@
-"""Exact linear algebra against sympy as an independent oracle."""
+"""The elimination oracle of the tests, checked against sympy."""
 
 import random
 from fractions import Fraction
 
 import sympy
 
-from padicamen.exact_linalg import (Echelon, as_dense, as_sparse,
-                                    kernel_basis_sparse, span_echelon,
-                                    spans_equal)
+from exact_linalg import (Echelon, as_dense, as_sparse, kernel_basis_sparse,
+                          span_echelon, spans_equal)
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=6):

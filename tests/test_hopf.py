@@ -5,10 +5,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from exact_linalg import Echelon
 
 from padicamen.amenability import certify
 from padicamen.errors import InternalCheckError
-from padicamen.exact_linalg import Echelon
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
