@@ -36,8 +36,9 @@ from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
 from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
                             SparseVec, basis_classes, convolve,
                             format_norm_exponent, i0_identity, norm_exponent)
-from .hopf import (BasisMap, basis_tensor, e_map, eq1_check, lemma2_data,
-                   lemma2_iso_check, pi0, tensor_of, verify_hopf_axioms)
+from .hopf import (BasisMap, Lemma2Data, basis_tensor, e_map, eq1_check,
+                   lemma2_data, lemma2_iso_check, pi0, tensor_of,
+                   verify_hopf_axioms)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -248,7 +249,8 @@ def _verify_diagonal(alg: GroupAlgebra, d: AlgebraElement) -> None:
 
 
 def virtual_diagonal_construct(group: FiniteGroup, prime: int,
-                               johnson: Optional[JohnsonCertificate] = None
+                               johnson: Optional[JohnsonCertificate] = None,
+                               lemma2: Optional[Lemma2Data] = None
                                ) -> VirtualDiagonal:
     """Build the virtual diagonal by tracing the proof of the equivalence.
 
@@ -261,14 +263,14 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
     E(mean) for the n basis elements a; multiply the lift by E(mean); then
     verify the closed form and both virtual-diagonal identities exactly.
     A Johnson certificate already computed for (group, prime) may be
-    passed in as johnson.
+    passed in as johnson, and the data of lemma2_data(group) as lemma2.
     """
     require_within_cap(group.order, "virtual diagonal construction")
     jc = johnson_check(group, prime) if johnson is None else johnson
     alg = GroupAlgebra(group, prime)
     grp = group
     n = grp.order
-    _, classes = lemma2_data(group)
+    _, classes = lemma2_data(group) if lemma2 is None else lemma2
     reps = sorted(set(classes))
     if len(reps) != n:
         raise InternalCheckError(
@@ -547,42 +549,44 @@ def derivation_spaces(group: FiniteGroup, prime: int,
                             n * dim, inner_dim, inner_dim)
 
 
+def _kernel_generator_failure(u: AlgebraElement) -> Optional[int]:
+    """First g != e with x_g.u != x_g, where x_g = delta_g (x) 1 -
+    1 (x) delta_g in the enveloping algebra of u, or None."""
+    alg, e = u.algebra, u.algebra.group.identity
+    for g in range(alg.base.dim):
+        x = basis_tensor(alg, g, e) - basis_tensor(alg, e, g)
+        if g != e and x * u != x:
+            return g
+    return None
+
+
 def diagonal_ideal_identity(group: FiniteGroup, prime: int,
                             diagonal: Optional[VirtualDiagonal] = None
                             ) -> AlgebraElement:
     """Verify that u = 1 (x) 1 - d is a right identity of ker pi0.
 
-    Three exact checks: pi0(u) = 0; d.u = 0; and v.u = v for every v of
-    the kernel basis delta_g (x) delta_h - delta_e (x) delta_gh, g != e,
-    hence for all of ker pi0.  They determine u: if u' passes them too,
-    then x = u - u' lies in ker pi0, so (1 (x) 1 - d).x = u.u - u.u' =
-    u - u = 0 and d.x = 0, and x = (1 (x) 1).x = 0.
+    Three exact checks: pi0(u) = 0; d.u = 0; and x_g.u = x_g for the
+    generators x_g = delta_g (x) 1 - 1 (x) delta_g, g != e, of ker pi0.
+    In the enveloping algebra (1 (x) delta_h).x_g = delta_g (x) delta_h -
+    delta_e (x) delta_gh = v_{g,h}, the kernel basis, so by associativity
+    v_{g,h}.u = v_{g,h} on all of it.  The checks determine u: if u'
+    passes them too, then x = u - u' lies in ker pi0, so (1 (x) 1 - d).x
+    = u.u - u.u' = u - u = 0 and d.x = 0, and x = (1 (x) 1).x = 0.
     """
     require_within_cap(group.order, "kernel identity check")
     if diagonal is None:
         diagonal = virtual_diagonal_construct(group, prime)
     d = diagonal.tensor
-    alg = d.algebra
-    grp = group
-    n = grp.order
-    e = grp.identity
-
-    u = alg.one() - d
+    u = d.algebra.one() - d
     if not pi0(u).is_zero():
         raise InternalCheckError("1 (x) 1 - d is not in ker pi0")
     if not (d * u).is_zero():
         raise InternalCheckError("d.(1 (x) 1 - d) is not zero")
-    for g in range(n):
-        if g == e:
-            continue
-        row_g = grp.table[g]
-        for h in range(n):
-            v = basis_tensor(alg, g, h) - basis_tensor(alg, e, row_g[h])
-            if v * u != v:
-                raise InternalCheckError(
-                    "right identity fails on kernel basis at (%s, %s)"
-                    % (grp.labels[g], grp.labels[h])
-                )
+    g = _kernel_generator_failure(u)
+    if g is not None:
+        raise InternalCheckError(
+            "right identity fails on the kernel generator x_%s"
+            % group.labels[g])
     return u
 
 
@@ -605,7 +609,8 @@ def certify(group: FiniteGroup, prime: int) -> dict:
         raise InternalCheckError("dual action identity failed")
     checks["dual_action_identity"] = "pass"
 
-    l2 = lemma2_iso_check(group, prime)
+    lemma2 = lemma2_data(group)
+    l2 = lemma2_iso_check(group, prime, lemma2)
     if not l2.all_pass:
         raise InternalCheckError("quotient isomorphism check failed")
     checks["quotient_isomorphism"] = "pass"
@@ -621,7 +626,7 @@ def certify(group: FiniteGroup, prime: int) -> dict:
     i0_identity(alg)
     checks["augmentation_ideal_identity"] = "pass"
 
-    vd = virtual_diagonal_construct(group, prime, johnson=jc)
+    vd = virtual_diagonal_construct(group, prime, johnson=jc, lemma2=lemma2)
     checks["virtual_diagonal_closed_form"] = "pass"
     checks["virtual_diagonal_identities"] = "pass"
 

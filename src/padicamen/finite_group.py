@@ -6,10 +6,10 @@ two-sided identity, inverses, and exhaustive associativity.  The order cap
 (default 24, environment-overridable) guards the downstream computations
 that scale as n**3 and n**4, not this module's own checks.
 
-Subgroup enumeration is breadth-first closure: seed with every cyclic
-subgroup, then repeatedly extend each known subgroup by one outside
-generator and close under multiplication.  This finds the complete
-subgroup lattice without scanning 2**n subsets.
+Subgroup enumeration is by cyclic extension (J. Neubuser, Numer. Math. 2
+(1960) 280-292): seed with the distinct cyclic subgroups, then join each
+subgroup found, once, with every cyclic subgroup it does not contain.
+This finds the complete subgroup lattice without scanning 2**n subsets.
 """
 
 from __future__ import annotations
@@ -350,19 +350,17 @@ class Subgroup:
         return set(other.members) <= set(self.members)
 
 
-def _closure(g: FiniteGroup, seed: frozenset) -> frozenset:
-    members = set(seed)
-    members.add(g.identity)
-    frontier = list(members)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(members):
-                for c in (g.table[a][b], g.table[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        fresh.append(c)
-        frontier = fresh
+def _closure(g: FiniteGroup, gens: Tuple[int, ...]) -> frozenset:
+    """The subgroup generated by gens: the identity closed under right
+    multiplication by each generator, |K| * len(gens) table reads."""
+    members = {g.identity}
+    frontier = [g.identity]
+    for a in frontier:  # grows while it is read
+        row = g.table[a]
+        for s in gens:
+            if row[s] not in members:
+                members.add(row[s])
+                frontier.append(row[s])
     return frozenset(members)
 
 
@@ -370,8 +368,12 @@ def enumerate_subgroups(g: FiniteGroup,
                         cap: Optional[int] = None) -> List[Subgroup]:
     """Complete subgroup list, sorted by (order, member tuple).
 
-    Breadth-first closure over one-generator extensions; refuses groups
-    above the order cap instead of silently truncating.
+    Cyclic extension: a worklist starts with the distinct cyclic
+    subgroups, and each subgroup K it yields, held with a generator tuple,
+    is closed once over its generators and x for every distinct <x> not
+    in K.  Every <x_1, ..., x_k> ends such a chain of joins, so the list
+    is complete.  Refuses groups above the order cap instead of silently
+    truncating.
     """
     if cap is None:
         cap = order_cap()
@@ -380,20 +382,19 @@ def enumerate_subgroups(g: FiniteGroup,
             f"subgroup enumeration refused: order {g.order} exceeds cap {cap} "
             f"(override via {ORDER_CAP_ENV})"
         )
-    known = {frozenset({g.identity})}
-    for x in g.elements():
-        known.add(_closure(g, frozenset({x})))
-    grew = True
-    while grew:
-        grew = False
-        for base in list(known):
-            for x in g.elements():
-                if x in base:
-                    continue
-                ext = _closure(g, base | {x})
-                if ext not in known:
-                    known.add(ext)
-                    grew = True
+    # any generator of <x> serves
+    cyclic = {_closure(g, (x,)): x for x in g.elements()}
+    known = {members: (x,) for members, x in cyclic.items()}
+    worklist = list(known)
+    for base in worklist:  # grows while it is read
+        for x in cyclic.values():
+            if x in base:
+                continue
+            gens = known[base] + (x,)
+            ext = _closure(g, gens)
+            if ext not in known:
+                known[ext] = gens
+                worklist.append(ext)
     subs = [Subgroup(g, tuple(sorted(m))) for m in known]
     subs.sort(key=lambda s: (s.order, s.members))
     return subs

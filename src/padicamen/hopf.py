@@ -30,13 +30,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .finite_group import FiniteGroup, require_within_cap
-from .group_algebra import (AlgebraElement, GroupAlgebra, SparseVec,
-                            augmentation, basis_classes, convolve)
+from .group_algebra import (AlgebraElement, GroupAlgebra, augmentation,
+                            basis_classes, convolve)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 PairKey = Tuple[int, int]
+Lemma2Data = Tuple[List[PairKey], Tuple[int, ...]]
 
 
 def basis_tensor(algebra: GroupAlgebra, g: int, h: int) -> AlgebraElement:
@@ -121,19 +122,6 @@ class BasisMap:
     @classmethod
     def identity(cls, n: int) -> "BasisMap":
         return cls(n, range(n))
-
-    def apply(self, vec: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for j, c in vec.items():
-            i = self.images[j]
-            if i is None:
-                continue
-            nv = out.get(i, _ZERO) + c
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-        return out
 
     def compose(self, other: "BasisMap") -> "BasisMap":
         """self after other."""
@@ -438,8 +426,7 @@ class Lemma2Report:
         }
 
 
-def lemma2_data(group: FiniteGroup
-                ) -> Tuple[List[PairKey], Tuple[int, ...]]:
+def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     """Quotient relations of the enveloping algebra and the classes they
     generate, over the flat index g*n + h of delta_g (x) delta_h.
 
@@ -458,23 +445,28 @@ def lemma2_data(group: FiniteGroup
     return relations, basis_classes(n * n, relations)
 
 
-def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
+def lemma2_iso_check(group: FiniteGroup, prime: int,
+                     lemma2: Optional[Lemma2Data] = None) -> Lemma2Report:
     """Certify the isomorphism class(u) -> pi0(u) from the quotient of the
     enveloping algebra by the span of u.E(a) - epsilon(a).u onto l(G).
 
     Checks, in order: the quotient has dimension |G|; pi0 agrees at both
     ends of every relation (the map is well defined); the class
     representatives have |G| distinct products (the map is bijective);
-    and it commutes with the left enveloping action.  For the last, w.e_r
-    is computed through the generic enveloping product, which reads the
-    opposite table, and compared with delta_wg * pi0(e_r) * delta_wh read
-    from G's table.
+    and it commutes with the left enveloping action.  The relation span
+    is a left ideal, since w.u.(E(a) - 1 (x) 1) is the relation of the
+    basis tensor w.u, so the quotient is a left module and the last check
+    needs only the 2n generators w = delta_g (x) 1 and 1 (x) delta_h.
+    For each, w.e_r is computed through the generic enveloping product,
+    which reads the opposite table, and compared with delta_wg *
+    pi0(e_r) * delta_wh read from G's table: 2n^2 products.  lemma2 may
+    carry lemma2_data(group), already built.
     """
     require_within_cap(group.order, "quotient isomorphism check")
     env = GroupAlgebra(group, prime).enveloping
-    n = group.order
+    n, e = group.order, group.identity
     table = group.table
-    relations, classes = lemma2_data(group)
+    relations, classes = lemma2_data(group) if lemma2 is None else lemma2
     well_defined = all(
         table[i // n][i % n] == table[j // n][j % n] for i, j in relations)
     # induced map on classes: class of e_r -> delta_{pi0(e_r)}
@@ -493,7 +485,7 @@ def lemma2_iso_check(group: FiniteGroup, prime: int) -> Lemma2Report:
         return True
 
     action_commutes = not well_defined or all(
-        commutes(wg, wh) for wg in range(n) for wh in range(n))
+        commutes(g, e) and commutes(e, g) for g in range(n))
 
     return Lemma2Report(
         group_name=group.name,

@@ -1,0 +1,87 @@
+"""Brute-force references for the reduced checks of the package.
+
+The package checks what the proofs need: the kernel right identity on the
+n generators of ker pi0, and the subgroup lattice by cyclic extension.
+The functions here do the full work those reductions avoid, so tests can
+require the two to agree.  `apply` applies a BasisMap to a sparse vector,
+which tests use to apply transposed actions.
+"""
+
+from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
+
+from padicamen.finite_group import FiniteGroup, Subgroup
+from padicamen.group_algebra import AlgebraElement
+from padicamen.hopf import BasisMap, basis_tensor
+
+SparseVec = Dict[int, Fraction]
+
+
+def apply(mp: BasisMap, vec: SparseVec) -> SparseVec:
+    """The image of a sparse vector under a basis map."""
+    out: SparseVec = {}
+    for j, c in vec.items():
+        i = mp.images[j]
+        if i is None:
+            continue
+        nv = out.get(i, Fraction(0)) + c
+        if nv:
+            out[i] = nv
+        else:
+            out.pop(i, None)
+    return out
+
+
+def kernel_basis_failure(u: AlgebraElement) -> Optional[Tuple[int, int]]:
+    """First (g, h), g != e, with v.u != v for the kernel basis vector
+    v = delta_g (x) delta_h - delta_e (x) delta_gh of ker pi0, or None:
+    the full scan over all n^2 - n basis vectors."""
+    alg, grp = u.algebra, u.algebra.group
+    e = grp.identity
+    for g in range(grp.order):
+        if g == e:
+            continue
+        for h in range(grp.order):
+            v = basis_tensor(alg, g, h) - basis_tensor(alg, e, grp.table[g][h])
+            if v * u != v:
+                return g, h
+    return None
+
+
+def _pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:
+    members = set(seed)
+    members.add(g.identity)
+    frontier = list(members)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(members):
+                for c in (g.table[a][b], g.table[b][a]):
+                    if c not in members:
+                        members.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return frozenset(members)
+
+
+def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
+    """Every subgroup, sorted by (order, member tuple): seed with each
+    cyclic subgroup, then extend every known subgroup by every element
+    outside it, closing over all member pairs, until nothing new appears."""
+    known = {frozenset({g.identity})}
+    for x in g.elements():
+        known.add(_pair_closure(g, frozenset({x})))
+    grew = True
+    while grew:
+        grew = False
+        for base in list(known):
+            for x in g.elements():
+                if x in base:
+                    continue
+                ext = _pair_closure(g, base | {x})
+                if ext not in known:
+                    known.add(ext)
+                    grew = True
+    subs = [Subgroup(g, tuple(sorted(m))) for m in known]
+    subs.sort(key=lambda s: (s.order, s.members))
+    return subs

@@ -21,9 +21,11 @@ from pathlib import Path
 
 import pytest
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
+from oracles import apply, kernel_basis_failure
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
+import padicamen.hopf as hopf
 from padicamen import cli
 from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
                                    derivation_spaces, diagonal_ideal_identity,
@@ -34,7 +36,8 @@ from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
                                    trivial_bimodule, VirtualDiagonal,
                                    virtual_diagonal_construct)
 from padicamen.errors import InternalCheckError
-from padicamen.finite_group import (catalog, cyclic, dihedral, from_spec,
+from padicamen.finite_group import (catalog, cyclic, dihedral,
+                                    enumerate_subgroups, from_spec,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
                                      GroupAlgebra, convolve)
@@ -112,7 +115,6 @@ def test_schikhof_witness_on_cyclic_p():
 
 
 def test_schikhof_reuses_precomputed_data():
-    from padicamen.finite_group import enumerate_subgroups
     grp = dihedral(4)
     subs = enumerate_subgroups(grp)
     jc = johnson_check(grp, 2)
@@ -200,14 +202,15 @@ def test_diagonal_ideal_identity_trivial_group():
     assert u.is_zero()
 
 
-def test_virtual_diagonal_construct_rejects_each_corruption(monkeypatch):
+def test_virtual_diagonal_construct_rejects_each_corruption():
     grp = symmetric(3)
     n, e, inv = grp.order, grp.identity, grp.inverses
     alg = GroupAlgebra(grp, 5)
     jc = johnson_check(grp, 5)
 
-    def build(johnson=jc):
-        return virtual_diagonal_construct(grp, 5, johnson=johnson)
+    def build(johnson=jc, lemma2=None):
+        return virtual_diagonal_construct(grp, 5, johnson=johnson,
+                                          lemma2=lemma2)
 
     def certificate(mean):
         return JohnsonCertificate(grp.name, n, 5, 1, mean,
@@ -222,29 +225,23 @@ def test_virtual_diagonal_construct_rejects_each_corruption(monkeypatch):
 
     def classes_with(reps, rest):
         """Class map whose classes are reps, every other index in rest's."""
-        classes = tuple(k if k in reps else rest for k in range(n * n))
-        monkeypatch.setattr(amenability, "lemma2_data",
-                            lambda group: ((), classes))
+        return (), tuple(k if k in reps else rest for k in range(n * n))
 
     # every basis tensor its own class: dimension n^2
-    classes_with(set(range(n * n)), None)
     with pytest.raises(InternalCheckError, match="quotient dimension 36"):
-        build()
+        build(lemma2=classes_with(set(range(n * n)), None))
     others = {e * n + a for a in range(n) if a != e}
     t = 1
     # no representative multiplies to e
-    classes_with(others | {t * n + e}, t * n + e)
     with pytest.raises(InternalCheckError, match="not in the image"):
-        build()
+        build(lemma2=classes_with(others | {t * n + e}, t * n + e))
     # the one class over e is delta_t (x) delta_{t^-1}'s, not e (x) e's
-    classes_with(others | {t * n + inv[t]}, min(others))
     with pytest.raises(InternalCheckError, match="not the class of"):
-        build()
+        build(lemma2=classes_with(others | {t * n + inv[t]}, min(others)))
     # two classes over e, so the lift is not pinned to the class of e (x) e
-    classes_with((others - {e * n + t}) | {e * n + e, t * n + inv[t]},
-                 e * n + e)
     with pytest.raises(InternalCheckError, match="not the class of"):
-        build()
+        build(lemma2=classes_with(
+            (others - {e * n + t}) | {e * n + e, t * n + inv[t]}, e * n + e))
 
 
 def _ideal_identity_with(grp, coeffs):
@@ -268,9 +265,32 @@ def test_diagonal_ideal_identity_rejects_corrupted_diagonals():
         _ideal_identity_with(grp, {(g, grp.inverses[g]): Fraction(1)})
     # delta_e (x) delta_e: u = 0 annihilates the kernel instead of fixing it
     with pytest.raises(InternalCheckError,
-                       match=r"kernel basis at \(%s, %s\)"
-                       % (grp.labels[1], grp.labels[0])):
+                       match="kernel generator x_%s$" % grp.labels[1]):
         _ideal_identity_with(grp, {(e, e): Fraction(1)})
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "quaternion:8"])
+def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
+    # v_{g,h} = (1 (x) delta_h).x_g, so x_g.u = x_g for every g exactly
+    # when v.u = v on the whole kernel basis, and the first failing g is
+    # the first g of the scan's failing (g, h)
+    grp = from_spec(spec)
+    u = diagonal_ideal_identity(grp, 5)
+    assert amenability._kernel_generator_failure(u) is None
+    assert kernel_basis_failure(u) is None
+    for k in range(u.algebra.dim):
+        perturbed = u + u.algebra.delta(k)
+        generator = amenability._kernel_generator_failure(perturbed)
+        scan = kernel_basis_failure(perturbed)
+        assert scan is not None and generator == scan[0], (spec, k)
+    # sum_{h in H} delta_h (x) delta_{h^-1} is balanced for exactly the g
+    # in H, so adding it breaks x_g.u = x_g exactly for the g outside H
+    for sub in enumerate_subgroups(grp)[:-1]:
+        perturbed = u + AlgebraElement(u.algebra, {
+            h * grp.order + grp.inverses[h]: Fraction(1) for h in sub.members})
+        outside = min(set(grp.elements()) - set(sub.members))
+        assert amenability._kernel_generator_failure(perturbed) == outside
+        assert kernel_basis_failure(perturbed)[0] == outside, sub.members
 
 
 def test_derivation_dims_match_character_theory():
@@ -352,9 +372,9 @@ def test_derivation_vectors_satisfy_leibniz():
                 gh = grp.table[g][h]
                 lhs = dict(cols.get(gh, {}))
                 rhs = {}
-                for c, v in right_t[g].apply(cols.get(h, {})).items():
+                for c, v in apply(right_t[g], cols.get(h, {})).items():
                     rhs[c] = rhs.get(c, Fraction(0)) + v
-                for c, v in left_t[h].apply(cols.get(g, {})).items():
+                for c, v in apply(left_t[h], cols.get(g, {})).items():
                     rhs[c] = rhs.get(c, Fraction(0)) + v
                 rhs = {c: v for c, v in rhs.items() if v}
                 lhs = {c: v for c, v in lhs.items() if v}
@@ -401,12 +421,12 @@ def test_derivation_certificate_matches_elimination_oracle():
                 cols = _columns(vec, bim.dimension)
                 xi = _sparse_sum(
                     (c, -v / n) for h in range(n)
-                    for c, v in left_t[grp.inverses[h]].apply(
-                        cols.get(h, {})).items())
+                    for c, v in apply(left_t[grp.inverses[h]],
+                                      cols.get(h, {})).items())
                 for g in range(n):
                     ad = _sparse_sum([
-                        *right_t[g].apply(xi).items(),
-                        *((c, -v) for c, v in left_t[g].apply(xi).items())])
+                        *apply(right_t[g], xi).items(),
+                        *((c, -v) for c, v in apply(left_t[g], xi).items())])
                     assert ad == cols.get(g, {}), case
 
 
@@ -523,6 +543,23 @@ def test_certify_runs_johnson_check_once(monkeypatch):
         calls.clear()
         certify(from_spec(spec), p)
         assert calls == [(spec, p)]
+
+
+def test_certify_builds_lemma2_data_once(monkeypatch):
+    calls = []
+    real = amenability.lemma2_data
+
+    def counting(group):
+        calls.append(group.name)
+        return real(group)
+    def refuse(group):
+        raise AssertionError("lemma2_iso_check built its own data")
+    monkeypatch.setattr(amenability, "lemma2_data", counting)
+    monkeypatch.setattr(hopf, "lemma2_data", refuse)
+    for spec, p in [("cyclic:4", 2), ("symmetric:3", 3)]:
+        calls.clear()
+        certify(from_spec(spec), p)
+        assert calls == [spec]
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"

@@ -8,6 +8,7 @@ import json
 import random
 
 import pytest
+from oracles import closure_subgroups
 
 from padicamen.errors import (GroupValidationError, OrderCapError,
                               SpecParseError)
@@ -189,6 +190,35 @@ def test_subgroup_counts_match_group_theory():
         # so reconstruct to exercise the checks)
         for s in subs:
             Subgroup(g, s.members)
+
+
+def _relabelled(g, rng):
+    """g with its elements moved to a random order, the identity among
+    them, so the identity leaves index 0."""
+    new = list(range(g.order))
+    while new[g.identity] == g.identity:
+        rng.shuffle(new)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        for b, ab in enumerate(row):
+            table[new[a]][new[b]] = new[ab]
+    labels = [""] * g.order
+    for a, label in enumerate(g.labels):
+        labels[new[a]] = label
+    return from_table(g.name + "~", labels, table)
+
+
+def test_subgroup_lattice_matches_closure_oracle(monkeypatch):
+    rng = random.Random(7)
+    relabelled = [_relabelled(g, rng) for g in catalog(24) if g.order > 1]
+    assert all(g.identity != 0 for g in relabelled)
+    monkeypatch.setenv(ORDER_CAP_ENV, "72")
+    # every subgroup of the catalog is generated by two elements; the
+    # Klein group times C2 inside D4 x C2 needs three
+    for g in catalog(24) + relabelled + [
+            from_spec("product:dihedral:4,cyclic:2"),
+            from_spec("product:symmetric:4,cyclic:3")]:
+        assert enumerate_subgroups(g) == closure_subgroups(g), g.name
 
 
 def test_subgroup_validation():

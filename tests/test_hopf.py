@@ -6,7 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 from exact_linalg import Echelon
+from oracles import apply
 
+import padicamen.amenability as amenability
 from padicamen.amenability import certify
 from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
@@ -218,8 +220,8 @@ def test_basis_map_basics():
     assert m.ncols == 3
     assert m.compose(ident) == m == ident.compose(m)
     assert m.compose(m).images == (0, None, 2)
-    assert m.apply({0: f(1), 1: f(4), 2: f(3)}) == {2: f(1), 0: f(3)}
-    assert BasisMap(1, (0, 0)).apply({0: f(1), 1: f(-1)}) == {}
+    assert apply(m, {0: f(1), 1: f(4), 2: f(3)}) == {2: f(1), 0: f(3)}
+    assert apply(BasisMap(1, (0, 0)), {0: f(1), 1: f(-1)}) == {}
     assert m.transpose().images == (2, None, 0)
     e = BasisMap(4, (3, 1))  # injective, rank 2 in a 4-dimensional target
     assert e.transpose().images == (None, 1, None, 0)
@@ -304,23 +306,22 @@ def test_lemma2_iso_check_on_catalog_groups():
 def test_quotient_isomorphism_fails_with_diagonal_e(monkeypatch):
     # E(delta_a) = delta_a (x) delta_a: read the relations off a stand-in
     # group whose inversion is the identity map
-    real = hopf.lemma2_data
-
-    def data(group):
-        return real(SimpleNamespace(
-            order=group.order, table=group.table, identity=group.identity,
-            inverses=tuple(range(group.order))))
-    monkeypatch.setattr(hopf, "lemma2_data", data)
-    report = lemma2_iso_check(symmetric(3), 2)
+    grp = symmetric(3)
+    data = lemma2_data(SimpleNamespace(
+        order=grp.order, table=grp.table, identity=grp.identity,
+        inverses=tuple(range(grp.order))))
+    report = lemma2_iso_check(grp, 2, data)
     assert report.quotient_dim == 2
     assert not (report.dim_ok or report.well_defined or report.bijective)
     assert not report.all_pass
+    # certify builds the data once and hands it to the check
+    monkeypatch.setattr(amenability, "lemma2_data", lambda group: data)
     with pytest.raises(InternalCheckError,
                        match="^quotient isomorphism check failed$"):
-        certify(symmetric(3), 2)
+        certify(grp, 2)
 
 
-def test_quotient_isomorphism_fails_with_missing_relations(monkeypatch):
+def test_quotient_isomorphism_fails_with_missing_relations():
     # keep the relations of a = e (none) and the involution a = (12) only:
     # they pair each tensor j with one other, so the 36 fall into 18 pairs
     grp = symmetric(3)
@@ -329,8 +330,7 @@ def test_quotient_isomorphism_fails_with_missing_relations(monkeypatch):
                  if grp.table[grp.inverses[j // n]][i // n] == t]
     assert [j for _, j in relations] == list(range(n * n))
     classes = tuple(min(i, j) for i, j in relations)
-    monkeypatch.setattr(hopf, "lemma2_data", lambda group: (relations, classes))
-    report = lemma2_iso_check(grp, 2)
+    report = lemma2_iso_check(grp, 2, (relations, classes))
     assert report.quotient_dim == 18
     assert report.well_defined
     assert not (report.dim_ok or report.bijective or report.all_pass)
@@ -338,8 +338,7 @@ def test_quotient_isomorphism_fails_with_missing_relations(monkeypatch):
     e = grp.identity
     reps = {e * n + e, t * n + grp.inverses[t]} | set(range(e * n + 2, n))
     classes = tuple(k if k in reps else e * n + e for k in range(n * n))
-    monkeypatch.setattr(hopf, "lemma2_data", lambda group: ([], classes))
-    report = lemma2_iso_check(grp, 2)
+    report = lemma2_iso_check(grp, 2, ([], classes))
     assert report.dim_ok and report.well_defined
     assert not report.bijective and not report.all_pass
 
@@ -359,6 +358,39 @@ def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
                         lambda self, other: mul(self, other).scale(2))
     report = lemma2_iso_check(symmetric(3), 2)
     assert report.dim_ok and report.well_defined and report.bijective
+    assert not report.action_commutes
+
+
+S3 = symmetric(3)
+# every class representative is delta_e (x) delta_z with e at index 0, so
+# the generators delta_g (x) 1 and 1 (x) delta_h of the action check read
+# every entry of the opposite table and every entry of the class map
+S3_REPS = sorted(set(lemma2_data(S3)[1]))
+OPPOSITE_ENTRIES = [(h, y) for h in range(S3.order) if h != S3.identity
+                    for y in range(S3.order)]
+NON_REPRESENTATIVES = [k for k, r in enumerate(lemma2_data(S3)[1]) if k != r]
+
+
+@pytest.mark.parametrize("h, y", OPPOSITE_ENTRIES)
+def test_action_check_reads_every_opposite_table_entry(monkeypatch, h, y):
+    assert S3.identity == 0 and S3_REPS == list(range(S3.order))
+    corrupted = [list(row) for row in S3.opposite_table]
+    corrupted[h][y] = (corrupted[h][y] + 1) % S3.order
+    monkeypatch.setattr(FiniteGroup, "opposite_table",
+                        property(lambda self: corrupted))
+    report = lemma2_iso_check(S3, 2)
+    assert report.well_defined and report.bijective
+    assert not report.action_commutes
+
+
+@pytest.mark.parametrize("k", NON_REPRESENTATIVES)
+def test_action_check_reads_every_class_entry(k):
+    relations, classes = lemma2_data(S3)
+    corrupted = list(classes)
+    # re-point k at the next class
+    corrupted[k] = S3_REPS[(S3_REPS.index(classes[k]) + 1) % len(S3_REPS)]
+    report = lemma2_iso_check(S3, 2, (relations, tuple(corrupted)))
+    assert report.well_defined and report.bijective
     assert not report.action_commutes
 
 
