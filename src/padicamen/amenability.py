@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
@@ -40,9 +39,6 @@ from .hopf import (BasisMap, Lemma2Data, basis_tensor, e_map, eq1_check,
                    lemma2_data, lemma2_iso_check, pi0, tensor_of,
                    verify_hopf_axioms)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def invariant_functional_space(group: FiniteGroup,
                                prime: int) -> List[DualFunctional]:
@@ -54,7 +50,7 @@ def invariant_functional_space(group: FiniteGroup,
     classes = basis_classes(group.order, (
         (gh, h) for row in group.table for h, gh in enumerate(row)))
     return [DualFunctional(alg, dict.fromkeys(
-        (k for k, r in enumerate(classes) if r == root), _ONE))
+        (k for k, r in enumerate(classes) if r == root), 1))
         for root in sorted(set(classes))]
 
 
@@ -64,10 +60,10 @@ def _non_invariant_pair(m: DualFunctional) -> Optional[Tuple[int, int]]:
     g.delta_h = delta_gh, so this is left invariance on the delta basis,
     read off the coefficients and the Cayley table.
     """
-    c, table = m.coeffs, m.algebra.group.table
+    c, table = m.num, m.algebra.group.table  # one denominator for all
     return next(((g, h) for g, row in enumerate(table)
                  for h, gh in enumerate(row)
-                 if c.get(gh, _ZERO) != c.get(h, _ZERO)), None)
+                 if c.get(gh, 0) != c.get(h, 0)), None)
 
 
 @dataclass
@@ -113,8 +109,8 @@ def johnson_check(group: FiniteGroup, prime: int) -> JohnsonCertificate:
     if total == 0:
         raise InternalCheckError(
             "invariant functional of %s vanishes on 1" % group.name)
-    mean = m0.scale(_ONE / total)
-    if mean.coeffs != dict.fromkeys(range(n), Fraction(1, n)):
+    mean = m0.scale(1 / total)
+    if mean != DualFunctional(alg, dict.fromkeys(range(n), 1), n):
         raise InternalCheckError(
             "invariant-space mean disagrees with the averaging functional")
     return JohnsonCertificate(
@@ -297,7 +293,7 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
     # delta_gx (x) delta_yh, a bijection of the basis, so it is injective:
     # every relation dies under .E(m) exactly when E(delta_a).E(m) = E(m)
     # for every a.
-    em = e_map(AlgebraElement(alg, jc.mean.coeffs))
+    em = e_map(AlgebraElement(alg, jc.mean.num, jc.mean.den))
     for a in range(n):
         if e_map(alg.delta(a)) * em != em:
             raise InternalCheckError(
@@ -306,7 +302,7 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
     d = u0 * em
 
     closed = AlgebraElement(alg.enveloping, {
-        g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)})
+        g * n + grp.inverses[g]: 1 for g in range(n)}, n)
     if d != closed:
         raise InternalCheckError(
             "constructed diagonal differs from the closed form")
@@ -322,11 +318,11 @@ def mean_from_diagonal(diagonal: VirtualDiagonal) -> DualFunctional:
     """
     t = diagonal.tensor
     alg = t.algebra.base
-    coeffs: SparseVec = {}
-    for k, v in t.coeffs.items():
+    num: SparseVec = {}
+    for k, v in t.num.items():
         g = k // alg.dim
-        coeffs[g] = coeffs.get(g, _ZERO) + v
-    m = DualFunctional(alg, {g: v for g, v in coeffs.items() if v})
+        num[g] = num.get(g, 0) + v
+    m = DualFunctional(alg, {g: v for g, v in num.items() if v}, t.den)
     if m.pair(alg.ones()) != 1:
         raise InternalCheckError("diagonal marginal is not normalized")
     if _non_invariant_pair(m) is not None:

@@ -10,12 +10,17 @@ the one product rule is delta_(g,h) * delta_(x,y) = delta_(gx, second[h][y]).
 l(G) is l(G x 1); its tensor and enveloping algebras take H = G and
 H = G^op, the opposite group.
 
-Elements are sparse: a SparseVec, a dict from flat basis index to nonzero
-Fraction.  An element of l(G) is read in three ways, all legitimate in
-finite dimension: as an algebra element sum alpha_g delta_g, as a bounded
-function on G, and (via the explicit pairing) as a functional on
-functions.  DualFunctional is a separate type reserved for means, i.e.
-functionals on the function space.
+Elements are sparse and exact: a SparseVec, a dict from flat basis index
+to a nonzero int numerator, over one positive int denominator shared by
+every coefficient.  The pair is kept in lowest terms, so one value has
+one representation and equality is structural; products and sums are int
+arithmetic.  Rational input enters through from_coeffs (and the dense
+GroupAlgebra.element and functional), and the coeffs property reads the
+coefficients back as Fractions for documents and repr.  An element of
+l(G) is read in three ways, all legitimate in finite dimension: as an
+algebra element sum alpha_g delta_g, as a bounded function on G, and (via
+the explicit pairing) as a functional on functions.  DualFunctional is a
+separate type reserved for means, i.e. functionals on the function space.
 
 The norm is the sup of |alpha|_p over the coefficients, tracked as an
 integer exponent; the zero element gets the marker None since its norm is
@@ -25,18 +30,17 @@ integer exponent; the zero element gets the marker None since its norm is
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .finite_group import FiniteGroup
-from .valued_field import FieldDescriptor, valuation
+from .valued_field import FieldDescriptor, ScalarLike, int_valuation
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _TRIVIAL = ((0,),)  # Cayley table of the trivial group
 
-SparseVec = Dict[int, Fraction]
+SparseVec = Dict[int, int]
 
 
 def _text(c: Fraction) -> str:
@@ -84,26 +88,29 @@ class GroupAlgebra:
                 and self.group.table == other.group.table
                 and self.group.labels == other.group.labels)
 
-    def _sparse(self, coeffs: Sequence, what: str) -> SparseVec:
+    def _sparse(self, coeffs: Sequence[ScalarLike],
+                what: str) -> Dict[int, ScalarLike]:
         if len(coeffs) != self.dim:
             raise ValueError(
                 "%s vector of length %d for group of order %d"
                 % (what, len(coeffs), self.dim)
             )
-        return {k: c for k, c in enumerate(map(Fraction, coeffs)) if c}
+        return dict(enumerate(coeffs))
 
-    def element(self, coeffs: Sequence) -> "AlgebraElement":
-        """The element with the given dense coefficient sequence."""
-        return AlgebraElement(self, self._sparse(coeffs, "coefficient"))
+    def element(self, coeffs: Sequence[ScalarLike]) -> "AlgebraElement":
+        """The element with the given dense rational coefficients."""
+        return AlgebraElement.from_coeffs(
+            self, self._sparse(coeffs, "coefficient"))
 
-    def functional(self, coeffs: Sequence) -> "DualFunctional":
-        return DualFunctional(self, self._sparse(coeffs, "functional"))
+    def functional(self, coeffs: Sequence[ScalarLike]) -> "DualFunctional":
+        return DualFunctional.from_coeffs(
+            self, self._sparse(coeffs, "functional"))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
     def delta(self, k: int) -> "AlgebraElement":
-        return AlgebraElement(self, {k: _ONE})
+        return AlgebraElement(self, {k: 1})
 
     def one(self) -> "AlgebraElement":
         """The multiplicative identity delta_e."""
@@ -111,12 +118,12 @@ class GroupAlgebra:
 
     def ones(self) -> "AlgebraElement":
         """The all-ones vector, i.e. the constant function 1."""
-        return AlgebraElement(self, dict.fromkeys(range(self.dim), _ONE))
+        return AlgebraElement(self, dict.fromkeys(range(self.dim), 1))
 
     def label(self, k: int) -> str:
         return self.group.labels[k]
 
-    def doc(self, coeffs: SparseVec) -> Dict:
+    def doc(self, coeffs: Mapping[int, Fraction]) -> Dict:
         labels = self.group.labels
         return {labels[k]: _text(c) for k, c in coeffs.items()}
 
@@ -143,7 +150,7 @@ class TensorAlgebra(GroupAlgebra):
         g, h = divmod(k, self.base.dim)
         return "%s(x)%s" % (self.group.labels[g], self.group.labels[h])
 
-    def doc(self, coeffs: SparseVec) -> Dict:
+    def doc(self, coeffs: Mapping[int, Fraction]) -> Dict:
         """{label of g: {label of h: coefficient of delta_g (x) delta_h}}."""
         labels = self.group.labels
         out: Dict[str, Dict[str, str]] = {}
@@ -160,18 +167,44 @@ class TensorAlgebra(GroupAlgebra):
 class _CoeffVector:
     """Shared sparse-vector mechanics for elements and functionals.
 
-    coeffs maps a flat basis index to a nonzero Fraction; it is never
-    mutated once the vector is built.
+    The coefficient of e_k is num[k] / den: num maps a flat basis index to
+    a nonzero int and den is a positive int.  The constructor brings the
+    pair to lowest terms (den > 0, gcd(den, *num) = 1, den = 1 for zero),
+    so equal vectors have equal pairs.  It trusts its callers to pass
+    ints; rationals go through from_coeffs.  Nothing is mutated once the
+    vector is built.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "num", "den")
 
-    def __init__(self, algebra: GroupAlgebra, coeffs: SparseVec):
+    def __init__(self, algebra: GroupAlgebra, num: SparseVec, den: int = 1):
+        if den != 1:
+            if den < 0:
+                num, den = {k: -v for k, v in num.items()}, -den
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num, den = {k: v // g for k, v in num.items()}, den // g
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_coeffs(cls, algebra: GroupAlgebra,
+                    coeffs: Mapping[int, ScalarLike]):
+        """The vector with the given rational coefficients, zeros
+        dropped: the one way rationals enter."""
+        fracs = {k: Fraction(c) for k, c in coeffs.items()}
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        return cls(algebra, {k: c.numerator * (den // c.denominator)
+                             for k, c in fracs.items() if c}, den)
+
+    @property
+    def coeffs(self) -> Dict[int, Fraction]:
+        """The coefficients as Fractions, for documents and repr."""
+        return {k: Fraction(v, self.den) for k, v in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def _require_same(self, other):
         if type(self) is not type(other) or \
@@ -185,13 +218,20 @@ class _CoeffVector:
         if type(self) is not type(other):
             return NotImplemented
         return self.algebra.compatible(other.algebra) and \
-            self.coeffs == other.coeffs
+            self.den == other.den and self.num == other.num
 
-    def scale(self, c):
-        c = Fraction(c)
-        return type(self)(
-            self.algebra,
-            {k: c * v for k, v in self.coeffs.items()} if c else {})
+    def scale(self, c: ScalarLike):
+        """c times the vector; an int c stays in int arithmetic."""
+        if isinstance(c, int):
+            top, bottom = c, 1
+        else:
+            c = Fraction(c)
+            top, bottom = c.numerator, c.denominator
+        if not top:
+            return type(self)(self.algebra, {})
+        return type(self)(self.algebra,
+                          {k: top * v for k, v in self.num.items()},
+                          self.den * bottom)
 
     def to_doc(self) -> Dict:
         return self.algebra.doc(self.coeffs)
@@ -208,21 +248,26 @@ class AlgebraElement(_CoeffVector):
 
     def __add__(self, other) -> "AlgebraElement":
         self._require_same(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, _ZERO) + v
+        a, b = self.den, other.den
+        if a == b:
+            out, factor = dict(self.num), 1
+        else:
+            # over the common denominator a*b
+            out, factor = {k: v * b for k, v in self.num.items()}, a
+        for k, v in other.num.items():
+            nv = out.get(k, 0) + v * factor
             if nv:
                 out[k] = nv
             else:
                 del out[k]
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, out, a if a == b else a * b)
 
     def __sub__(self, other) -> "AlgebraElement":
         return self + -other
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(
-            self.algebra, {k: -v for k, v in self.coeffs.items()})
+            self.algebra, {k: -v for k, v in self.num.items()}, self.den)
 
     def __mul__(self, other) -> "AlgebraElement":
         return convolve(self, other)
@@ -234,21 +279,22 @@ class DualFunctional(_CoeffVector):
     def pair(self, f: AlgebraElement) -> Fraction:
         if not self.algebra.compatible(f.algebra):
             raise ValueError("functional and function live over different data")
-        fc = f.coeffs
-        return sum((m * fc[k] for k, m in self.coeffs.items() if k in fc),
-                   _ZERO)
+        fn = f.num
+        return Fraction(sum(m * fn[k] for k, m in self.num.items() if k in fn),
+                        self.den * f.den)
 
 
 def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
     """The product of l(G x H), exactly: bilinear extension of
-    delta_(g,s) * delta_(x,y) = delta_(first[g][x], second[s][y])."""
+    delta_(g,s) * delta_(x,y) = delta_(first[g][x], second[s][y]), on the
+    int numerators over the product of the two denominators."""
     f._require_same(h)
     alg = f.algebra
     first, second = alg.first, alg.second
     m = len(second)
-    right = [(divmod(k, m), b) for k, b in h.coeffs.items()]
+    right = [(divmod(k, m), b) for k, b in h.num.items()]
     out: SparseVec = {}
-    for k, a in f.coeffs.items():
+    for k, a in f.num.items():
         g, s = divmod(k, m)
         row_g, row_s = first[g], second[s]
         for (x, y), b in right:
@@ -257,13 +303,18 @@ def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
                 out[key] += a * b
             else:
                 out[key] = a * b
-    return AlgebraElement(alg, {k: v for k, v in out.items() if v})
+    return AlgebraElement(alg, {k: v for k, v in out.items() if v},
+                          f.den * h.den)
 
 
 def norm_exponent(f) -> Optional[int]:
-    """e with ||f|| = p**e, or None for the zero element (norm 0)."""
+    """e with ||f|| = p**e, or None for the zero element (norm 0): the sup
+    of |num/den|_p is p**(v_p(den) - min v_p(num))."""
+    if not f.num:
+        return None
     p = f.algebra.prime
-    return max((-valuation(c, p) for c in f.coeffs.values()), default=None)
+    return int_valuation(f.den, p) - min(
+        int_valuation(v, p) for v in f.num.values())
 
 
 def format_norm_exponent(e: Optional[int]):
@@ -273,12 +324,12 @@ def format_norm_exponent(e: Optional[int]):
 
 def augmentation(f: AlgebraElement) -> Fraction:
     """epsilon(f) = sum_g f(g)."""
-    return sum(f.coeffs.values(), _ZERO)
+    return Fraction(sum(f.num.values()), f.den)
 
 
 def i0_membership(f: AlgebraElement) -> bool:
     """Membership in the augmentation ideal I_0 = ker epsilon."""
-    return augmentation(f) == 0
+    return not sum(f.num.values())
 
 
 def i0_basis(algebra: GroupAlgebra) -> List[AlgebraElement]:

@@ -26,18 +26,13 @@ mistake in the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .finite_group import FiniteGroup, require_within_cap
-from .group_algebra import (AlgebraElement, GroupAlgebra, augmentation,
-                            basis_classes, convolve)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .group_algebra import (AlgebraElement, GroupAlgebra, SparseVec,
+                            augmentation, basis_classes, convolve)
 
 PairKey = Tuple[int, int]
-Lemma2Data = Tuple[List[PairKey], Tuple[int, ...]]
 
 
 def basis_tensor(algebra: GroupAlgebra, g: int, h: int) -> AlgebraElement:
@@ -55,14 +50,14 @@ def tensor_of(f: AlgebraElement, h: AlgebraElement,
     n = f.algebra.dim
     return AlgebraElement(target, {
         g * n + x: a * b
-        for g, a in f.coeffs.items() for x, b in h.coeffs.items()})
+        for g, a in f.num.items() for x, b in h.num.items()}, f.den * h.den)
 
 
 def comultiply(f: AlgebraElement) -> AlgebraElement:
     """Delta(f): diagonal tensor sum_g f(g) delta_g (x) delta_g."""
     n = f.algebra.dim
     return AlgebraElement(
-        f.algebra.tensor, {g * n + g: c for g, c in f.coeffs.items()})
+        f.algebra.tensor, {g * n + g: c for g, c in f.num.items()}, f.den)
 
 
 def antipode(f: AlgebraElement,
@@ -74,8 +69,9 @@ def antipode(f: AlgebraElement,
     """
     if perm is None:
         perm = f.algebra.group.inverses
+    num = f.num
     return AlgebraElement(f.algebra, {
-        g: f.coeffs[x] for g, x in enumerate(perm) if x in f.coeffs})
+        g: num[x] for g, x in enumerate(perm) if x in num}, f.den)
 
 
 def e_map(f: AlgebraElement) -> AlgebraElement:
@@ -83,8 +79,8 @@ def e_map(f: AlgebraElement) -> AlgebraElement:
     E(delta_g) = delta_g (x) delta_{g^{-1}}."""
     inv = f.algebra.group.inverses
     n = f.algebra.dim
-    return AlgebraElement(
-        f.algebra.enveloping, {g * n + inv[g]: c for g, c in f.coeffs.items()})
+    return AlgebraElement(f.algebra.enveloping,
+                          {g * n + inv[g]: c for g, c in f.num.items()}, f.den)
 
 
 def pi0(t: AlgebraElement) -> AlgebraElement:
@@ -92,11 +88,21 @@ def pi0(t: AlgebraElement) -> AlgebraElement:
     sum t_{g,h} delta_{gh}, from either tensor algebra to l(G)."""
     table = t.algebra.group.table
     n = len(table)
-    out: Dict[int, Fraction] = {}
-    for k, v in t.coeffs.items():
+    out: SparseVec = {}
+    for k, v in t.num.items():
         gh = table[k // n][k % n]
-        out[gh] = out.get(gh, _ZERO) + v
-    return AlgebraElement(t.algebra.base, {k: v for k, v in out.items() if v})
+        out[gh] = out.get(gh, 0) + v
+    return AlgebraElement(t.algebra.base,
+                          {k: v for k, v in out.items() if v}, t.den)
+
+
+def basis_index(x: AlgebraElement) -> Optional[int]:
+    """k when x is the basis vector e_k with coefficient 1, else None."""
+    if x.den == 1 and len(x.num) == 1:
+        ((k, c),) = x.num.items()
+        if c == 1:
+            return k
+    return None
 
 
 class BasisMap:
@@ -214,12 +220,12 @@ def env_left_mult_matrix(t: AlgebraElement) -> BasisMap:
         raise ValueError("an element of the enveloping algebra is required")
     images = []
     for k in range(alg.dim):
-        col = (t * alg.delta(k)).coeffs
-        if list(col.values()) != [_ONE]:
+        image = basis_index(t * alg.delta(k))
+        if image is None:
             raise ValueError(
                 "left multiplication does not map basis tensors to "
                 "basis tensors")
-        images.extend(col)
+        images.append(image)
     return BasisMap(alg.dim, images)
 
 
@@ -426,6 +432,36 @@ class Lemma2Report:
         }
 
 
+@dataclass(frozen=True)
+class QuotientRelations:
+    """The quotient relations of lemma2_data as flat index pairs (i, j),
+    in the order g, h, a.  They are read off the table again on every
+    iteration, so the n^3 - n^2 pairs are never held at once."""
+
+    table: Tuple[Tuple[int, ...], ...]
+    inverses: Tuple[int, ...]
+    identity: int
+
+    def __len__(self) -> int:
+        n = len(self.table)
+        return n * n * (n - 1)
+
+    def __iter__(self) -> Iterator[PairKey]:
+        table, e = self.table, self.identity
+        n = len(table)
+        # (a, row of a^-1) for a != e
+        moves = [(a, table[ai]) for a, ai in enumerate(self.inverses)
+                 if a != e]
+        for g, row in enumerate(table):
+            for h in range(n):
+                j = g * n + h
+                for a, back in moves:
+                    yield row[a] * n + back[h], j
+
+
+Lemma2Data = Tuple[Iterable[PairKey], Tuple[int, ...]]
+
+
 def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     """Quotient relations of the enveloping algebra and the classes they
     generate, over the flat index g*n + h of delta_g (x) delta_h.
@@ -433,15 +469,12 @@ def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     For u = delta_g (x) delta_h, u.E(delta_a) = delta_ga (x) delta_{a^-1 h},
     so the relation u.E(delta_a) - epsilon(delta_a).u is e_i - e_j with
     i = flat(ga, a^-1 h) and j = flat(g, h); it vanishes for a = e and
-    i != j otherwise.  relations lists these pairs (i, j), and classes
+    i != j otherwise.  relations yields these pairs (i, j), and classes
     is their partition of the basis from basis_classes: entry k is the
     smallest flat index in the class of k.
     """
     n = group.order
-    table, inv = group.table, group.inverses
-    relations = [(table[g][a] * n + table[inv[a]][h], g * n + h)
-                 for g in range(n) for h in range(n)
-                 for a in range(n) if a != group.identity]
+    relations = QuotientRelations(group.table, group.inverses, group.identity)
     return relations, basis_classes(n * n, relations)
 
 
@@ -476,11 +509,8 @@ def lemma2_iso_check(group: FiniteGroup, prime: int,
     def commutes(wg: int, wh: int) -> bool:
         w = basis_tensor(env, wg, wh)
         for r, x in phi.items():
-            moved = (w * env.delta(r)).coeffs
-            if list(moved.values()) != [_ONE]:
-                return False
-            (k,) = moved
-            if phi[classes[k]] != table[table[wg][x]][wh]:
+            k = basis_index(w * env.delta(r))
+            if k is None or phi[classes[k]] != table[table[wg][x]][wh]:
                 return False
         return True
 

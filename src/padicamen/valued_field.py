@@ -1,10 +1,11 @@
 """Exact scalars: rational numbers read through a p-adic lens.
 
-Coefficient arithmetic everywhere in this package is plain
-`fractions.Fraction` arithmetic, i.e. arithmetic in the rational subfield
-of Q_p.  The prime enters only through valuations.  Absolute values
-|x|_p = p**(-v_p(x)) are never evaluated as real numbers; only the
-integer exponent is stored or compared.
+Coefficient arithmetic everywhere in this package is exact arithmetic in
+the rational subfield of Q_p: algebra elements hold int numerators over
+one int denominator (see group_algebra), and scalars are
+`fractions.Fraction`s.  The prime enters only through valuations.
+Absolute values |x|_p = p**(-v_p(x)) are never evaluated as real numbers;
+only the integer exponent is stored or compared.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class FieldDescriptor:
             raise ValueError(f"not a prime: {self.prime!r}")
 
 
-def _int_valuation(n: int, p: int) -> int:
-    # n must be nonzero
+def int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero int n."""
     v = 0
     while n % p == 0:
         n //= p
@@ -60,4 +61,4 @@ def valuation(x: ScalarLike, p: int):
     x = Fraction(x)
     if x == 0:
         return INFINITE_VALUATION
-    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)

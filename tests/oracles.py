@@ -3,23 +3,55 @@
 The package checks what the proofs need: the kernel right identity on the
 n generators of ker pi0, and the subgroup lattice by cyclic extension.
 The functions here do the full work those reductions avoid, so tests can
-require the two to agree.  `apply` applies a BasisMap to a sparse vector,
-which tests use to apply transposed actions.
+require the two to agree.  The package's elements hold int numerators over
+one denominator; `fraction_add` and `fraction_convolve` are the sum and
+the product on plain Fraction coefficients, as the package computed them
+before.  `apply` applies a BasisMap to a sparse vector, which tests use to
+apply transposed actions.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from padicamen.finite_group import FiniteGroup, Subgroup
-from padicamen.group_algebra import AlgebraElement
+from padicamen.group_algebra import AlgebraElement, GroupAlgebra
 from padicamen.hopf import BasisMap, basis_tensor
 
-SparseVec = Dict[int, Fraction]
+FractionVec = Dict[int, Fraction]
 
 
-def apply(mp: BasisMap, vec: SparseVec) -> SparseVec:
+def fraction_add(a: FractionVec, b: FractionVec) -> FractionVec:
+    """a + b, coefficient by coefficient, zeros dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        nv = out.get(k, Fraction(0)) + v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    return out
+
+
+def fraction_convolve(alg: GroupAlgebra, a: FractionVec,
+                      b: FractionVec) -> FractionVec:
+    """The product of l(G x H) on Fraction coefficients: bilinear extension
+    of delta_(g,s) * delta_(x,y) = delta_(first[g][x], second[s][y])."""
+    first, second = alg.first, alg.second
+    m = len(second)
+    right = [(divmod(k, m), c) for k, c in b.items()]
+    out: FractionVec = {}
+    for k, c in a.items():
+        g, s = divmod(k, m)
+        row_g, row_s = first[g], second[s]
+        for (x, y), d in right:
+            key = row_g[x] * m + row_s[y]
+            out[key] = out.get(key, Fraction(0)) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+def apply(mp: BasisMap, vec: FractionVec) -> FractionVec:
     """The image of a sparse vector under a basis map."""
-    out: SparseVec = {}
+    out: FractionVec = {}
     for j, c in vec.items():
         i = mp.images[j]
         if i is None:

@@ -276,7 +276,7 @@ def test_acceptance_8_ideal_identities():
             else:
                 e0_ok = norm_exponent(e0) == valuation(n, p)
             env = alg.enveloping
-            d = AlgebraElement(env, {
+            d = AlgebraElement.from_coeffs(env, {
                 g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
             })
             u = diagonal_ideal_identity(grp, p)

@@ -218,7 +218,7 @@ def test_virtual_diagonal_construct_rejects_each_corruption():
 
     # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
     with pytest.raises(InternalCheckError, match="quotient relation"):
-        build(certificate(DualFunctional(alg, alg.one().coeffs)))
+        build(certificate(DualFunctional.from_coeffs(alg, alg.one().coeffs)))
     # twice the mean is invariant too, so only the closed form catches it
     with pytest.raises(InternalCheckError, match="closed form"):
         build(certificate(jc.mean.scale(2)))
@@ -247,7 +247,7 @@ def test_virtual_diagonal_construct_rejects_each_corruption():
 def _ideal_identity_with(grp, coeffs):
     env = GroupAlgebra(grp, 5).enveloping
     n = grp.order
-    fake = VirtualDiagonal(AlgebraElement(
+    fake = VirtualDiagonal(AlgebraElement.from_coeffs(
         env, {g * n + h: c for (g, h), c in coeffs.items()}))
     return diagonal_ideal_identity(grp, 5, diagonal=fake)
 
@@ -286,7 +286,7 @@ def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
     # sum_{h in H} delta_h (x) delta_{h^-1} is balanced for exactly the g
     # in H, so adding it breaks x_g.u = x_g exactly for the g outside H
     for sub in enumerate_subgroups(grp)[:-1]:
-        perturbed = u + AlgebraElement(u.algebra, {
+        perturbed = u + AlgebraElement.from_coeffs(u.algebra, {
             h * grp.order + grp.inverses[h]: Fraction(1) for h in sub.members})
         outside = min(set(grp.elements()) - set(sub.members))
         assert amenability._kernel_generator_failure(perturbed) == outside
@@ -633,7 +633,8 @@ def test_zero_total_invariant_functional_exits_2(capsys, monkeypatch):
     # a functional that vanishes on 1 cannot be normalized into a mean
     def vanishing(group, prime):
         alg = GroupAlgebra(group, prime)
-        return [DualFunctional(alg, (alg.delta(1) - alg.one()).coeffs)]
+        return [DualFunctional.from_coeffs(
+            alg, (alg.delta(1) - alg.one()).coeffs)]
     monkeypatch.setattr(amenability, "invariant_functional_space", vanishing)
     _fails_internally(capsys, symmetric(3), 3, "vanishes on 1")
 

@@ -464,8 +464,8 @@ def test_corrupted_e_fails_dual_action_identity(monkeypatch):
     # E(delta_g) = delta_g (x) delta_g instead of delta_g (x) delta_{g^-1}
     monkeypatch.setattr(
         hopf, "e_map",
-        lambda f: AlgebraElement(f.algebra.enveloping,
-                                 {g * 6 + g: c for g, c in f.coeffs.items()}))
+        lambda f: AlgebraElement.from_coeffs(
+            f.algebra.enveloping, {g * 6 + g: c for g, c in f.coeffs.items()}))
     report = eq1_check(grp, 2)
     assert False in report.per_c.values()
     assert report.per_c["012"]  # the identity element still commutes
