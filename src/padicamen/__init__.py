@@ -10,8 +10,7 @@ byte-stable JSON documents.
 
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      OutputError, SpecParseError, ToolkitError)
-from .valued_field import (INFINITE_VALUATION, FieldDescriptor, is_prime,
-                           valuation)
+from .valued_field import is_prime
 from .finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV, FiniteGroup,
                            Subgroup, catalog, cyclic, dihedral,
                            enumerate_subgroups, from_spec, order_cap,

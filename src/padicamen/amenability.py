@@ -18,6 +18,11 @@ For a finite group G over Q_p the story certified here is:
   virtual diagonal as in Johnson's proof rather than solved, and the
   multiplication kernel has an exact right identity 1 (x) 1 - d.
 
+Everything on the Johnson side (the mean, the quotient, the diagonal and
+the derivations) is an identity over the rationals and takes no prime.
+The prime is read only where a p-adic norm is: by schikhof_check, by the
+to_doc(prime) writers of the mean and the diagonal, and by certify.
+
 Every verification is exact; a failed check raises InternalCheckError
 because each identity holds by theorem for valid inputs.
 """
@@ -38,15 +43,15 @@ from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
 from .hopf import (BasisMap, Lemma2Data, basis_tensor, e_map, eq1_check,
                    lemma2_data, lemma2_iso_check, pi0, tensor_of,
                    verify_hopf_axioms)
+from .valued_field import require_prime
 
 
-def invariant_functional_space(group: FiniteGroup,
-                               prime: int) -> List[DualFunctional]:
+def invariant_functional_space(group: FiniteGroup) -> List[DualFunctional]:
     """Basis of the left-invariant functionals.  The constraints
     m(g.phi) = m(phi) on the delta basis are m_gh - m_h = 0, so these are
     the functionals constant on the classes of the pairs (gh, h), and the
     class indicators are a basis."""
-    alg = GroupAlgebra(group, prime)
+    alg = GroupAlgebra(group)
     classes = basis_classes(group.order, (
         (gh, h) for row in group.table for h, gh in enumerate(row)))
     return [DualFunctional(alg, dict.fromkeys(
@@ -71,23 +76,19 @@ class JohnsonCertificate:
     """Witness for the existence of a left-invariant mean with m(1) != 0,
     normalized to m(1) = 1.  Every finite group has one."""
 
-    group_name: str
-    order: int
-    prime: int
     invariant_space_dim: int
     mean: DualFunctional
-    mean_norm_exponent: int
 
-    def to_doc(self):
+    def to_doc(self, prime: int):
         return {
             "amenable": True,
             "invariant_space_dim": self.invariant_space_dim,
             "mean": self.mean.to_doc(),
-            "mean_norm_exponent": self.mean_norm_exponent,
+            "mean_norm_exponent": norm_exponent(self.mean, prime),
         }
 
 
-def johnson_check(group: FiniteGroup, prime: int) -> JohnsonCertificate:
+def johnson_check(group: FiniteGroup) -> JohnsonCertificate:
     """Search the invariant space for a functional with m(1) != 0 and
     normalize it.
 
@@ -95,9 +96,9 @@ def johnson_check(group: FiniteGroup, prime: int) -> JohnsonCertificate:
     phi -> |G|^{-1} sum_g phi(g), which is normalized and left invariant.
     """
     require_within_cap(group.order, "invariant mean computation")
-    alg = GroupAlgebra(group, prime)
+    alg = GroupAlgebra(group)
     n = group.order
-    basis = invariant_functional_space(group, prime)
+    basis = invariant_functional_space(group)
     if len(basis) != 1:
         raise InternalCheckError(
             "invariant functional space of %s has dimension %d, expected 1"
@@ -113,8 +114,7 @@ def johnson_check(group: FiniteGroup, prime: int) -> JohnsonCertificate:
     if mean != DualFunctional(alg, dict.fromkeys(range(n), 1), n):
         raise InternalCheckError(
             "invariant-space mean disagrees with the averaging functional")
-    return JohnsonCertificate(
-        group.name, n, prime, 1, mean, norm_exponent(mean))
+    return JohnsonCertificate(1, mean)
 
 
 @dataclass
@@ -173,9 +173,10 @@ def schikhof_check(group: FiniteGroup, prime: int,
     pair, in the deterministic enumeration order, becomes the witness).
     Disagreement raises, since both reduce to p | |G| by theorem.
     """
+    require_prime(prime)
     if johnson is None:
-        johnson = johnson_check(group, prime)
-    exponent = johnson.mean_norm_exponent
+        johnson = johnson_check(group)
+    exponent = norm_exponent(johnson.mean, prime)
     norm_pass = exponent <= 0
 
     if subgroups is None:
@@ -217,10 +218,11 @@ class VirtualDiagonal:
 
     tensor: AlgebraElement
 
-    def to_doc(self):
+    def to_doc(self, prime: int):
         return {
             "tensor": self.tensor.to_doc(),
-            "norm_exponent": format_norm_exponent(norm_exponent(self.tensor)),
+            "norm_exponent": format_norm_exponent(
+                norm_exponent(self.tensor, prime)),
             "pi0": pi0(self.tensor).to_doc(),
         }
 
@@ -244,7 +246,7 @@ def _verify_diagonal(alg: GroupAlgebra, d: AlgebraElement) -> None:
                 "pi0(d) is not a two-sided identity at %s" % grp.labels[a])
 
 
-def virtual_diagonal_construct(group: FiniteGroup, prime: int,
+def virtual_diagonal_construct(group: FiniteGroup,
                                johnson: Optional[JohnsonCertificate] = None,
                                lemma2: Optional[Lemma2Data] = None
                                ) -> VirtualDiagonal:
@@ -258,12 +260,12 @@ def virtual_diagonal_construct(group: FiniteGroup, prime: int,
     E(mean) kills every relation, which reduces to E(delta_a).E(mean) =
     E(mean) for the n basis elements a; multiply the lift by E(mean); then
     verify the closed form and both virtual-diagonal identities exactly.
-    A Johnson certificate already computed for (group, prime) may be
-    passed in as johnson, and the data of lemma2_data(group) as lemma2.
+    A Johnson certificate already computed for the group may be passed in
+    as johnson, and the data of lemma2_data(group) as lemma2.
     """
     require_within_cap(group.order, "virtual diagonal construction")
-    jc = johnson_check(group, prime) if johnson is None else johnson
-    alg = GroupAlgebra(group, prime)
+    jc = johnson_check(group) if johnson is None else johnson
+    alg = GroupAlgebra(group)
     grp = group
     n = grp.order
     _, classes = lemma2_data(group) if lemma2 is None else lemma2
@@ -339,17 +341,17 @@ class Bimodule:
     commute.  Each action map then has an inverse, so it is a permutation.
     """
 
-    def __init__(self, name: str, algebra: GroupAlgebra, dimension: int,
+    def __init__(self, name: str, group: FiniteGroup, dimension: int,
                  left: Sequence[BasisMap], right: Sequence[BasisMap]):
         self.name = name
-        self.algebra = algebra
+        self.group = group
         self.dimension = dimension
         self.left = list(left)
         self.right = list(right)
         self._validate()
 
     def _validate(self):
-        grp = self.algebra.group
+        grp = self.group
         n = grp.order
         if len(self.left) != n or len(self.right) != n:
             raise ValueError(
@@ -392,26 +394,26 @@ def _translations(group: FiniteGroup):
             [BasisMap(n, group.opposite_table[g]) for g in range(n)])
 
 
-def regular_bimodule(algebra: GroupAlgebra) -> Bimodule:
+def regular_bimodule(group: FiniteGroup) -> Bimodule:
     """X = l(G) itself, both actions by convolution."""
-    left, right = _translations(algebra.group)
-    return Bimodule("regular", algebra, algebra.group.order, left, right)
+    left, right = _translations(group)
+    return Bimodule("regular", group, group.order, left, right)
 
 
-def trivial_bimodule(algebra: GroupAlgebra) -> Bimodule:
+def trivial_bimodule(group: FiniteGroup) -> Bimodule:
     """One-dimensional module where both sides act through epsilon."""
-    n = algebra.group.order
+    n = group.order
     ident = BasisMap.identity(1)
-    return Bimodule("trivial", algebra, 1, [ident] * n, [ident] * n)
+    return Bimodule("trivial", group, 1, [ident] * n, [ident] * n)
 
 
-def outer_tensor_bimodule(algebra: GroupAlgebra) -> Bimodule:
+def outer_tensor_bimodule(group: FiniteGroup) -> Bimodule:
     """X = l(G) (x) l(G) with the left action on the left leg and the
     right action on the right leg."""
-    n = algebra.group.order
+    n = group.order
     ident = BasisMap.identity(n)
-    left, right = _translations(algebra.group)
-    return Bimodule("outer_tensor", algebra, n * n,
+    left, right = _translations(group)
+    return Bimodule("outer_tensor", group, n * n,
                     [lg.kron(ident) for lg in left],
                     [ident.kron(rg) for rg in right])
 
@@ -419,7 +421,7 @@ def outer_tensor_bimodule(algebra: GroupAlgebra) -> Bimodule:
 STOCK_BIMODULES = ("regular", "trivial", "outer_tensor")
 
 
-def stock_bimodules(algebra: GroupAlgebra,
+def stock_bimodules(group: FiniteGroup,
                     names: Sequence[str] = STOCK_BIMODULES
                     ) -> Dict[str, Bimodule]:
     """The stock bimodules with the given names, built in that order."""
@@ -428,7 +430,7 @@ def stock_bimodules(algebra: GroupAlgebra,
         "trivial": trivial_bimodule,
         "outer_tensor": outer_tensor_bimodule,
     }
-    return {name: builders[name](algebra) for name in names}
+    return {name: builders[name](group) for name in names}
 
 
 @dataclass
@@ -438,7 +440,6 @@ class DerivationReport:
 
     group_name: str
     order: int
-    prime: int
     bimodule_name: str
     module_dim: int
     unknowns: int
@@ -477,7 +478,7 @@ def _johnson_xi(left, inverses, dim: int, x: int) -> Terms:
     return [(h * dim + left[hi][x], -1) for h, hi in enumerate(inverses)]
 
 
-def derivation_spaces(group: FiniteGroup, prime: int,
+def derivation_spaces(group: FiniteGroup,
                       bimodule: Bimodule) -> DerivationReport:
     """Certify that every derivation D: A -> X^* is inner, and count them.
 
@@ -496,11 +497,8 @@ def derivation_spaces(group: FiniteGroup, prime: int,
         every D satisfying the Leibniz rows is ad_{xi_D}.
     (c) ad_xi = 0 exactly when xi is constant on the classes of the pairs
         (R_g c, L_g c), so dim Inn = dim - #classes.
-
-    Nothing depends on the prime.
     """
-    # bimodules are prime-agnostic; only the group must match
-    if bimodule.algebra.group.table != group.table:
+    if bimodule.group.table != group.table:
         raise ValueError("bimodule was built over a different group")
     require_within_cap(group.order, "derivation certificate")
     n, dim = group.order, bimodule.dimension
@@ -541,7 +539,7 @@ def derivation_spaces(group: FiniteGroup, prime: int,
     classes = basis_classes(dim, (
         (rg[c], lg[c]) for rg, lg in zip(right, left) for c in range(dim)))
     inner_dim = dim - len(set(classes))
-    return DerivationReport(group.name, n, prime, bimodule.name, dim,
+    return DerivationReport(group.name, n, bimodule.name, dim,
                             n * dim, inner_dim, inner_dim)
 
 
@@ -556,7 +554,7 @@ def _kernel_generator_failure(u: AlgebraElement) -> Optional[int]:
     return None
 
 
-def diagonal_ideal_identity(group: FiniteGroup, prime: int,
+def diagonal_ideal_identity(group: FiniteGroup,
                             diagonal: Optional[VirtualDiagonal] = None
                             ) -> AlgebraElement:
     """Verify that u = 1 (x) 1 - d is a right identity of ker pi0.
@@ -571,7 +569,7 @@ def diagonal_ideal_identity(group: FiniteGroup, prime: int,
     """
     require_within_cap(group.order, "kernel identity check")
     if diagonal is None:
-        diagonal = virtual_diagonal_construct(group, prime)
+        diagonal = virtual_diagonal_construct(group)
     d = diagonal.tensor
     u = d.algebra.one() - d
     if not pi0(u).is_zero():
@@ -589,29 +587,31 @@ def diagonal_ideal_identity(group: FiniteGroup, prime: int,
 def certify(group: FiniteGroup, prime: int) -> dict:
     """Run the full battery for one (group, prime) and assemble the
     certificate document.  Any failed internal check raises; a document
-    is only ever produced with every check passing."""
+    is only ever produced with every check passing.  Only the Schikhof
+    verdict and the two norm exponents of the document read the prime."""
     require_within_cap(group.order, "certificate run")
-    alg = GroupAlgebra(group, prime)
+    require_prime(prime)
+    alg = GroupAlgebra(group)
     checks: Dict[str, str] = {}
 
-    hopf_report = verify_hopf_axioms(group, prime)
+    hopf_report = verify_hopf_axioms(group)
     if not hopf_report.all_pass:
         raise InternalCheckError(
             "Hopf axioms failed on %s" % group.name)
     checks["hopf_axioms"] = "pass"
 
-    eq1 = eq1_check(group, prime)
+    eq1 = eq1_check(group)
     if not eq1.all_pass:
         raise InternalCheckError("dual action identity failed")
     checks["dual_action_identity"] = "pass"
 
     lemma2 = lemma2_data(group)
-    l2 = lemma2_iso_check(group, prime, lemma2)
+    l2 = lemma2_iso_check(group, lemma2)
     if not l2.all_pass:
         raise InternalCheckError("quotient isomorphism check failed")
     checks["quotient_isomorphism"] = "pass"
 
-    jc = johnson_check(group, prime)
+    jc = johnson_check(group)
     checks["invariant_space_dimension_one"] = "pass"
     checks["mean_normalized_and_invariant"] = "pass"
 
@@ -622,7 +622,7 @@ def certify(group: FiniteGroup, prime: int) -> dict:
     i0_identity(alg)
     checks["augmentation_ideal_identity"] = "pass"
 
-    vd = virtual_diagonal_construct(group, prime, johnson=jc, lemma2=lemma2)
+    vd = virtual_diagonal_construct(group, johnson=jc, lemma2=lemma2)
     checks["virtual_diagonal_closed_form"] = "pass"
     checks["virtual_diagonal_identities"] = "pass"
 
@@ -631,7 +631,7 @@ def certify(group: FiniteGroup, prime: int) -> dict:
         raise InternalCheckError("mean/diagonal round trip failed")
     checks["mean_diagonal_round_trip"] = "pass"
 
-    diagonal_ideal_identity(group, prime, diagonal=vd)
+    diagonal_ideal_identity(group, diagonal=vd)
     checks["multiplication_kernel_right_identity"] = "pass"
 
     return {
@@ -642,9 +642,9 @@ def certify(group: FiniteGroup, prime: int) -> dict:
             "labels": list(group.labels),
         },
         "prime": prime,
-        "johnson": jc.to_doc(),
+        "johnson": jc.to_doc(prime),
         "schikhof": sv.to_doc(),
-        "diagonal": vd.to_doc(),
+        "diagonal": vd.to_doc(prime),
         "checks": checks,
     }
 

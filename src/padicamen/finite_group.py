@@ -19,7 +19,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      SpecParseError)
@@ -75,8 +75,9 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _validate_table(name: str, labels: Sequence[str],
-                    table: Sequence[Sequence[int]]) -> FiniteGroup:
+def from_table(name: str, labels: Sequence[str],
+               table: Sequence[Sequence[int]]) -> FiniteGroup:
+    """Build and fully validate a group from a raw Cayley table."""
     n = len(table)
     if n == 0:
         raise GroupValidationError(f"{name}: empty table")
@@ -144,18 +145,12 @@ def _validate_table(name: str, labels: Sequence[str],
     )
 
 
-def from_table(name: str, labels: Sequence[str],
-               table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Build and fully validate a group from a raw Cayley table."""
-    return _validate_table(name, labels, table)
-
-
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise SpecParseError(f"cyclic order must be >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = [str(i) for i in range(n)]
-    return _validate_table(f"cyclic:{n}", labels, table)
+    return from_table(f"cyclic:{n}", labels, table)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -175,7 +170,7 @@ def dihedral(n: int) -> FiniteGroup:
                     kk = (-k if g else k) + l
                     table[idx(f, k)][idx(g, l)] = idx((f + g) % 2, kk % n)
     labels = [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
-    return _validate_table(f"dihedral:{n}", labels, table)
+    return from_table(f"dihedral:{n}", labels, table)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -190,7 +185,7 @@ def symmetric(n: int) -> FiniteGroup:
         for p in perms
     ]
     labels = ["".join(str(x) for x in p) for p in perms]
-    return _validate_table(f"symmetric:{n}", labels, table)
+    return from_table(f"symmetric:{n}", labels, table)
 
 
 def quaternion8() -> FiniteGroup:
@@ -215,7 +210,7 @@ def quaternion8() -> FiniteGroup:
                     table[idx(s1, u1)][idx(s2, u2)] = \
                         idx((s1 + s2 + flip) % 2, unit)
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return _validate_table("quaternion:8", labels, table)
+    return from_table("quaternion:8", labels, table)
 
 
 def product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -236,7 +231,7 @@ def product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         f"({a.labels[i]},{b.labels[j]})"
         for i in range(na) for j in range(nb)
     ]
-    return _validate_table(f"product:{a.name},{b.name}", labels, table)
+    return from_table(f"product:{a.name},{b.name}", labels, table)
 
 
 def from_file(path: str) -> FiniteGroup:
@@ -268,7 +263,7 @@ def from_file(path: str) -> FiniteGroup:
             not all(isinstance(row, list) for row in table):
         raise SpecParseError(
             f"group file {path!r}: table must have {n} rows, each a list")
-    return _validate_table(name, labels, table)
+    return from_table(name, labels, table)
 
 
 def from_spec(spec: str) -> FiniteGroup:
@@ -364,8 +359,7 @@ def _closure(g: FiniteGroup, gens: Tuple[int, ...]) -> frozenset:
     return frozenset(members)
 
 
-def enumerate_subgroups(g: FiniteGroup,
-                        cap: Optional[int] = None) -> List[Subgroup]:
+def enumerate_subgroups(g: FiniteGroup) -> List[Subgroup]:
     """Complete subgroup list, sorted by (order, member tuple).
 
     Cyclic extension: a worklist starts with the distinct cyclic
@@ -375,13 +369,7 @@ def enumerate_subgroups(g: FiniteGroup,
     is complete.  Refuses groups above the order cap instead of silently
     truncating.
     """
-    if cap is None:
-        cap = order_cap()
-    if g.order > cap:
-        raise OrderCapError(
-            f"subgroup enumeration refused: order {g.order} exceeds cap {cap} "
-            f"(override via {ORDER_CAP_ENV})"
-        )
+    require_within_cap(g.order, "subgroup enumeration")
     # any generator of <x> serves
     cyclic = {_closure(g, (x,)): x for x in g.elements()}
     known = {members: (x,) for members, x in cyclic.items()}

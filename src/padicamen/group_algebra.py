@@ -22,9 +22,11 @@ algebra element sum alpha_g delta_g, as a bounded function on G, and (via
 the explicit pairing) as a functional on functions.  DualFunctional is a
 separate type reserved for means, i.e. functionals on the function space.
 
-The norm is the sup of |alpha|_p over the coefficients, tracked as an
-integer exponent; the zero element gets the marker None since its norm is
-0 and not any power of p.
+The algebras hold no prime: their elements and products are rational and
+the same over every Q_p.  The norm is the sup of |alpha|_p over the
+coefficients, tracked as an integer exponent by norm_exponent(f, p), the
+one function here that reads a prime; the zero element gets the marker
+None since its norm is 0 and not any power of p.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .finite_group import FiniteGroup
-from .valued_field import FieldDescriptor, ScalarLike, int_valuation
+from .valued_field import ScalarLike, int_valuation, require_prime
 
 _TRIVIAL = ((0,),)  # Cayley table of the trivial group
 
@@ -56,9 +58,8 @@ class GroupAlgebra:
     pass the operand check by identity.
     """
 
-    def __init__(self, group: FiniteGroup, prime: int):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.field = FieldDescriptor(prime)
         self.base = self
         self.first, self.second = group.table, _TRIVIAL
         self.dim = group.order
@@ -75,15 +76,10 @@ class GroupAlgebra:
         the opposite order."""
         return TensorAlgebra(self, self.group.opposite_table)
 
-    @property
-    def prime(self) -> int:
-        return self.field.prime
-
     def compatible(self, other: "GroupAlgebra") -> bool:
         if self is other:
             return True
         return (type(self) is type(other)
-                and self.prime == other.prime
                 and self.second == other.second
                 and self.group.table == other.group.table
                 and self.group.labels == other.group.labels)
@@ -128,7 +124,7 @@ class GroupAlgebra:
         return {labels[k]: _text(c) for k, c in coeffs.items()}
 
     def __repr__(self):
-        return f"GroupAlgebra({self.group.name}, p={self.prime})"
+        return f"GroupAlgebra({self.group.name})"
 
 
 class TensorAlgebra(GroupAlgebra):
@@ -137,7 +133,7 @@ class TensorAlgebra(GroupAlgebra):
     enveloping attributes are those of the base."""
 
     def __init__(self, base: GroupAlgebra, second):
-        self.group, self.field, self.base = base.group, base.field, base
+        self.group, self.base = base.group, base
         self.first, self.second = base.first, second
         n = base.dim
         self.dim = n * n
@@ -161,7 +157,7 @@ class TensorAlgebra(GroupAlgebra):
 
     def __repr__(self):
         kind = "tensor" if self.second is self.group.table else "enveloping"
-        return f"TensorAlgebra({self.group.name}, p={self.prime}, {kind})"
+        return f"TensorAlgebra({self.group.name}, {kind})"
 
 
 class _CoeffVector:
@@ -307,12 +303,12 @@ def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
                           f.den * h.den)
 
 
-def norm_exponent(f) -> Optional[int]:
-    """e with ||f|| = p**e, or None for the zero element (norm 0): the sup
-    of |num/den|_p is p**(v_p(den) - min v_p(num))."""
+def norm_exponent(f, p: int) -> Optional[int]:
+    """e with ||f||_p = p**e, or None for the zero element (norm 0): the
+    sup of |num/den|_p is p**(v_p(den) - min v_p(num))."""
+    require_prime(p)
     if not f.num:
         return None
-    p = f.algebra.prime
     return int_valuation(f.den, p) - min(
         int_valuation(v, p) for v in f.num.values())
 
@@ -322,9 +318,11 @@ def format_norm_exponent(e: Optional[int]):
     return "-inf" if e is None else e
 
 
-def augmentation(f: AlgebraElement) -> Fraction:
-    """epsilon(f) = sum_g f(g)."""
-    return Fraction(sum(f.num.values()), f.den)
+def augmentation(f: AlgebraElement) -> ScalarLike:
+    """epsilon(f) = sum_g f(g), exactly: an int when the denominator is 1,
+    as it is on every basis element, and a Fraction otherwise."""
+    total = sum(f.num.values())
+    return total if f.den == 1 else Fraction(total, f.den)
 
 
 def i0_membership(f: AlgebraElement) -> bool:

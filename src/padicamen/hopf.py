@@ -6,7 +6,8 @@ Sf(g) = f(g^{-1}).  Everything here is finite-dimensional, so the five
 commuting diagrams of the Hopf definition, the homomorphism property of
 E = (1 (x) S) Delta into A^e = A (x) A^op, the dual-action identity
 E^*(phi).c = E^*(phi.E(c)), and the quotient isomorphism
-A^e_E (x)_A K ~ A are all decided exactly.
+A^e_E (x)_A K ~ A are all decided exactly.  They are identities over
+the rationals, so they hold at every prime and none of them takes one.
 
 Tensors are elements of the group algebras l(G x G) = A (x) A and
 l(G x G^op) = A^e of group_algebra, so Delta, E and pi0 are maps between
@@ -246,7 +247,6 @@ class AxiomResult:
 class HopfReport:
     group_name: str
     order: int
-    prime: int
     antipode_corrupted: bool
     axioms: "Dict[str, AxiomResult]" = field(default_factory=dict)
 
@@ -258,7 +258,6 @@ class HopfReport:
         return {
             "group": self.group_name,
             "order": self.order,
-            "prime": self.prime,
             "antipode_corrupted": self.antipode_corrupted,
             "axioms": {name: r.to_doc() for name, r in self.axioms.items()},
             "all_pass": self.all_pass,
@@ -275,7 +274,7 @@ def _matrix_axiom(report: HopfReport, labels, name: str,
             False, checked, witness=f"basis column {labels[j % len(labels)]}")
 
 
-def verify_hopf_axioms(group: FiniteGroup, prime: int,
+def verify_hopf_axioms(group: FiniteGroup,
                        antipode_perm: Optional[Sequence[int]] = None
                        ) -> HopfReport:
     """Check the five Hopf diagrams plus the structural homomorphism and
@@ -285,7 +284,7 @@ def verify_hopf_axioms(group: FiniteGroup, prime: int,
     passing the identity permutation on a nonabelian group is the standard
     negative control and must break both antipode diagrams.
     """
-    alg = GroupAlgebra(group, prime)
+    alg = GroupAlgebra(group)
     require_within_cap(group.order, "Hopf structure verification")
     n = group.order
     labels = group.labels
@@ -295,7 +294,7 @@ def verify_hopf_axioms(group: FiniteGroup, prime: int,
     s = antipode_map(group, perm)
     mult = mult_map(group)
     ident = BasisMap.identity(n)
-    report = HopfReport(group.name, n, prime, antipode_perm is not None)
+    report = HopfReport(group.name, n, antipode_perm is not None)
 
     basis_note = f"all {n} basis columns"
     _matrix_axiom(
@@ -357,7 +356,6 @@ class Eq1Report:
 
     group_name: str
     order: int
-    prime: int
     per_c: "Dict[str, bool]" = field(default_factory=dict)
 
     @property
@@ -368,7 +366,6 @@ class Eq1Report:
         return {
             "group": self.group_name,
             "order": self.order,
-            "prime": self.prime,
             "checked": f"all {self.order * self.order} basis functionals "
                        f"x {self.order} basis elements",
             "per_c": dict(sorted(self.per_c.items())),
@@ -376,7 +373,7 @@ class Eq1Report:
         }
 
 
-def eq1_check(group: FiniteGroup, prime: int) -> Eq1Report:
+def eq1_check(group: FiniteGroup) -> Eq1Report:
     """Verify E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
     the enveloping algebra and every basis element c.
 
@@ -385,10 +382,10 @@ def eq1_check(group: FiniteGroup, prime: int) -> Eq1Report:
     composed maps column by column covers every basis phi at once.
     """
     require_within_cap(group.order, "dual action identity check")
-    alg = GroupAlgebra(group, prime)
+    alg = GroupAlgebra(group)
     n = group.order
     et = e_basis_map(group).transpose()
-    report = Eq1Report(group.name, n, prime)
+    report = Eq1Report(group.name, n)
     for c in range(n):
         lhs = left_conv_map(group, c).transpose().compose(et)
         env = env_left_mult_matrix(e_map(alg.delta(c)))
@@ -401,7 +398,6 @@ def eq1_check(group: FiniteGroup, prime: int) -> Eq1Report:
 class Lemma2Report:
     group_name: str
     order: int
-    prime: int
     quotient_dim: int
     expected_dim: int
     well_defined: bool
@@ -421,7 +417,6 @@ class Lemma2Report:
         return {
             "group": self.group_name,
             "order": self.order,
-            "prime": self.prime,
             "quotient_dim": self.quotient_dim,
             "expected_dim": self.expected_dim,
             "dim_ok": self.dim_ok,
@@ -478,7 +473,7 @@ def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     return relations, basis_classes(n * n, relations)
 
 
-def lemma2_iso_check(group: FiniteGroup, prime: int,
+def lemma2_iso_check(group: FiniteGroup,
                      lemma2: Optional[Lemma2Data] = None) -> Lemma2Report:
     """Certify the isomorphism class(u) -> pi0(u) from the quotient of the
     enveloping algebra by the span of u.E(a) - epsilon(a).u onto l(G).
@@ -496,7 +491,7 @@ def lemma2_iso_check(group: FiniteGroup, prime: int,
     carry lemma2_data(group), already built.
     """
     require_within_cap(group.order, "quotient isomorphism check")
-    env = GroupAlgebra(group, prime).enveloping
+    env = GroupAlgebra(group).enveloping
     n, e = group.order, group.identity
     table = group.table
     relations, classes = lemma2_data(group) if lemma2 is None else lemma2
@@ -520,7 +515,6 @@ def lemma2_iso_check(group: FiniteGroup, prime: int,
     return Lemma2Report(
         group_name=group.name,
         order=n,
-        prime=prime,
         quotient_dim=len(phi),
         expected_dim=n,
         well_defined=well_defined,

@@ -3,23 +3,20 @@
 Coefficient arithmetic everywhere in this package is exact arithmetic in
 the rational subfield of Q_p: algebra elements hold int numerators over
 one int denominator (see group_algebra), and scalars are
-`fractions.Fraction`s.  The prime enters only through valuations.
-Absolute values |x|_p = p**(-v_p(x)) are never evaluated as real numbers;
-only the integer exponent is stored or compared.
+`fractions.Fraction`s.  That arithmetic is the same at every prime: the
+prime enters only through valuations, so it is passed to the functions
+that read a norm and to nothing else, and each of them checks it with
+require_prime before any work.  Absolute values |x|_p = p**(-v_p(x)) are
+never evaluated as real numbers; only the integer exponent is stored or
+compared.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 ScalarLike = Union[Fraction, int]
-
-#: Valuation of zero.  An IEEE infinity compares correctly against every
-#: integer valuation, which is the only arithmetic it ever sees.
-INFINITE_VALUATION = math.inf
 
 
 def is_prime(n: int) -> bool:
@@ -36,15 +33,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """The ground field Q_p, given by its prime."""
-
-    prime: int
-
-    def __post_init__(self):
-        if not isinstance(self.prime, int) or not is_prime(self.prime):
-            raise ValueError(f"not a prime: {self.prime!r}")
+def require_prime(p) -> None:
+    """Raise ValueError unless p is an int prime.  Without the check
+    int_valuation would loop forever at p = 1 and divide by zero at
+    p = 0."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"not a prime: {p!r}")
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -54,11 +48,3 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def valuation(x: ScalarLike, p: int):
-    """v_p(x) as an exact integer; INFINITE_VALUATION for x = 0."""
-    x = Fraction(x)
-    if x == 0:
-        return INFINITE_VALUATION
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)

@@ -7,17 +7,33 @@ require the two to agree.  The package's elements hold int numerators over
 one denominator; `fraction_add` and `fraction_convolve` are the sum and
 the product on plain Fraction coefficients, as the package computed them
 before.  `apply` applies a BasisMap to a sparse vector, which tests use to
-apply transposed actions.
+apply transposed actions.  `valuation` is v_p of a rational, with
+INFINITE_VALUATION at zero: the package only ever takes the valuations of
+nonzero int numerators and denominators.
 """
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from padicamen.finite_group import FiniteGroup, Subgroup
 from padicamen.group_algebra import AlgebraElement, GroupAlgebra
 from padicamen.hopf import BasisMap, basis_tensor
+from padicamen.valued_field import int_valuation
 
 FractionVec = Dict[int, Fraction]
+
+#: Valuation of zero.  An IEEE infinity compares correctly against every
+#: integer valuation, which is the only arithmetic it ever sees.
+INFINITE_VALUATION = math.inf
+
+
+def valuation(x, p: int):
+    """v_p(x) as an exact integer; INFINITE_VALUATION for x = 0."""
+    x = Fraction(x)
+    if x == 0:
+        return INFINITE_VALUATION
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def fraction_add(a: FractionVec, b: FractionVec) -> FractionVec:

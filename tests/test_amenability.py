@@ -12,7 +12,6 @@ The derivation certificate is also compared with exact elimination of the
 Leibniz rows (exact_linalg, kept under tests/ as the oracle).
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import pytest
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
-from oracles import apply, kernel_basis_failure
+from oracles import apply, kernel_basis_failure, valuation
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
@@ -40,9 +39,8 @@ from padicamen.finite_group import (catalog, cyclic, dihedral,
                                     enumerate_subgroups, from_spec,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
-                                     GroupAlgebra, convolve)
+                                     GroupAlgebra, convolve, norm_exponent)
 from padicamen.hopf import BasisMap, basis_tensor, pi0, tensor_of
-from padicamen.valued_field import valuation
 
 
 def conjugacy_class_count(grp):
@@ -61,7 +59,7 @@ def conjugacy_class_count(grp):
 def test_invariant_space_is_one_dimensional_and_uniform():
     for grp in [cyclic(1), cyclic(5), dihedral(4), symmetric(3),
                 quaternion8()]:
-        basis = invariant_functional_space(grp, 2)
+        basis = invariant_functional_space(grp)
         assert len(basis) == 1
         m = basis[0]
         # constant vector: scaling it normalizes to the averaging oracle
@@ -73,13 +71,13 @@ def test_invariant_space_is_one_dimensional_and_uniform():
 def test_johnson_mean_is_averaging_functional():
     for spec in ["cyclic:6", "symmetric:3", "quaternion:8"]:
         grp = from_spec(spec)
+        jc = johnson_check(grp)
+        assert jc.invariant_space_dim == 1
+        n = grp.order
+        assert jc.mean.coeffs == dict.fromkeys(range(n), Fraction(1, n))
         for p in (2, 3, 5):
-            jc = johnson_check(grp, p)
-            assert jc.invariant_space_dim == 1
-            n = grp.order
-            assert jc.mean.coeffs == dict.fromkeys(range(n), Fraction(1, n))
-            assert jc.mean_norm_exponent == valuation(n, p)
-            doc = jc.to_doc()
+            assert norm_exponent(jc.mean, p) == valuation(n, p)
+            doc = jc.to_doc(p)
             assert doc["amenable"] is True
             assert doc["mean_norm_exponent"] == valuation(n, p)
 
@@ -117,7 +115,7 @@ def test_schikhof_witness_on_cyclic_p():
 def test_schikhof_reuses_precomputed_data():
     grp = dihedral(4)
     subs = enumerate_subgroups(grp)
-    jc = johnson_check(grp, 2)
+    jc = johnson_check(grp)
     sv = schikhof_check(grp, 2, subgroups=subs, johnson=jc)
     assert sv == schikhof_check(grp, 2)
 
@@ -125,21 +123,20 @@ def test_schikhof_reuses_precomputed_data():
 def test_virtual_diagonal_closed_form():
     for spec in ["cyclic:4", "symmetric:3", "quaternion:8"]:
         grp = from_spec(spec)
-        for p in (2, 3):
-            vd = virtual_diagonal_construct(grp, p)
-            n = grp.order
-            expected = {
-                g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
-            }
-            assert vd.tensor.coeffs == expected
-            env = GroupAlgebra(grp, p).enveloping
-            assert vd.tensor.algebra.compatible(env)
+        vd = virtual_diagonal_construct(grp)
+        n = grp.order
+        expected = {
+            g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
+        }
+        assert vd.tensor.coeffs == expected
+        env = GroupAlgebra(grp).enveloping
+        assert vd.tensor.algebra.compatible(env)
 
 
 def test_virtual_diagonal_identities_reverified():
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
-    d = virtual_diagonal_construct(grp, 2).tensor
+    alg = GroupAlgebra(grp)
+    d = virtual_diagonal_construct(grp).tensor
     one = alg.one()
     # (a (x) 1) d = (1 (x) a) d for every basis a
     for a in range(grp.order):
@@ -156,16 +153,15 @@ def test_virtual_diagonal_identities_reverified():
 def test_mean_from_diagonal_round_trip():
     for spec in ["cyclic:6", "dihedral:4", "symmetric:3"]:
         grp = from_spec(spec)
-        for p in (2, 5):
-            vd = virtual_diagonal_construct(grp, p)
-            m = mean_from_diagonal(vd)
-            jc = johnson_check(grp, p)
-            assert m == jc.mean
+        vd = virtual_diagonal_construct(grp)
+        m = mean_from_diagonal(vd)
+        jc = johnson_check(grp)
+        assert m == jc.mean
 
 
 def test_mean_from_diagonal_rejects_tampered_tensor():
     grp = cyclic(3)
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     fake = VirtualDiagonal(basis_tensor(alg.enveloping, 0, 0))
     with pytest.raises(InternalCheckError):
         mean_from_diagonal(fake)
@@ -174,9 +170,9 @@ def test_mean_from_diagonal_rejects_tampered_tensor():
 def test_diagonal_ideal_identity_equals_one_minus_d():
     for spec in ["cyclic:4", "symmetric:3"]:
         grp = from_spec(spec)
-        alg = GroupAlgebra(grp, 3)
-        vd = virtual_diagonal_construct(grp, 3)
-        u = diagonal_ideal_identity(grp, 3, diagonal=vd)
+        alg = GroupAlgebra(grp)
+        vd = virtual_diagonal_construct(grp)
+        u = diagonal_ideal_identity(grp, diagonal=vd)
         env = alg.enveloping
         expected = basis_tensor(env, grp.identity, grp.identity) - vd.tensor
         assert u == expected
@@ -198,23 +194,21 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
 
 
 def test_diagonal_ideal_identity_trivial_group():
-    u = diagonal_ideal_identity(cyclic(1), 5)
+    u = diagonal_ideal_identity(cyclic(1))
     assert u.is_zero()
 
 
 def test_virtual_diagonal_construct_rejects_each_corruption():
     grp = symmetric(3)
     n, e, inv = grp.order, grp.identity, grp.inverses
-    alg = GroupAlgebra(grp, 5)
-    jc = johnson_check(grp, 5)
+    alg = GroupAlgebra(grp)
+    jc = johnson_check(grp)
 
     def build(johnson=jc, lemma2=None):
-        return virtual_diagonal_construct(grp, 5, johnson=johnson,
-                                          lemma2=lemma2)
+        return virtual_diagonal_construct(grp, johnson=johnson, lemma2=lemma2)
 
     def certificate(mean):
-        return JohnsonCertificate(grp.name, n, 5, 1, mean,
-                                  jc.mean_norm_exponent)
+        return JohnsonCertificate(1, mean)
 
     # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
     with pytest.raises(InternalCheckError, match="quotient relation"):
@@ -245,11 +239,11 @@ def test_virtual_diagonal_construct_rejects_each_corruption():
 
 
 def _ideal_identity_with(grp, coeffs):
-    env = GroupAlgebra(grp, 5).enveloping
+    env = GroupAlgebra(grp).enveloping
     n = grp.order
     fake = VirtualDiagonal(AlgebraElement.from_coeffs(
         env, {g * n + h: c for (g, h), c in coeffs.items()}))
-    return diagonal_ideal_identity(grp, 5, diagonal=fake)
+    return diagonal_ideal_identity(grp, diagonal=fake)
 
 
 def test_diagonal_ideal_identity_rejects_corrupted_diagonals():
@@ -275,7 +269,7 @@ def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
     # when v.u = v on the whole kernel basis, and the first failing g is
     # the first g of the scan's failing (g, h)
     grp = from_spec(spec)
-    u = diagonal_ideal_identity(grp, 5)
+    u = diagonal_ideal_identity(grp)
     assert amenability._kernel_generator_failure(u) is None
     assert kernel_basis_failure(u) is None
     for k in range(u.algebra.dim):
@@ -296,17 +290,16 @@ def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
 def test_derivation_dims_match_character_theory():
     for grp in [cyclic(4), cyclic(6), dihedral(3), dihedral(4),
                 symmetric(3), quaternion8()]:
-        alg = GroupAlgebra(grp, 2)
         n = grp.order
         classes = conjugacy_class_count(grp)
-        reg = derivation_spaces(grp, 2, regular_bimodule(alg))
+        reg = derivation_spaces(grp, regular_bimodule(grp))
         assert reg.derivation_dim == n - classes, grp.name
         assert reg.inner_dim == n - classes
         assert reg.all_inner
-        triv = derivation_spaces(grp, 2, trivial_bimodule(alg))
+        triv = derivation_spaces(grp, trivial_bimodule(grp))
         assert triv.derivation_dim == 0 and triv.inner_dim == 0
         assert triv.all_inner
-        outer = derivation_spaces(grp, 2, outer_tensor_bimodule(alg))
+        outer = derivation_spaces(grp, outer_tensor_bimodule(grp))
         assert outer.derivation_dim == n * n - n, grp.name
         assert outer.inner_dim == n * n - n
         assert outer.all_inner
@@ -357,9 +350,8 @@ def test_derivation_vectors_satisfy_leibniz():
     # as a map and check D(delta_g delta_h) = g.D(delta_h) + D(delta_g).h
     # with the dual actions applied directly
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
-    bim = regular_bimodule(alg)
-    rep = derivation_spaces(grp, 2, bim)
+    bim = regular_bimodule(grp)
+    rep = derivation_spaces(grp, bim)
     basis, _ = oracle_derivations(grp, bim)
     assert len(basis) == rep.derivation_dim
     n, dim = grp.order, bim.dimension
@@ -382,14 +374,9 @@ def test_derivation_vectors_satisfy_leibniz():
 
 
 def test_derivation_report_prime_independence_and_doc():
+    # the certificate has integer coefficients and takes no prime
     grp = cyclic(4)
-    alg2 = GroupAlgebra(grp, 2)
-    alg3 = GroupAlgebra(grp, 3)
-    r2 = derivation_spaces(grp, 2, outer_tensor_bimodule(alg2))
-    r3 = derivation_spaces(grp, 3, outer_tensor_bimodule(alg3))
-    # the certificate has integer coefficients, so nothing depends on p
-    assert dataclasses.replace(r2, prime=3) == r3
-    assert r2.prime == 2 and r3.prime == 3
+    r2 = derivation_spaces(grp, outer_tensor_bimodule(grp))
     doc = r2.to_doc()
     assert doc == {
         "bimodule": "outer_tensor",
@@ -404,8 +391,8 @@ def test_derivation_report_prime_independence_and_doc():
 def test_derivation_certificate_matches_elimination_oracle():
     for grp in catalog(8):
         n = grp.order
-        for name, bim in stock_bimodules(GroupAlgebra(grp, 2)).items():
-            rep = derivation_spaces(grp, 2, bim)
+        for name, bim in stock_bimodules(grp).items():
+            rep = derivation_spaces(grp, bim)
             basis, inner = oracle_derivations(grp, bim)
             ech = Echelon(n * bim.dimension)
             ech.add_rows(inner)
@@ -434,13 +421,13 @@ def _corrupted_bimodule(monkeypatch, name, side):
     """The stock bimodule over symmetric:3 with one transposition swapped
     in the action of one element on one side, built without validation."""
     grp = symmetric(3)
-    good = stock_bimodules(GroupAlgebra(grp, 2), (name,))[name]
+    good = stock_bimodules(grp, (name,))[name]
     actions = {"left": list(good.left), "right": list(good.right)}
     images = list(actions[side][1].images)
     images[0], images[1] = images[1], images[0]
     actions[side][1] = BasisMap(good.dimension, images)
     monkeypatch.setattr(Bimodule, "_validate", lambda self: None)
-    return Bimodule(name, good.algebra, good.dimension,
+    return Bimodule(name, good.group, good.dimension,
                     actions["left"], actions["right"])
 
 
@@ -460,8 +447,8 @@ def test_derivation_certificate_rejects_a_non_action(capsys, monkeypatch,
     bim = _corrupted_bimodule(monkeypatch, name, side)
     message = "derivation certificate part (a) fails on %s" % name
     with pytest.raises(InternalCheckError, match=r"part \(a\)"):
-        derivation_spaces(symmetric(3), 2, bim)
-    monkeypatch.setattr(amenability, name + "_bimodule", lambda alg: bim)
+        derivation_spaces(symmetric(3), bim)
+    monkeypatch.setattr(amenability, name + "_bimodule", lambda group: bim)
     _derivations_exit_2(capsys, name, message)
 
 
@@ -475,35 +462,32 @@ def test_derivation_certificate_rejects_a_wrong_xi(capsys, monkeypatch,
         (k, factor * v) for k, v in real(*args)])
     grp = symmetric(3)
     with pytest.raises(InternalCheckError, match=r"part \(b\)"):
-        derivation_spaces(grp, 2, regular_bimodule(GroupAlgebra(grp, 2)))
+        derivation_spaces(grp, regular_bimodule(grp))
     _derivations_exit_2(
         capsys, "regular", "derivation certificate part (b) fails on regular")
 
 
 def test_bimodule_validation_rejects_bad_actions():
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
-    good = regular_bimodule(alg)
+    good = regular_bimodule(grp)
     # swapping the sides breaks the homomorphism laws on a nonabelian group
     with pytest.raises(ValueError):
-        Bimodule("swapped", alg, grp.order, good.right, good.left)
+        Bimodule("swapped", grp, grp.order, good.right, good.left)
     with pytest.raises(ValueError):
-        Bimodule("short", alg, grp.order, good.left[:-1], good.right)
+        Bimodule("short", grp, grp.order, good.left[:-1], good.right)
     shifted = [good.left[grp.table[1][g]] for g in range(grp.order)]
     with pytest.raises(ValueError):
-        Bimodule("nonunital", alg, grp.order, shifted, good.right)
+        Bimodule("nonunital", grp, grp.order, shifted, good.right)
 
 
 def test_derivation_spaces_rejects_mismatched_group():
-    alg = GroupAlgebra(cyclic(4), 2)
-    bim = regular_bimodule(alg)
+    bim = regular_bimodule(cyclic(4))
     with pytest.raises(ValueError):
-        derivation_spaces(cyclic(5), 2, bim)
+        derivation_spaces(cyclic(5), bim)
 
 
 def test_stock_bimodules_names():
-    alg = GroupAlgebra(cyclic(3), 2)
-    stock = stock_bimodules(alg)
+    stock = stock_bimodules(cyclic(3))
     assert set(stock) == {"regular", "trivial", "outer_tensor"}
     assert stock["regular"].dimension == 3
     assert stock["trivial"].dimension == 1
@@ -535,14 +519,14 @@ def test_certify_runs_johnson_check_once(monkeypatch):
     calls = []
     real = amenability.johnson_check
 
-    def counting(group, prime):
-        calls.append((group.name, prime))
-        return real(group, prime)
+    def counting(group):
+        calls.append(group.name)
+        return real(group)
     monkeypatch.setattr(amenability, "johnson_check", counting)
     for spec, p in [("cyclic:4", 2), ("symmetric:3", 3)]:
         calls.clear()
         certify(from_spec(spec), p)
-        assert calls == [(spec, p)]
+        assert calls == [spec]
 
 
 def test_certify_builds_lemma2_data_once(monkeypatch):
@@ -570,6 +554,38 @@ GOLDEN_PRIMES = (2, 3, 5, 7)
 
 def _golden_digests():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+
+
+def _without_norms(doc):
+    """A certificate without the fields that read |.|_p."""
+    doc = json.loads(render_json(doc))
+    for key in ("prime", "schikhof"):
+        del doc[key]
+    del doc["johnson"]["mean_norm_exponent"]
+    del doc["diagonal"]["norm_exponent"]
+    return doc
+
+
+@pytest.mark.parametrize("grp", catalog(8), ids=lambda g: g.name)
+def test_certificate_is_the_same_at_every_prime_but_its_norms(grp):
+    # the Johnson side is an identity over Q: only the norms move with p
+    docs = [_without_norms(certify(grp, p)) for p in GOLDEN_PRIMES]
+    assert all(doc == docs[0] for doc in docs), grp.name
+
+
+@pytest.mark.parametrize("grp", catalog(8), ids=lambda g: g.name)
+def test_verify_documents_differ_only_in_the_prime(capsys, grp):
+    docs = []
+    for p in (2, 3):
+        argv = ["verify", "--group", grp.name, "--prime", str(p),
+                "--format", "structured"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for part in (doc, doc["hopf"], doc["dual_action_identity"],
+                     doc["quotient_isomorphism"]):
+            assert part.pop("prime") == p
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_golden_certificates_are_catalog_12_at_four_primes():
@@ -631,21 +647,21 @@ def _fails_internally(capsys, grp, p, match):
 
 def test_zero_total_invariant_functional_exits_2(capsys, monkeypatch):
     # a functional that vanishes on 1 cannot be normalized into a mean
-    def vanishing(group, prime):
-        alg = GroupAlgebra(group, prime)
+    def vanishing(group):
+        alg = GroupAlgebra(group)
         return [DualFunctional.from_coeffs(
             alg, (alg.delta(1) - alg.one()).coeffs)]
     monkeypatch.setattr(amenability, "invariant_functional_space", vanishing)
     _fails_internally(capsys, symmetric(3), 3, "vanishes on 1")
 
 
-def _two_functionals(group, prime):
-    basis = invariant_functional_space(group, prime)
+def _two_functionals(group):
+    basis = invariant_functional_space(group)
     return basis + basis
 
 
-def _nonconstant_functional(group, prime):
-    alg = GroupAlgebra(group, prime)
+def _nonconstant_functional(group):
+    alg = GroupAlgebra(group)
     return [alg.functional(range(1, group.order + 1))]
 
 

@@ -210,7 +210,7 @@ def test_internal_failure_exits_2(capsys, monkeypatch):
 def test_derivations_builds_only_the_requested_bimodule(capsys, monkeypatch):
     import padicamen.amenability as amenability
 
-    def refuse(algebra):
+    def refuse(group):
         raise AssertionError("outer_tensor bimodule built")
     monkeypatch.setattr(amenability, "outer_tensor_bimodule", refuse)
     rc, out, err = run(capsys, ["derivations", "--group", "dihedral:3",

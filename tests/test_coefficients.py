@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_add, fraction_convolve
+from oracles import fraction_add, fraction_convolve, valuation
 from padicamen.amenability import render_json
 from padicamen.finite_group import catalog, symmetric
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
                                      GroupAlgebra, augmentation, convolve,
                                      norm_exponent)
-from padicamen.valued_field import valuation
 
 GROUPS = catalog(8)
 PRIMES = (2, 3, 5, 7)
@@ -33,9 +32,11 @@ RATIONALS = st.fractions(min_value=-60, max_value=60, max_denominator=36)
 
 @st.composite
 def algebras(draw):
-    base = GroupAlgebra(draw(st.sampled_from(GROUPS)),
-                        draw(st.sampled_from(PRIMES)))
-    return draw(st.sampled_from((base, base.tensor, base.enveloping)))
+    """One of l(G), l(G x G), l(G x G^op), and a prime to read norms at."""
+    grp = draw(st.sampled_from(GROUPS))
+    p = draw(st.sampled_from(PRIMES))
+    base = GroupAlgebra(grp)
+    return draw(st.sampled_from((base, base.tensor, base.enveloping))), p
 
 
 def rational_dicts(alg):
@@ -45,15 +46,15 @@ def rational_dicts(alg):
 
 @st.composite
 def operands(draw):
-    """An algebra and two rational coefficient dicts on it, zeros kept;
-    b sometimes cancels some of a's coefficients."""
-    alg = draw(algebras())
+    """An algebra, a prime and two rational coefficient dicts on the
+    algebra, zeros kept; b sometimes cancels some of a's coefficients."""
+    alg, p = draw(algebras())
     a = draw(rational_dicts(alg))
     b = draw(rational_dicts(alg))
     for k, v in a.items():
         if draw(st.booleans()):
             b[k] = -v
-    return alg, a, b
+    return alg, p, a, b
 
 
 def nonzero(coeffs):
@@ -87,7 +88,7 @@ def oracle_norm(coeffs, p):
 @SETTINGS
 @given(operands(), st.integers(-12, 12), RATIONALS)
 def test_arithmetic_matches_fraction_oracle(ops, c, q):
-    alg, a, b = ops
+    alg, p, a, b = ops
     fa, fb = nonzero(a), nonzero(b)
     x = AlgebraElement.from_coeffs(alg, a)
     y = AlgebraElement.from_coeffs(alg, b)
@@ -100,13 +101,14 @@ def test_arithmetic_matches_fraction_oracle(ops, c, q):
         "scale": (x.scale(q), nonzero({k: q * v for k, v in fa.items()})),
         "convolve": (convolve(x, y), fraction_convolve(alg, fa, fb)),
     }
-    p = alg.prime
     for what, (z, expected) in results.items():
         assert_lowest_terms(z)
         assert z.coeffs == expected, what
         assert z == AlgebraElement.from_coeffs(alg, expected), what
-        assert norm_exponent(z) == oracle_norm(expected, p), what
+        assert norm_exponent(z, p) == oracle_norm(expected, p), what
         assert augmentation(z) == sum(expected.values()), what
+        # exact either way: an int over denominator 1, else a Fraction
+        assert type(augmentation(z)) is (int if z.den == 1 else Fraction)
         assert z.to_doc() == oracle_doc(alg, expected), what
     m = DualFunctional.from_coeffs(alg, a)
     assert_lowest_terms(m)
@@ -115,8 +117,8 @@ def test_arithmetic_matches_fraction_oracle(ops, c, q):
 
 
 @SETTINGS
-@given(algebras().flatmap(lambda alg: st.tuples(
-    st.just(alg), rational_dicts(alg))),
+@given(algebras().flatmap(lambda alg_p: st.tuples(
+    st.just(alg_p[0]), rational_dicts(alg_p[0]))),
     st.integers(1, 720), st.sampled_from((1, -1)))
 def test_one_value_built_two_ways_is_one_representation(data, factor, sign):
     alg, a = data
@@ -134,7 +136,7 @@ def test_one_value_built_two_ways_is_one_representation(data, factor, sign):
         render_json(x.to_doc())
 
 
-ALG = GroupAlgebra(symmetric(3), 2)
+ALG = GroupAlgebra(symmetric(3))
 
 
 def test_sum_reduces_over_the_common_denominator():

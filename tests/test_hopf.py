@@ -33,7 +33,7 @@ def random_element(rng, alg, span=6):
 
 
 def test_comultiply_is_diagonal():
-    alg = GroupAlgebra(symmetric(3), 2)
+    alg = GroupAlgebra(symmetric(3))
     f = alg.element([1, 2, 0, Fraction(1, 3), 0, -5])
     t = comultiply(f)
     assert t.algebra is alg.tensor
@@ -45,14 +45,14 @@ def test_comultiply_is_diagonal():
 
 def test_antipode_reverses():
     grp = cyclic(4)
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     s = antipode(alg.delta(1))
     assert s == alg.delta(3)
     f = alg.element([1, 2, 3, 4])
     assert antipode(antipode(f)) == f
     # S is an algebra antihomomorphism: S(fh) = S(h)S(f)
     rng = random.Random(9)
-    nab = GroupAlgebra(symmetric(3), 2)
+    nab = GroupAlgebra(symmetric(3))
     for _ in range(20):
         f, h = random_element(rng, nab), random_element(rng, nab)
         assert antipode(convolve(f, h)) == \
@@ -61,17 +61,16 @@ def test_antipode_reverses():
 
 def test_hopf_axioms_pass_on_catalog_groups():
     for grp in GROUPS:
-        for p in (2, 5):
-            report = verify_hopf_axioms(grp, p)
-            assert report.all_pass, (grp.name, p)
-            assert not report.antipode_corrupted
-            doc = report.to_doc()
-            assert doc["all_pass"] and doc["order"] == grp.order
+        report = verify_hopf_axioms(grp)
+        assert report.all_pass, grp.name
+        assert not report.antipode_corrupted
+        doc = report.to_doc()
+        assert doc["all_pass"] and doc["order"] == grp.order
 
 
 def test_corrupted_antipode_fails_antipode_axioms():
     grp = symmetric(3)
-    report = verify_hopf_axioms(grp, 2, antipode_perm=list(range(6)))
+    report = verify_hopf_axioms(grp, antipode_perm=list(range(6)))
     assert report.antipode_corrupted
     assert not report.axioms["antipode_left"].passed
     assert not report.axioms["antipode_right"].passed
@@ -91,13 +90,13 @@ def test_corrupted_antipode_by_transposition():
     a, b = 1, 2
     perm = inv[:]
     perm[a], perm[b] = inv[b], inv[a]
-    report = verify_hopf_axioms(grp, 3, antipode_perm=perm)
+    report = verify_hopf_axioms(grp, antipode_perm=perm)
     assert not report.all_pass
 
 
 def test_e_map_is_homomorphism():
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     n = grp.order
     for g in range(n):
         for h in range(n):
@@ -113,7 +112,7 @@ def test_e_map_is_homomorphism():
 
 def test_pi0_collapses_e_map_to_augmentation():
     rng = random.Random(3)
-    alg = GroupAlgebra(dihedral(4), 2)
+    alg = GroupAlgebra(dihedral(4))
     for _ in range(15):
         f = random_element(rng, alg)
         collapsed = pi0(e_map(f))
@@ -121,7 +120,7 @@ def test_pi0_collapses_e_map_to_augmentation():
 
 
 def test_pi0_on_both_flavors():
-    alg = GroupAlgebra(symmetric(3), 2)
+    alg = GroupAlgebra(symmetric(3))
     grp = alg.group
     for target in (alg.tensor, alg.enveloping):
         t = basis_tensor(target, 1, 2)
@@ -133,7 +132,7 @@ def test_pi0_is_left_module_map():
     # pi0(w . u) = delta_wg * pi0(u) * delta_wh for basis w = (wg, wh)
     rng = random.Random(77)
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     n = grp.order
     for _ in range(8):
         coeffs = {
@@ -154,7 +153,7 @@ def test_pi0_is_left_module_map():
 
 def test_tensor_flavors_differ():
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     n = grp.order
     g, h, a, b = 1, 2, 3, 4
     plain = basis_tensor(alg.tensor, g, h) * basis_tensor(alg.tensor, a, b)
@@ -167,7 +166,7 @@ def test_tensor_flavors_differ():
 
 def test_tensor_algebras_built_once_per_algebra():
     grp = symmetric(3)
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     assert alg.tensor is alg.tensor and alg.enveloping is alg.enveloping
     for target in (alg.tensor, alg.enveloping):
         assert target.base is alg and target.dim == 36
@@ -178,12 +177,12 @@ def test_tensor_algebras_built_once_per_algebra():
     assert alg.enveloping.second is grp.opposite_table
     assert alg.enveloping.one() == basis_tensor(alg.enveloping, 0, 0)
     # an algebra built separately over the same data is compatible
-    assert GroupAlgebra(symmetric(3), 2).enveloping.compatible(alg.enveloping)
-    assert not GroupAlgebra(grp, 3).enveloping.compatible(alg.enveloping)
+    assert GroupAlgebra(symmetric(3)).enveloping.compatible(alg.enveloping)
+    assert not GroupAlgebra(cyclic(6)).enveloping.compatible(alg.enveloping)
 
 
 def test_tensor_element_ops():
-    alg = GroupAlgebra(cyclic(3), 2)
+    alg = GroupAlgebra(cyclic(3))
     t = tensor_of(alg.element([1, 2, 0]), alg.element([0, 1, 1]), alg.tensor)
     assert t.coeffs == {1: 1, 2: 1, 4: 2, 5: 2}
     assert (t - t).is_zero()
@@ -195,14 +194,14 @@ def test_tensor_element_ops():
     with pytest.raises(ValueError):
         tensor_of(alg.one(), alg.one(), alg)  # l(G) is no tensor algebra
     with pytest.raises(ValueError):
-        tensor_of(alg.one(), alg.one(), GroupAlgebra(cyclic(3), 3).tensor)
+        tensor_of(alg.one(), alg.one(), GroupAlgebra(cyclic(4)).tensor)
     with pytest.raises(ValueError):
         t + alg.ones()  # l(G) and l(G x G)
     with pytest.raises(ValueError):
         convolve(alg.ones(), t)
     # G is abelian, so G^op = G and the two tensor algebras coincide
     assert alg.tensor.compatible(alg.enveloping)
-    nab = GroupAlgebra(symmetric(3), 2)
+    nab = GroupAlgebra(symmetric(3))
     plain, env = nab.tensor.one(), nab.enveloping.one()
     assert plain != env
     for op in (lambda a, b: a + b, lambda a, b: a - b, convolve):
@@ -240,7 +239,7 @@ def test_basis_map_basics():
 
 def test_eq1_identity_on_catalog_groups():
     for grp in GROUPS:
-        report = eq1_check(grp, 3)
+        report = eq1_check(grp)
         assert report.all_pass, grp.name
         assert len(report.per_c) == grp.order
 
@@ -249,7 +248,7 @@ def test_lemma2_relation_count():
     # the relation for a = identity vanishes; all others are e_i - e_j,
     # which the generic enveloping product confirms pair by pair
     for grp in [cyclic(3), symmetric(3)]:
-        env = GroupAlgebra(grp, 2).enveloping
+        env = GroupAlgebra(grp).enveloping
         relations, _ = lemma2_data(grp)
         n = grp.order
         assert len(relations) == n * n * n - n * n
@@ -294,7 +293,7 @@ def test_lemma2_classes_match_echelon_oracle():
 
 def test_lemma2_iso_check_on_catalog_groups():
     for grp in GROUPS:
-        report = lemma2_iso_check(grp, 2)
+        report = lemma2_iso_check(grp)
         assert report.all_pass, grp.name
         assert report.quotient_dim == grp.order
         assert report.well_defined and report.bijective
@@ -310,7 +309,7 @@ def test_quotient_isomorphism_fails_with_diagonal_e(monkeypatch):
     data = lemma2_data(SimpleNamespace(
         order=grp.order, table=grp.table, identity=grp.identity,
         inverses=tuple(range(grp.order))))
-    report = lemma2_iso_check(grp, 2, data)
+    report = lemma2_iso_check(grp, data)
     assert report.quotient_dim == 2
     assert not (report.dim_ok or report.well_defined or report.bijective)
     assert not report.all_pass
@@ -330,7 +329,7 @@ def test_quotient_isomorphism_fails_with_missing_relations():
                  if grp.table[grp.inverses[j // n]][i // n] == t]
     assert [j for _, j in relations] == list(range(n * n))
     classes = tuple(min(i, j) for i, j in relations)
-    report = lemma2_iso_check(grp, 2, (relations, classes))
+    report = lemma2_iso_check(grp, (relations, classes))
     assert report.quotient_dim == 18
     assert report.well_defined
     assert not (report.dim_ok or report.bijective or report.all_pass)
@@ -338,7 +337,7 @@ def test_quotient_isomorphism_fails_with_missing_relations():
     e = grp.identity
     reps = {e * n + e, t * n + grp.inverses[t]} | set(range(e * n + 2, n))
     classes = tuple(k if k in reps else e * n + e for k in range(n * n))
-    report = lemma2_iso_check(grp, 2, ([], classes))
+    report = lemma2_iso_check(grp, ([], classes))
     assert report.dim_ok and report.well_defined
     assert not report.bijective and not report.all_pass
 
@@ -347,7 +346,7 @@ def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
     # the enveloping product read through G's own table, not the opposite
     monkeypatch.setattr(FiniteGroup, "opposite_table",
                         property(lambda self: self.table))
-    report = lemma2_iso_check(symmetric(3), 2)
+    report = lemma2_iso_check(symmetric(3))
     assert report.dim_ok and report.well_defined and report.bijective
     assert not report.action_commutes and not report.all_pass
     # a product that is twice a basis tensor lands in the right class,
@@ -356,7 +355,7 @@ def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
     mul = AlgebraElement.__mul__
     monkeypatch.setattr(AlgebraElement, "__mul__",
                         lambda self, other: mul(self, other).scale(2))
-    report = lemma2_iso_check(symmetric(3), 2)
+    report = lemma2_iso_check(symmetric(3))
     assert report.dim_ok and report.well_defined and report.bijective
     assert not report.action_commutes
 
@@ -378,7 +377,7 @@ def test_action_check_reads_every_opposite_table_entry(monkeypatch, h, y):
     corrupted[h][y] = (corrupted[h][y] + 1) % S3.order
     monkeypatch.setattr(FiniteGroup, "opposite_table",
                         property(lambda self: corrupted))
-    report = lemma2_iso_check(S3, 2)
+    report = lemma2_iso_check(S3)
     assert report.well_defined and report.bijective
     assert not report.action_commutes
 
@@ -389,7 +388,7 @@ def test_action_check_reads_every_class_entry(k):
     corrupted = list(classes)
     # re-point k at the next class
     corrupted[k] = S3_REPS[(S3_REPS.index(classes[k]) + 1) % len(S3_REPS)]
-    report = lemma2_iso_check(S3, 2, (relations, tuple(corrupted)))
+    report = lemma2_iso_check(S3, (relations, tuple(corrupted)))
     assert report.well_defined and report.bijective
     assert not report.action_commutes
 
@@ -413,7 +412,7 @@ def test_hopf_structure_builds_and_validates():
 def test_tensor_products_match_per_leg_convolution(grp):
     # both product rules on every basis quadruple, each leg computed by
     # convolution instead of the Cayley-table lookup of the product rule
-    alg = GroupAlgebra(grp, 2)
+    alg = GroupAlgebra(grp)
     n = grp.order
     delta = [alg.delta(g) for g in range(n)]
     for g in range(n):
@@ -440,7 +439,7 @@ def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
     monkeypatch.setattr(hopf, "delta_map",
                         lambda group: BasisMap(n * n, (g * n + e
                                                        for g in range(n))))
-    report = verify_hopf_axioms(grp, 2)
+    report = verify_hopf_axioms(grp)
     assert not report.axioms["counit_left"].passed
     assert report.axioms["counit_left"].witness == "basis column 021"
     assert report.axioms["counit_right"].passed
@@ -451,7 +450,7 @@ def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
     monkeypatch.setattr(hopf, "delta_map",
                         lambda group: BasisMap(n * n, (g * n + grp.table[t][g]
                                                        for g in range(n))))
-    report = verify_hopf_axioms(grp, 2)
+    report = verify_hopf_axioms(grp)
     for name in ("coassociativity", "counit_left"):
         assert not report.axioms[name].passed, name
         assert report.axioms[name].witness == "basis column 012", name
@@ -466,17 +465,17 @@ def test_corrupted_e_fails_dual_action_identity(monkeypatch):
         hopf, "e_map",
         lambda f: AlgebraElement.from_coeffs(
             f.algebra.enveloping, {g * 6 + g: c for g, c in f.coeffs.items()}))
-    report = eq1_check(grp, 2)
+    report = eq1_check(grp)
     assert False in report.per_c.values()
     assert report.per_c["012"]  # the identity element still commutes
     assert not report.all_pass
 
 
 def test_tensor_norm_and_doc_stability():
-    alg = GroupAlgebra(cyclic(2), 2)
+    alg = GroupAlgebra(cyclic(2))
     t = tensor_of(alg.ones(), alg.ones(), alg.enveloping).scale(Fraction(1, 2))
-    assert norm_exponent(t) == 1
-    assert norm_exponent(alg.enveloping.zero()) is None
+    assert norm_exponent(t, 2) == 1
+    assert norm_exponent(alg.enveloping.zero(), 2) is None
     doc = t.to_doc()
     assert doc == {"0": {"0": "1/2", "1": "1/2"},
                    "1": {"0": "1/2", "1": "1/2"}}

@@ -1,13 +1,18 @@
-"""Valuation arithmetic against an independently coded oracle."""
+"""Valuation arithmetic against an independently coded oracle, and the
+prime check of the functions that read a p-adic norm."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import INFINITE_VALUATION, valuation
 
-from padicamen.valued_field import (INFINITE_VALUATION, FieldDescriptor,
-                                    is_prime, valuation)
+import padicamen.amenability as amenability
+from padicamen.amenability import certify, johnson_check, schikhof_check
+from padicamen.finite_group import cyclic, enumerate_subgroups
+from padicamen.group_algebra import GroupAlgebra, norm_exponent
+from padicamen.valued_field import is_prime
 
 
 def oracle_valuation(x, p):
@@ -71,12 +76,34 @@ def test_ultrametric_with_equality_case():
             assert vs == min(vx, vy)
 
 
-def test_field_descriptor():
-    assert FieldDescriptor(5).prime == 5
-    assert FieldDescriptor(3) == FieldDescriptor(3)
-    for bad in (6, 1, 0, -3, 2.0):
-        with pytest.raises(ValueError):
-            FieldDescriptor(bad)
+# 1 comes last: a reader that skipped the check would hang on it
+NON_PRIMES = (0, 6, -3, 2.0, 1)
+# every stage certify and schikhof_check could run before reading the prime
+STAGES = ("GroupAlgebra", "verify_hopf_axioms", "eq1_check", "lemma2_data",
+          "lemma2_iso_check", "johnson_check", "enumerate_subgroups",
+          "subgroup_index", "norm_exponent", "virtual_diagonal_construct")
+
+
+def test_prime_readers_reject_non_primes(monkeypatch):
+    # p = 1 would make int_valuation loop forever, and p = 0 divide by 0
+    grp = cyclic(4)
+    mean = johnson_check(grp).mean
+    jc = amenability.JohnsonCertificate(1, mean)
+    subgroups = enumerate_subgroups(grp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran before the prime was checked")
+    for name in STAGES:
+        monkeypatch.setattr(amenability, name, refuse)
+    for bad in NON_PRIMES:
+        for call in (lambda: norm_exponent(GroupAlgebra(grp).ones(), bad),
+                     lambda: norm_exponent(mean, bad),
+                     lambda: certify(grp, bad),
+                     lambda: schikhof_check(grp, bad),
+                     lambda: schikhof_check(grp, bad, subgroups=subgroups,
+                                            johnson=jc)):
+            with pytest.raises(ValueError, match="not a prime"):
+                call()
 
 
 def test_is_prime():
