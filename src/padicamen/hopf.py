@@ -27,13 +27,11 @@ mistake in the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .finite_group import FiniteGroup, require_within_cap
 from .group_algebra import (AlgebraElement, GroupAlgebra, SparseVec,
                             augmentation, basis_classes, convolve)
-
-PairKey = Tuple[int, int]
 
 
 def basis_tensor(algebra: GroupAlgebra, g: int, h: int) -> AlgebraElement:
@@ -427,34 +425,7 @@ class Lemma2Report:
         }
 
 
-@dataclass(frozen=True)
-class QuotientRelations:
-    """The quotient relations of lemma2_data as flat index pairs (i, j),
-    in the order g, h, a.  They are read off the table again on every
-    iteration, so the n^3 - n^2 pairs are never held at once."""
-
-    table: Tuple[Tuple[int, ...], ...]
-    inverses: Tuple[int, ...]
-    identity: int
-
-    def __len__(self) -> int:
-        n = len(self.table)
-        return n * n * (n - 1)
-
-    def __iter__(self) -> Iterator[PairKey]:
-        table, e = self.table, self.identity
-        n = len(table)
-        # (a, row of a^-1) for a != e
-        moves = [(a, table[ai]) for a, ai in enumerate(self.inverses)
-                 if a != e]
-        for g, row in enumerate(table):
-            for h in range(n):
-                j = g * n + h
-                for a, back in moves:
-                    yield row[a] * n + back[h], j
-
-
-Lemma2Data = Tuple[Iterable[PairKey], Tuple[int, ...]]
+Lemma2Data = Tuple[Sequence[Tuple[int, int]], Tuple[int, ...]]
 
 
 def lemma2_data(group: FiniteGroup) -> Lemma2Data:
@@ -463,13 +434,22 @@ def lemma2_data(group: FiniteGroup) -> Lemma2Data:
 
     For u = delta_g (x) delta_h, u.E(delta_a) = delta_ga (x) delta_{a^-1 h},
     so the relation u.E(delta_a) - epsilon(delta_a).u is e_i - e_j with
-    i = flat(ga, a^-1 h) and j = flat(g, h); it vanishes for a = e and
-    i != j otherwise.  relations yields these pairs (i, j), and classes
-    is their partition of the basis from basis_classes: entry k is the
-    smallest flat index in the class of k.
+    i = flat(ga, a^-1 h) and j = flat(g, h).  The generators S suffice:
+    u.(E(st) - 1 (x) 1) = (u.E(s)).(E(t) - 1 (x) 1) + u.(E(s) - 1 (x) 1)
+    since E(st) = E(s)E(t), and u.E(s) is a basis tensor, so the n^2 |S|
+    relations of a in S span those of every a in G.  The e_homomorphism
+    Hopf check, which certify and the verify command run first, certifies
+    E(st) = E(s)E(t).  relations holds the pairs (i, j) in the order
+    g, h, a, and classes is their partition of the basis from
+    basis_classes: entry k is the smallest flat index in the class of k.
     """
-    n = group.order
-    relations = QuotientRelations(group.table, group.inverses, group.identity)
+    n, table = group.order, group.table
+    # (a, row of a^-1) for a in S
+    moves = [(a, table[group.inverses[a]]) for a in group.generators]
+    relations = tuple(
+        (row[a] * n + back[h], g * n + h)
+        for g, row in enumerate(table) for h in range(n)
+        for a, back in moves)
     return relations, basis_classes(n * n, relations)
 
 
@@ -479,7 +459,8 @@ def lemma2_iso_check(group: FiniteGroup,
     enveloping algebra by the span of u.E(a) - epsilon(a).u onto l(G).
 
     Checks, in order: the quotient has dimension |G|; pi0 agrees at both
-    ends of every relation (the map is well defined); the class
+    ends of every relation, so it is constant on each class they join
+    (the map is well defined, given E(st) = E(s)E(t)); the class
     representatives have |G| distinct products (the map is bijective);
     and it commutes with the left enveloping action.  The relation span
     is a left ideal, since w.u.(E(a) - 1 (x) 1) is the relation of the

@@ -1,20 +1,25 @@
 """Brute-force references for the reduced checks of the package.
 
-The package checks what the proofs need: the kernel right identity on the
-n generators of ker pi0, and the subgroup lattice by cyclic extension.
-The functions here do the full work those reductions avoid, so tests can
-require the two to agree.  The package's elements hold int numerators over
-one denominator; `fraction_add` and `fraction_convolve` are the sum and
-the product on plain Fraction coefficients, as the package computed them
-before.  `apply` applies a BasisMap to a sparse vector, which tests use to
-apply transposed actions.  `valuation` is v_p of a rational, with
-INFINITE_VALUATION at zero: the package only ever takes the valuations of
-nonzero int numerators and denominators.
+The package checks what the proofs need: associativity and the lemma-2
+quotient relations on a generating set of the group, the kernel right
+identity on the n generators of ker pi0, and the subgroup lattice by cyclic
+extension.  The functions here do the full work those reductions avoid, so
+tests can require the two to agree.  The package's elements hold int
+numerators over one denominator; `fraction_add` and `fraction_convolve` are
+the sum and the product on plain Fraction coefficients, as the package
+computed them before.  `apply` applies a BasisMap to a sparse vector, which
+tests use to apply transposed actions, and `relabel` moves a group's
+elements to other indices, for checks that relabelling changes no verdict.
+`valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
+package only ever takes the valuations of nonzero int numerators and
+denominators.
 """
 
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from padicamen.finite_group import FiniteGroup, Subgroup
 from padicamen.group_algebra import AlgebraElement, GroupAlgebra
@@ -26,6 +31,47 @@ FractionVec = Dict[int, Fraction]
 #: Valuation of zero.  An IEEE infinity compares correctly against every
 #: integer valuation, which is the only arithmetic it ever sees.
 INFINITE_VALUATION = math.inf
+
+
+def associativity_failure(table: Sequence[Sequence[int]]
+                          ) -> Optional[Tuple[int, int, int]]:
+    """First triple (a, b, c) with (ab)c != a(bc), or None: all n^3."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+@dataclass(frozen=True)
+class QuotientRelations:
+    """Every lemma-2 quotient relation u.E(delta_a) - epsilon(delta_a).u,
+    a != e, as the flat index pair (i, j) of e_i - e_j, in the order
+    g, h, a: the n^3 - n^2 pairs the package's generator relations span.
+    They are read off the table again on every iteration, so they are
+    never held at once."""
+
+    table: Tuple[Tuple[int, ...], ...]
+    inverses: Tuple[int, ...]
+    identity: int
+
+    def __len__(self) -> int:
+        n = len(self.table)
+        return n * n * (n - 1)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        table, e = self.table, self.identity
+        n = len(table)
+        # (a, row of a^-1) for a != e
+        moves = [(a, table[ai]) for a, ai in enumerate(self.inverses)
+                 if a != e]
+        for g, row in enumerate(table):
+            for h in range(n):
+                j = g * n + h
+                for a, back in moves:
+                    yield row[a] * n + back[h], j
 
 
 def valuation(x, p: int):
@@ -96,7 +142,25 @@ def kernel_basis_failure(u: AlgebraElement) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:
+def relabel(g: FiniteGroup, rng: random.Random
+            ) -> Tuple[List[str], List[List[int]]]:
+    """Labels and table of g with its elements moved to a random order,
+    the identity among them, so the identity leaves index 0."""
+    new = list(range(g.order))
+    while new[g.identity] == g.identity:
+        rng.shuffle(new)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        for b, ab in enumerate(row):
+            table[new[a]][new[b]] = new[ab]
+    labels = [""] * g.order
+    for a, label in enumerate(g.labels):
+        labels[new[a]] = label
+    return labels, table
+
+
+def pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:
+    """The subgroup generated by seed, closed over all member pairs."""
     members = set(seed)
     members.add(g.identity)
     frontier = list(members)
@@ -118,7 +182,7 @@ def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
     outside it, closing over all member pairs, until nothing new appears."""
     known = {frozenset({g.identity})}
     for x in g.elements():
-        known.add(_pair_closure(g, frozenset({x})))
+        known.add(pair_closure(g, frozenset({x})))
     grew = True
     while grew:
         grew = False
@@ -126,7 +190,7 @@ def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
             for x in g.elements():
                 if x in base:
                     continue
-                ext = _pair_closure(g, base | {x})
+                ext = pair_closure(g, base | {x})
                 if ext not in known:
                     known.add(ext)
                     grew = True

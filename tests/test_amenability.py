@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
-from oracles import apply, kernel_basis_failure, valuation
+from oracles import apply, kernel_basis_failure, relabel, valuation
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
@@ -37,7 +37,7 @@ from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
 from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (catalog, cyclic, dihedral,
                                     enumerate_subgroups, from_spec,
-                                    quaternion8, symmetric)
+                                    from_table, quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
                                      GroupAlgebra, convolve, norm_exponent)
 from padicamen.hopf import BasisMap, basis_tensor, pi0, tensor_of
@@ -703,3 +703,21 @@ def test_certify_trivial_group():
     assert doc["schikhof"]["amenable"] is True
     assert doc["johnson"]["mean_norm_exponent"] == 0
     assert doc["diagonal"]["tensor"] == {"0": {"0": "1/1"}}
+
+
+def test_certificate_is_invariant_under_relabelling():
+    # the identity leaves index 0 and the generators are other elements, so
+    # Light's test, the quotient relations and the lattice read other
+    # indices; only the label order and the first lattice witness may move
+    grp = symmetric(4)
+    moved = from_table(grp.name, *relabel(grp, random.Random(1)))
+    assert moved.identity != 0
+    assert {moved.labels[a] for a in moved.generators} != \
+        {grp.labels[a] for a in grp.generators}
+    for p in (2, 3, 5):
+        docs = [certify(g, p) for g in (grp, moved)]
+        for doc in docs:
+            doc["group"]["labels"].sort()
+            doc["schikhof"]["method_lattice"].pop("witness", None)
+        assert docs[0] == docs[1]
+        assert docs[0]["schikhof"]["method_lattice"]["subgroup_count"] == 30

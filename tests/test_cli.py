@@ -1,11 +1,14 @@
 """CLI behaviour: documents, text renderings, exit codes."""
 
 import json
+import random
 
 import pytest
+from oracles import relabel
 
 import padicamen.cli as cli
 from padicamen.errors import InternalCheckError
+from padicamen.finite_group import cyclic
 
 
 def run(capsys, argv):
@@ -161,11 +164,20 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_over_cap_group_exits_1(capsys):
-    rc, out, err = run(capsys, ["check", "--group", "cyclic:30",
-                                "--prime", "2"])
-    assert rc == 1
-    assert "exceeds the cap 24" in err
+def test_over_cap_group_exits_1(capsys, tmp_path):
+    # validation reads O(n^2 log n) entries, so even order 400 is read and
+    # refused by the cap, also with the identity off index 0
+    labels, table = relabel(cyclic(400), random.Random(4))
+    assert labels.index("0") != 0
+    path = tmp_path / "relabelled400.json"
+    path.write_text(json.dumps({"name": "relabelled", "order": 400,
+                                "labels": labels, "table": table}))
+    for group in ("cyclic:30", "cyclic:400", str(path)):
+        rc, out, err = run(capsys, ["check", "--group", group,
+                                    "--prime", "2"])
+        assert rc == 1 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "exceeds the cap 24" in err
 
 
 def test_order_cap_env_lowers_limit(capsys, monkeypatch):

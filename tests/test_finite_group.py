@@ -8,7 +8,8 @@ import json
 import random
 
 import pytest
-from oracles import closure_subgroups
+from oracles import (associativity_failure, closure_subgroups, pair_closure,
+                     relabel)
 
 from padicamen.errors import (GroupValidationError, OrderCapError,
                               SpecParseError)
@@ -29,6 +30,16 @@ NONASSOC_LOOP = [
     [3, 2, 5, 4, 1, 0],
     [4, 5, 0, 1, 3, 2],
     [5, 4, 1, 0, 2, 3],
+]
+
+# the two non-associative reduced Latin squares of order 5 with two-sided
+# inverses are loops; this is the first in lexicographic order
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
 ]
 
 
@@ -96,10 +107,110 @@ def test_product_group():
     assert g.labels[g.table[1 * 3 + 2][1 * 3 + 2]] == "(0,1)"
 
 
+def _loop8():
+    """The table of C2^3 with the intercalate on rows 1, 2 and columns 4, 7
+    switched: still a Latin square with identity 0 and x*x = 0."""
+    table = [[a ^ b for b in range(8)] for a in range(8)]
+    for row in (1, 2):
+        table[row][4], table[row][7] = table[row][7], table[row][4]
+    return table
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    in_row = [{i} for i in range(n)]
+    in_col = [set(range(n))] + [{j} for j in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [list(r) for r in rows]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in in_row[i] and v not in in_col[j]:
+                rows[i][j] = v
+                in_row[i].add(v)
+                in_col[j].add(v)
+                yield from fill(k + 1)
+                in_row[i].discard(v)
+                in_col[j].discard(v)
+
+    return fill(0)
+
+
+def _witness(message, labels):
+    """The triple (x, a, y) an associativity failure names."""
+    triple = message.rpartition("(")[2].rstrip(")").split(", ")
+    return tuple(labels.index(t) for t in triple)
+
+
+@pytest.mark.parametrize("n, squares, groups", [
+    (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 4, 4), (5, 8, 6), (6, 1808, 80)])
+def test_light_test_accepts_exactly_the_associative_tables(n, squares,
+                                                            groups):
+    # every reduced Latin square with two-sided inverses: from_table must
+    # accept exactly those the n^3 scan calls associative, the (n-1)!/|Aut|
+    # labellings of each group (6 of C5; 60 of C6 and 20 of S3), and name
+    # a failing triple for the others
+    labels = [str(i) for i in range(n)]
+    seen = accepted = 0
+    for table in _reduced_latin_squares(n):
+        if any(table[row.index(0)][x] for x, row in enumerate(table)):
+            continue  # a one-sided inverse, refused before associativity
+        seen += 1
+        try:
+            from_table("square", labels, table)
+        except GroupValidationError as exc:
+            assert associativity_failure(table) is not None
+            x, a, y = _witness(str(exc), labels)
+            assert table[table[x][a]][y] != table[x][table[a][y]]
+        else:
+            assert associativity_failure(table) is None
+            accepted += 1
+    assert (seen, accepted) == (squares, groups)
+
+
 def test_validation_rejects_nonassociative_loop():
-    labels = [str(i) for i in range(6)]
-    with pytest.raises(GroupValidationError, match="[Aa]ssociat"):
-        from_table("loop", labels, NONASSOC_LOOP)
+    # loops of orders 5, 6 and 8: each fails only at associativity, and
+    # the triple named fails it
+    for table in (LOOP5, NONASSOC_LOOP, _loop8()):
+        labels = [f"x{i}" for i in range(len(table))]
+        assert associativity_failure(table) is not None
+        with pytest.raises(GroupValidationError,
+                           match="^loop: associativity fails at triple") \
+                as exc:
+            from_table("loop", labels, table)
+        x, a, y = _witness(str(exc.value), labels)
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+
+
+def test_light_test_finds_a_failure_outside_the_first_closure():
+    # generator 1 passes and closes to the group {0, 1}; the failure is at
+    # the second generator, 2
+    t = NONASSOC_LOOP
+    assert all(t[t[x][1]][y] == t[x][t[1][y]]
+               for x in range(6) for y in range(6))
+    assert t[1][1] == 0
+    with pytest.raises(GroupValidationError, match=(
+            r"^loop: associativity fails at triple \(2, 2, 4\)$")):
+        from_table("loop", [str(i) for i in range(6)], t)
+
+
+def test_generators_double_the_closure():
+    # each generator is the smallest element outside the subgroup the
+    # earlier ones generate, and at least doubles it
+    rng = random.Random(11)
+    for g in catalog(24) + [_relabelled(g, rng) for g in catalog(24)
+                            if g.order > 1]:
+        closure = frozenset({g.identity})
+        for k, a in enumerate(g.generators, 1):
+            assert a == min(set(g.elements()) - closure)
+            grown = pair_closure(g, frozenset(g.generators[:k]))
+            assert len(grown) >= 2 * len(closure)
+            closure = grown
+        assert len(closure) == g.order, g.name
 
 
 def test_validation_rejects_broken_tables():
@@ -193,19 +304,7 @@ def test_subgroup_counts_match_group_theory():
 
 
 def _relabelled(g, rng):
-    """g with its elements moved to a random order, the identity among
-    them, so the identity leaves index 0."""
-    new = list(range(g.order))
-    while new[g.identity] == g.identity:
-        rng.shuffle(new)
-    table = [[0] * g.order for _ in range(g.order)]
-    for a, row in enumerate(g.table):
-        for b, ab in enumerate(row):
-            table[new[a]][new[b]] = new[ab]
-    labels = [""] * g.order
-    for a, label in enumerate(g.labels):
-        labels[new[a]] = label
-    return from_table(g.name + "~", labels, table)
+    return from_table(g.name + "~", *relabel(g, rng))
 
 
 def test_subgroup_lattice_matches_closure_oracle(monkeypatch):

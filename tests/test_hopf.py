@@ -1,12 +1,12 @@
 """Hopf diagrams, the enveloping embedding, and the quotient isomorphism."""
 
+import dataclasses
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from exact_linalg import Echelon
-from oracles import apply
+from oracles import QuotientRelations, apply
 
 import padicamen.amenability as amenability
 from padicamen.amenability import certify
@@ -14,7 +14,8 @@ from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
-                                     augmentation, convolve, norm_exponent)
+                                     augmentation, basis_classes, convolve,
+                                     norm_exponent)
 import padicamen.hopf as hopf
 from padicamen.hopf import (BasisMap, antipode, antipode_map, basis_tensor,
                             comultiply, delta_map, e_map, eq1_check,
@@ -244,24 +245,33 @@ def test_eq1_identity_on_catalog_groups():
         assert len(report.per_c) == grp.order
 
 
+def enveloping_relations(grp, elements):
+    """u.E(delta_a) - u for u = delta_g (x) delta_h and a in elements, in
+    the order g, h, a, through the generic enveloping product."""
+    env = GroupAlgebra(grp).enveloping
+    n = grp.order
+    return [(basis_tensor(env, g, h) * e_map(env.base.delta(a))
+             - basis_tensor(env, g, h)).coeffs
+            for g in range(n) for h in range(n) for a in elements]
+
+
 def test_lemma2_relation_count():
-    # the relation for a = identity vanishes; all others are e_i - e_j,
-    # which the generic enveloping product confirms pair by pair
-    for grp in [cyclic(3), symmetric(3)]:
-        env = GroupAlgebra(grp).enveloping
+    # the package keeps the relations of the generators a in S, the oracle
+    # those of every a != e; each is e_i - e_j, as the generic enveloping
+    # product confirms pair by pair, and the relation for a = e vanishes
+    for grp, gens in [(cyclic(3), (1,)), (symmetric(3), (1, 2))]:
         relations, _ = lemma2_data(grp)
         n = grp.order
-        assert len(relations) == n * n * n - n * n
-        products = []
-        for g in range(n):
-            for h in range(n):
-                u = basis_tensor(env, g, h)
-                for a in range(n):
-                    rel = u * e_map(env.base.delta(a)) - u
-                    if not rel.is_zero():
-                        products.append(rel.coeffs)
-        assert products == [{i: Fraction(1), j: Fraction(-1)}
-                            for i, j in relations]
+        assert grp.generators == gens
+        assert len(relations) == n * n * len(gens)
+        assert enveloping_relations(grp, gens) == \
+            [{i: Fraction(1), j: Fraction(-1)} for i, j in relations]
+        oracle = QuotientRelations(grp.table, grp.inverses, grp.identity)
+        assert len(oracle) == n * n * n - n * n
+        others = [a for a in range(n) if a != grp.identity]
+        assert enveloping_relations(grp, others) == \
+            [{i: Fraction(1), j: Fraction(-1)} for i, j in oracle]
+        assert not any(enveloping_relations(grp, [grp.identity]))
 
 
 def test_lemma2_data_cached_and_consistent():
@@ -274,11 +284,14 @@ def test_lemma2_data_cached_and_consistent():
 
 
 def test_lemma2_classes_match_echelon_oracle():
+    # the span of every relation, not only the generator relations that
+    # built the classes
     for grp in catalog(8):
         n = grp.order
-        relations, classes = lemma2_data(grp)
+        _, classes = lemma2_data(grp)
         ech = Echelon(n * n)
-        ech.add_rows({i: Fraction(1), j: Fraction(-1)} for i, j in relations)
+        ech.add_rows({i: Fraction(1), j: Fraction(-1)} for i, j in
+                     QuotientRelations(grp.table, grp.inverses, grp.identity))
         assert len(set(classes)) == n * n - ech.rank, grp.name
         for k, c in enumerate(classes):
             assert c == min(x for x in range(n * n) if classes[x] == c)
@@ -303,12 +316,12 @@ def test_lemma2_iso_check_on_catalog_groups():
 
 
 def test_quotient_isomorphism_fails_with_diagonal_e(monkeypatch):
-    # E(delta_a) = delta_a (x) delta_a: read the relations off a stand-in
-    # group whose inversion is the identity map
+    # E(delta_a) = delta_a (x) delta_a: every relation read off the table
+    # with inversion replaced by the identity map
     grp = symmetric(3)
-    data = lemma2_data(SimpleNamespace(
-        order=grp.order, table=grp.table, identity=grp.identity,
-        inverses=tuple(range(grp.order))))
+    relations = QuotientRelations(grp.table, tuple(range(grp.order)),
+                                  grp.identity)
+    data = (relations, basis_classes(grp.order ** 2, relations))
     report = lemma2_iso_check(grp, data)
     assert report.quotient_dim == 2
     assert not (report.dim_ok or report.well_defined or report.bijective)
@@ -318,6 +331,31 @@ def test_quotient_isomorphism_fails_with_diagonal_e(monkeypatch):
     with pytest.raises(InternalCheckError,
                        match="^quotient isomorphism check failed$"):
         certify(grp, 2)
+
+
+def test_diagonal_e_is_refused_at_the_hopf_axioms():
+    # the generator relations rest on E(st) = E(s)E(t): with the diagonal
+    # E they alone pass, so certify must refuse the group at the Hopf
+    # axioms, where e_homomorphism fails, before the quotient is read
+    grp = dataclasses.replace(symmetric(3), inverses=tuple(range(6)))
+    assert lemma2_iso_check(grp).all_pass
+    assert not verify_hopf_axioms(grp).axioms["e_homomorphism"].passed
+    with pytest.raises(InternalCheckError,
+                       match="^Hopf axioms failed on symmetric:3$"):
+        certify(grp, 2)
+
+
+@pytest.mark.parametrize("grp", GROUPS[1:] + [symmetric(4)],
+                         ids=lambda g: g.name)
+def test_quotient_isomorphism_fails_without_a_generator(grp):
+    # a generating set that does not generate leaves too many classes
+    short = dataclasses.replace(grp, generators=grp.generators[:-1])
+    report = lemma2_iso_check(short)
+    assert report.quotient_dim > grp.order
+    assert not report.dim_ok and not report.all_pass
+    with pytest.raises(InternalCheckError,
+                       match="^quotient isomorphism check failed$"):
+        certify(short, 2)
 
 
 def test_quotient_isomorphism_fails_with_missing_relations():
