@@ -20,7 +20,7 @@ from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
                             format_norm_exponent, i0_basis, i0_identity,
                             i0_membership, norm_exponent)
 from .hopf import (BasisMap, antipode, basis_tensor, comultiply, e_map,
-                   eq1_check, lemma2_iso_check, pi0, tensor_of,
+                   eq1_check, lemma2_data, lemma2_iso_check, pi0, tensor_of,
                    verify_hopf_axioms)
 from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,
                           JohnsonCertificate, SchikhofVerdict,

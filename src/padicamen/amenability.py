@@ -23,6 +23,12 @@ the derivations) is an identity over the rationals and takes no prime.
 The prime is read only where a p-adic norm is: by schikhof_check, by the
 to_doc(prime) writers of the mean and the diagonal, and by certify.
 
+A stage takes the results of the stages before it as arguments, in the
+order of the proof: schikhof_check the mean and the subgroup lattice,
+virtual_diagonal_construct the mean and the quotient data of lemma2_data,
+diagonal_ideal_identity the diagonal.  certify computes each once and
+hands it on.
+
 Every verification is exact; a failed check raises InternalCheckError
 because each identity holds by theorem for valid inputs.
 """
@@ -163,24 +169,22 @@ class SchikhofVerdict:
 
 
 def schikhof_check(group: FiniteGroup, prime: int,
-                   subgroups: Optional[List[Subgroup]] = None,
-                   johnson: Optional[JohnsonCertificate] = None
-                   ) -> SchikhofVerdict:
+                   subgroups: Sequence[Subgroup],
+                   johnson: JohnsonCertificate) -> SchikhofVerdict:
     """Decide whether the normalized invariant mean is contractive.
 
-    Both methods run in full: the norm method via the mean's exponent,
-    the lattice method via every subgroup containment pair (first failing
-    pair, in the deterministic enumeration order, becomes the witness).
-    Disagreement raises, since both reduce to p | |G| by theorem.
+    subgroups is enumerate_subgroups(group) and johnson is
+    johnson_check(group); neither reads the prime, so one of each serves
+    every prime.  Both methods run in full: the norm method via the
+    mean's exponent, the lattice method via every subgroup containment
+    pair (first failing pair, in the deterministic enumeration order,
+    becomes the witness).  Disagreement raises, since both reduce to
+    p | |G| by theorem.
     """
     require_prime(prime)
-    if johnson is None:
-        johnson = johnson_check(group)
     exponent = norm_exponent(johnson.mean, prime)
     norm_pass = exponent <= 0
 
-    if subgroups is None:
-        subgroups = enumerate_subgroups(group)
     witness = None
     pairs = 0
     for s1 in subgroups:
@@ -247,9 +251,8 @@ def _verify_diagonal(alg: GroupAlgebra, d: AlgebraElement) -> None:
 
 
 def virtual_diagonal_construct(group: FiniteGroup,
-                               johnson: Optional[JohnsonCertificate] = None,
-                               lemma2: Optional[Lemma2Data] = None
-                               ) -> VirtualDiagonal:
+                               johnson: JohnsonCertificate,
+                               lemma2: Lemma2Data) -> VirtualDiagonal:
     """Build the virtual diagonal by tracing the proof of the equivalence.
 
     Steps: take the classes of the basis tensors under the relations
@@ -260,15 +263,14 @@ def virtual_diagonal_construct(group: FiniteGroup,
     E(mean) kills every relation, which reduces to E(delta_a).E(mean) =
     E(mean) for the n basis elements a; multiply the lift by E(mean); then
     verify the closed form and both virtual-diagonal identities exactly.
-    A Johnson certificate already computed for the group may be passed in
-    as johnson, and the data of lemma2_data(group) as lemma2.
+    johnson is johnson_check(group) and lemma2 is lemma2_data(group), the
+    results of the two earlier stages of the proof.
     """
     require_within_cap(group.order, "virtual diagonal construction")
-    jc = johnson_check(group) if johnson is None else johnson
     alg = GroupAlgebra(group)
     grp = group
     n = grp.order
-    _, classes = lemma2_data(group) if lemma2 is None else lemma2
+    _, classes = lemma2
     reps = sorted(set(classes))
     if len(reps) != n:
         raise InternalCheckError(
@@ -295,7 +297,7 @@ def virtual_diagonal_construct(group: FiniteGroup,
     # delta_gx (x) delta_yh, a bijection of the basis, so it is injective:
     # every relation dies under .E(m) exactly when E(delta_a).E(m) = E(m)
     # for every a.
-    em = e_map(AlgebraElement(alg, jc.mean.num, jc.mean.den))
+    em = e_map(AlgebraElement(alg, johnson.mean.num, johnson.mean.den))
     for a in range(n):
         if e_map(alg.delta(a)) * em != em:
             raise InternalCheckError(
@@ -555,9 +557,9 @@ def _kernel_generator_failure(u: AlgebraElement) -> Optional[int]:
 
 
 def diagonal_ideal_identity(group: FiniteGroup,
-                            diagonal: Optional[VirtualDiagonal] = None
-                            ) -> AlgebraElement:
-    """Verify that u = 1 (x) 1 - d is a right identity of ker pi0.
+                            diagonal: VirtualDiagonal) -> AlgebraElement:
+    """Verify that u = 1 (x) 1 - d is a right identity of ker pi0, for d
+    the tensor of diagonal, from virtual_diagonal_construct(group).
 
     Three exact checks: pi0(u) = 0; d.u = 0; and x_g.u = x_g for the
     generators x_g = delta_g (x) 1 - 1 (x) delta_g, g != e, of ker pi0.
@@ -568,8 +570,6 @@ def diagonal_ideal_identity(group: FiniteGroup,
     = u.u - u.u' = u - u = 0 and d.x = 0, and x = (1 (x) 1).x = 0.
     """
     require_within_cap(group.order, "kernel identity check")
-    if diagonal is None:
-        diagonal = virtual_diagonal_construct(group)
     d = diagonal.tensor
     u = d.algebra.one() - d
     if not pi0(u).is_zero():
@@ -616,13 +616,13 @@ def certify(group: FiniteGroup, prime: int) -> dict:
     checks["mean_normalized_and_invariant"] = "pass"
 
     subgroups = enumerate_subgroups(group)
-    sv = schikhof_check(group, prime, subgroups=subgroups, johnson=jc)
+    sv = schikhof_check(group, prime, subgroups, jc)
     checks["schikhof_methods_agree"] = "pass"
 
     i0_identity(alg)
     checks["augmentation_ideal_identity"] = "pass"
 
-    vd = virtual_diagonal_construct(group, johnson=jc, lemma2=lemma2)
+    vd = virtual_diagonal_construct(group, jc, lemma2)
     checks["virtual_diagonal_closed_form"] = "pass"
     checks["virtual_diagonal_identities"] = "pass"
 
@@ -631,7 +631,7 @@ def certify(group: FiniteGroup, prime: int) -> dict:
         raise InternalCheckError("mean/diagonal round trip failed")
     checks["mean_diagonal_round_trip"] = "pass"
 
-    diagonal_ideal_identity(group, diagonal=vd)
+    diagonal_ideal_identity(group, vd)
     checks["multiplication_kernel_right_identity"] = "pass"
 
     return {

@@ -26,8 +26,9 @@ from .amenability import (STOCK_BIMODULES, certify, derivation_spaces,
                           stock_bimodules)
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      OutputError, SpecParseError)
-from .finite_group import catalog, enumerate_subgroups, from_spec
-from .hopf import eq1_check, lemma2_iso_check, verify_hopf_axioms
+from .finite_group import (FiniteGroup, catalog, enumerate_subgroups,
+                           from_spec, require_within_cap, spec_order)
+from .hopf import eq1_check, lemma2_data, lemma2_iso_check, verify_hopf_axioms
 from .valued_field import is_prime
 
 DEFAULT_SWEEP_PRIMES = (2, 3, 5, 7)
@@ -77,12 +78,24 @@ def _emit(args, doc: dict, text: str) -> None:
                               % (args.out, exc.strerror or exc)) from None
 
 
+def _load_group(spec: str, stage: str) -> FiniteGroup:
+    """The group of --group, refused by the order cap in the words of the
+    command's first capped stage: a built-in spec by its declared order,
+    before its n^2-entry table is built, and a table file once read."""
+    order = spec_order(spec)
+    if order is not None:
+        require_within_cap(order, stage)
+    group = from_spec(spec)
+    require_within_cap(group.order, stage)
+    return group
+
+
 def _label_set(labels) -> str:
     return "{%s}" % ", ".join(labels)
 
 
 def cmd_check(args) -> int:
-    group = from_spec(args.group)
+    group = _load_group(args.group, "certificate run")
     prime = _require_prime(args.prime)
     doc = certify(group, prime)
 
@@ -126,7 +139,7 @@ def cmd_sweep(args) -> int:
         subgroups = enumerate_subgroups(group)
         jc = johnson_check(group)
         for p in primes:
-            sv = schikhof_check(group, p, subgroups=subgroups, johnson=jc)
+            sv = schikhof_check(group, p, subgroups, jc)
             rows.append({
                 "group": group.name,
                 "order": group.order,
@@ -158,11 +171,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    group = from_spec(args.group)
+    group = _load_group(args.group, "Hopf structure verification")
     prime = _require_prime(args.prime)
     hopf = verify_hopf_axioms(group)
     eq1 = eq1_check(group)
-    l2 = lemma2_iso_check(group)
+    l2 = lemma2_iso_check(group, lemma2_data(group))
     all_pass = hopf.all_pass and eq1.all_pass and l2.all_pass
     doc = {
         "schema": "padicamen.verify/1",
@@ -196,7 +209,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    group = from_spec(args.group)
+    group = _load_group(args.group, "derivation certificate")
     prime = _require_prime(args.prime)
     names = STOCK_BIMODULES if args.bimodule == "all" else (args.bimodule,)
     reports = {

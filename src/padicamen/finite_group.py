@@ -5,7 +5,9 @@ Construction always runs the full validation: Latin square property,
 two-sided identity, inverses, and associativity by Light's test on a
 generating set, kept as FiniteGroup.generators: O(n**2 log n) reads in
 all.  The order cap (default 24, environment-overridable) guards the
-downstream computations that scale as n**3 and n**4.
+downstream computations that scale as n**3 and n**4; spec_order reads the
+order of a built-in spec off its parameters, so the command line applies
+the cap before the n**2 table is built.
 
 Subgroup enumeration is by cyclic extension (J. Neubuser, Numer. Math. 2
 (1960) 280-292): seed with the distinct cyclic subgroups, then join each
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -155,9 +158,25 @@ def from_table(name: str, labels: Sequence[str],
     )
 
 
-def cyclic(n: int) -> FiniteGroup:
-    if n < 1:
+def _declared_order(kind: str, n: int) -> int:
+    """The order of the built-in group kind:n, read off n alone; a
+    parameter the kind does not take raises SpecParseError."""
+    if kind == "cyclic" and n < 1:
         raise SpecParseError(f"cyclic order must be >= 1, got {n}")
+    if kind == "dihedral" and n < 1:
+        raise SpecParseError(f"dihedral parameter must be >= 1, got {n}")
+    if kind == "symmetric":
+        if not 1 <= n <= 4:
+            raise SpecParseError(
+                f"symmetric group parameter must be in 1..4, got {n}")
+        return math.factorial(n)
+    if kind == "quaternion" and n != 8:
+        raise SpecParseError("the quaternion group here is quaternion:8")
+    return 2 * n if kind == "dihedral" else n
+
+
+def cyclic(n: int) -> FiniteGroup:
+    _declared_order("cyclic", n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = [str(i) for i in range(n)]
     return from_table(f"cyclic:{n}", labels, table)
@@ -165,8 +184,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; elements s^f r^k."""
-    if n < 1:
-        raise SpecParseError(f"dihedral parameter must be >= 1, got {n}")
+    _declared_order("dihedral", n)
 
     def idx(f: int, k: int) -> int:
         return f * n + k
@@ -185,9 +203,7 @@ def dihedral(n: int) -> FiniteGroup:
 
 def symmetric(n: int) -> FiniteGroup:
     """Permutations of {0..n-1} under composition; capped at n = 4."""
-    if not 1 <= n <= 4:
-        raise SpecParseError(
-            f"symmetric group parameter must be in 1..4, got {n}")
+    _declared_order("symmetric", n)
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [
@@ -276,13 +292,18 @@ def from_file(path: str) -> FiniteGroup:
     return from_table(name, labels, table)
 
 
-def from_spec(spec: str) -> FiniteGroup:
-    """Parse a group spec string: "cyclic:n", "dihedral:n", "symmetric:n",
-    "quaternion:8", "product:a,b" (a and b non-product specs), or a path
-    to a Cayley-table file."""
-    spec = spec.strip()
-    if os.path.sep in spec or spec.endswith(".json") or os.path.isfile(spec):
-        return from_file(spec)
+_BUILDERS = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric,
+             "quaternion": lambda n: quaternion8()}
+
+
+def _names_a_file(spec: str) -> bool:
+    return os.path.sep in spec or spec.endswith(".json") or \
+        os.path.isfile(spec)
+
+
+def _factors(spec: str) -> List[Tuple[str, int, int]]:
+    """(kind, parameter, order) of each factor of a built-in spec, one or,
+    for "product:a,b", two; every parameter is checked, nothing built."""
     kind, _, params = spec.partition(":")
     if kind == "product":
         parts = params.split(",")
@@ -294,24 +315,38 @@ def from_spec(spec: str) -> FiniteGroup:
             if part.startswith("product"):
                 raise SpecParseError(
                     f"nested product specs are not supported: {part!r}")
-            factors.append(from_spec(part))
-        return product(factors[0], factors[1])
-    if kind in ("cyclic", "dihedral", "symmetric", "quaternion"):
-        try:
-            n = int(params)
-        except ValueError as exc:
-            raise SpecParseError(
-                f"bad parameter {params!r} in group spec {spec!r}") from exc
-        if kind == "cyclic":
-            return cyclic(n)
-        if kind == "dihedral":
-            return dihedral(n)
-        if kind == "symmetric":
-            return symmetric(n)
-        if n != 8:
-            raise SpecParseError("the quaternion group here is quaternion:8")
-        return quaternion8()
-    raise SpecParseError(f"unknown group kind {kind!r} in spec {spec!r}")
+            factors += _factors(part)
+        return factors
+    if kind not in _BUILDERS:
+        raise SpecParseError(f"unknown group kind {kind!r} in spec {spec!r}")
+    try:
+        n = int(params)
+    except ValueError as exc:
+        raise SpecParseError(
+            f"bad parameter {params!r} in group spec {spec!r}") from exc
+    return [(kind, n, _declared_order(kind, n))]
+
+
+def spec_order(spec: str) -> Optional[int]:
+    """The order a built-in group spec declares, read off its parameters
+    without building a table: for "product:a,b" the product of the two
+    orders.  None for a Cayley-table file, whose order is known only once
+    it is read.  A spec from_spec refuses raises the same error here."""
+    spec = spec.strip()
+    if _names_a_file(spec):
+        return None
+    return math.prod(order for _, _, order in _factors(spec))
+
+
+def from_spec(spec: str) -> FiniteGroup:
+    """Parse a group spec string: "cyclic:n", "dihedral:n", "symmetric:n",
+    "quaternion:8", "product:a,b" (a and b non-product specs), or a path
+    to a Cayley-table file."""
+    spec = spec.strip()
+    if _names_a_file(spec):
+        return from_file(spec)
+    groups = [_BUILDERS[kind](n) for kind, n, _ in _factors(spec)]
+    return groups[0] if len(groups) == 1 else product(*groups)
 
 
 @dataclass(frozen=True)

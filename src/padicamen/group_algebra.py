@@ -15,8 +15,8 @@ to a nonzero int numerator, over one positive int denominator shared by
 every coefficient.  The pair is kept in lowest terms, so one value has
 one representation and equality is structural; products and sums are int
 arithmetic.  Rational input enters through from_coeffs (and the dense
-GroupAlgebra.element and functional), and the coeffs property reads the
-coefficients back as Fractions for documents and repr.  An element of
+GroupAlgebra.element), and the coeffs property reads the coefficients
+back as Fractions for documents and repr.  An element of
 l(G) is read in three ways, all legitimate in finite dimension: as an
 algebra element sum alpha_g delta_g, as a bounded function on G, and (via
 the explicit pairing) as a functional on functions.  DualFunctional is a
@@ -84,26 +84,14 @@ class GroupAlgebra:
                 and self.group.table == other.group.table
                 and self.group.labels == other.group.labels)
 
-    def _sparse(self, coeffs: Sequence[ScalarLike],
-                what: str) -> Dict[int, ScalarLike]:
-        if len(coeffs) != self.dim:
-            raise ValueError(
-                "%s vector of length %d for group of order %d"
-                % (what, len(coeffs), self.dim)
-            )
-        return dict(enumerate(coeffs))
-
     def element(self, coeffs: Sequence[ScalarLike]) -> "AlgebraElement":
         """The element with the given dense rational coefficients."""
-        return AlgebraElement.from_coeffs(
-            self, self._sparse(coeffs, "coefficient"))
-
-    def functional(self, coeffs: Sequence[ScalarLike]) -> "DualFunctional":
-        return DualFunctional.from_coeffs(
-            self, self._sparse(coeffs, "functional"))
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        if len(coeffs) != self.dim:
+            raise ValueError(
+                "coefficient vector of length %d for group of order %d"
+                % (len(coeffs), self.dim)
+            )
+        return AlgebraElement.from_coeffs(self, dict(enumerate(coeffs)))
 
     def delta(self, k: int) -> "AlgebraElement":
         return AlgebraElement(self, {k: 1})

@@ -59,18 +59,12 @@ def comultiply(f: AlgebraElement) -> AlgebraElement:
         f.algebra.tensor, {g * n + g: c for g, c in f.num.items()}, f.den)
 
 
-def antipode(f: AlgebraElement,
-             perm: Optional[Sequence[int]] = None) -> AlgebraElement:
-    """S f(g) = f(perm(g)); the honest antipode uses perm = inversion.
-
-    The perm override exists for negative controls that deliberately
-    break the antipode axioms.
-    """
-    if perm is None:
-        perm = f.algebra.group.inverses
+def antipode(f: AlgebraElement) -> AlgebraElement:
+    """S f(g) = f(g^{-1})."""
     num = f.num
     return AlgebraElement(f.algebra, {
-        g: num[x] for g, x in enumerate(perm) if x in num}, f.den)
+        g: num[x] for g, x in enumerate(f.algebra.group.inverses)
+        if x in num}, f.den)
 
 
 def e_map(f: AlgebraElement) -> AlgebraElement:
@@ -179,15 +173,9 @@ def counit_map(group: FiniteGroup) -> BasisMap:
     return BasisMap(1, (0,) * group.order)
 
 
-def antipode_map(group: FiniteGroup,
-                 perm: Optional[Sequence[int]] = None) -> BasisMap:
-    """S delta_g = delta_x where perm(x) = g; perm defaults to inversion."""
-    if perm is None:
-        perm = group.inverses
-    images = [0] * group.order
-    for x, g in enumerate(perm):
-        images[g] = x
-    return BasisMap(group.order, images)
+def antipode_map(group: FiniteGroup) -> BasisMap:
+    """S: delta_g -> delta_{g^{-1}}."""
+    return BasisMap(group.order, group.inverses)
 
 
 def mult_map(group: FiniteGroup) -> BasisMap:
@@ -243,10 +231,14 @@ class AxiomResult:
 
 @dataclass
 class HopfReport:
+    """The Hopf diagrams and structural properties of one group.  The
+    antipode checked is always inversion, so antipode_corrupted, kept in
+    the document, is always false."""
+
     group_name: str
     order: int
-    antipode_corrupted: bool
     axioms: "Dict[str, AxiomResult]" = field(default_factory=dict)
+    antipode_corrupted = False
 
     @property
     def all_pass(self) -> bool:
@@ -272,27 +264,24 @@ def _matrix_axiom(report: HopfReport, labels, name: str,
             False, checked, witness=f"basis column {labels[j % len(labels)]}")
 
 
-def verify_hopf_axioms(group: FiniteGroup,
-                       antipode_perm: Optional[Sequence[int]] = None
-                       ) -> HopfReport:
+def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     """Check the five Hopf diagrams plus the structural homomorphism and
     involution properties, exactly, on the full delta basis.
 
-    antipode_perm substitutes an arbitrary permutation for inversion in S;
-    passing the identity permutation on a nonabelian group is the standard
-    negative control and must break both antipode diagrams.
+    The diagrams read S through antipode_map and the antihomomorphism
+    check through antipode; replacing either with another permutation,
+    such as the identity on a nonabelian group, fails the antipode checks.
     """
     alg = GroupAlgebra(group)
     require_within_cap(group.order, "Hopf structure verification")
     n = group.order
     labels = group.labels
-    perm = tuple(antipode_perm) if antipode_perm else None
     delta = delta_map(group)
     counit = counit_map(group)
-    s = antipode_map(group, perm)
+    s = antipode_map(group)
     mult = mult_map(group)
     ident = BasisMap.identity(n)
-    report = HopfReport(group.name, n, antipode_perm is not None)
+    report = HopfReport(group.name, n)
 
     basis_note = f"all {n} basis columns"
     _matrix_axiom(
@@ -339,8 +328,8 @@ def verify_hopf_axioms(group: FiniteGroup,
         == augmentation(alg.delta(g)) * augmentation(alg.delta(h)))
     record_pairs(
         "antipode_antihomomorphism",
-        lambda g, h: antipode(convolve(alg.delta(g), alg.delta(h)), perm)
-        == convolve(antipode(alg.delta(h), perm), antipode(alg.delta(g), perm)))
+        lambda g, h: antipode(convolve(alg.delta(g), alg.delta(h)))
+        == convolve(antipode(alg.delta(h)), antipode(alg.delta(g))))
     record_pairs(
         "e_homomorphism",
         lambda g, h: e_map(convolve(alg.delta(g), alg.delta(h)))
@@ -453,8 +442,7 @@ def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     return relations, basis_classes(n * n, relations)
 
 
-def lemma2_iso_check(group: FiniteGroup,
-                     lemma2: Optional[Lemma2Data] = None) -> Lemma2Report:
+def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:
     """Certify the isomorphism class(u) -> pi0(u) from the quotient of the
     enveloping algebra by the span of u.E(a) - epsilon(a).u onto l(G).
 
@@ -468,14 +456,14 @@ def lemma2_iso_check(group: FiniteGroup,
     needs only the 2n generators w = delta_g (x) 1 and 1 (x) delta_h.
     For each, w.e_r is computed through the generic enveloping product,
     which reads the opposite table, and compared with delta_wg *
-    pi0(e_r) * delta_wh read from G's table: 2n^2 products.  lemma2 may
-    carry lemma2_data(group), already built.
+    pi0(e_r) * delta_wh read from G's table: 2n^2 products.  lemma2 is
+    lemma2_data(group), which certify also hands to the virtual diagonal.
     """
     require_within_cap(group.order, "quotient isomorphism check")
     env = GroupAlgebra(group).enveloping
     n, e = group.order, group.identity
     table = group.table
-    relations, classes = lemma2_data(group) if lemma2 is None else lemma2
+    relations, classes = lemma2
     well_defined = all(
         table[i // n][i % n] == table[j // n][j % n] for i, j in relations)
     # induced map on classes: class of e_r -> delta_{pi0(e_r)}

@@ -178,22 +178,26 @@ def pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:
 
 def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
     """Every subgroup, sorted by (order, member tuple): seed with each
-    cyclic subgroup, then extend every known subgroup by every element
-    outside it, closing over all member pairs, until nothing new appears."""
+    cyclic subgroup, then extend the subgroups new in each round by every
+    element outside them, closing over all member pairs, until a round
+    finds nothing new.  A subgroup extended once gives nothing new when
+    extended again, so this is the fixpoint of extending every known
+    subgroup in every round."""
     known = {frozenset({g.identity})}
     for x in g.elements():
         known.add(pair_closure(g, frozenset({x})))
-    grew = True
-    while grew:
-        grew = False
-        for base in list(known):
+    fresh = set(known)
+    while fresh:
+        found = set()
+        for base in fresh:
             for x in g.elements():
                 if x in base:
                     continue
                 ext = pair_closure(g, base | {x})
                 if ext not in known:
-                    known.add(ext)
-                    grew = True
+                    found.add(ext)
+        known |= found
+        fresh = found
     subs = [Subgroup(g, tuple(sorted(m))) for m in known]
     subs.sort(key=lambda s: (s.order, s.members))
     return subs

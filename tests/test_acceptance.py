@@ -45,17 +45,18 @@ from fractions import Fraction
 from oracles import valuation
 
 from padicamen import cli
-from padicamen.amenability import (derivation_spaces, johnson_check,
+from padicamen.amenability import (VirtualDiagonal, derivation_spaces,
+                                   diagonal_ideal_identity, johnson_check,
                                    mean_from_diagonal, schikhof_check,
-                                   stock_bimodules, virtual_diagonal_construct,
-                                   diagonal_ideal_identity)
+                                   stock_bimodules, virtual_diagonal_construct)
 from padicamen.finite_group import (catalog, cyclic, dihedral,
                                     enumerate_subgroups, symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      augmentation, convolve, i0_identity,
                                      norm_exponent)
-from padicamen.hopf import (basis_tensor, eq1_check, lemma2_iso_check, pi0,
-                            tensor_of, verify_hopf_axioms)
+from padicamen.hopf import (BasisMap, basis_tensor, eq1_check, lemma2_data,
+                            lemma2_iso_check, pi0, tensor_of,
+                            verify_hopf_axioms)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -101,9 +102,9 @@ def test_acceptance_2_schikhof_method_agreement():
     cases = 0
     bad = []
     for grp in catalog(16):
-        subs = enumerate_subgroups(grp)
+        subs, jc = enumerate_subgroups(grp), johnson_check(grp)
         for p in PRIMES:
-            sv = schikhof_check(grp, p, subgroups=subs)
+            sv = schikhof_check(grp, p, subs, jc)
             expected = grp.order % p != 0
             if not (sv.norm_method_pass == sv.lattice_method_pass
                     == sv.amenable == expected):
@@ -126,7 +127,8 @@ def test_acceptance_3_virtual_diagonal_round_trip():
         }
         t0 = time.monotonic()
         alg = GroupAlgebra(grp)
-        vd = virtual_diagonal_construct(grp)
+        vd = virtual_diagonal_construct(grp, johnson_check(grp),
+                                        lemma2_data(grp))
         d = vd.tensor
         one = alg.one()
         balanced = all(
@@ -152,7 +154,7 @@ def test_acceptance_3_virtual_diagonal_round_trip():
             % (cases, small_elapsed))
 
 
-def test_acceptance_4_hopf_axiom_suite():
+def test_acceptance_4_hopf_axiom_suite(monkeypatch):
     t0 = time.monotonic()
     cases = 0
     bad = []
@@ -162,7 +164,11 @@ def test_acceptance_4_hopf_axiom_suite():
         if not (hopf.all_pass and eq1.all_pass):
             bad.append(grp.name)
         cases += 1
-    control = verify_hopf_axioms(symmetric(3), antipode_perm=list(range(6)))
+    # the identity for S in both of its code paths
+    monkeypatch.setattr("padicamen.hopf.antipode_map",
+                        lambda group: BasisMap.identity(group.order))
+    monkeypatch.setattr("padicamen.hopf.antipode", lambda f: f)
+    control = verify_hopf_axioms(symmetric(3))
     control_ok = (not control.axioms["antipode_left"].passed
                   and not control.axioms["antipode_right"].passed
                   and not control.all_pass)
@@ -177,7 +183,7 @@ def test_acceptance_5_quotient_isomorphism():
     cases = 0
     bad = []
     for grp in catalog(8):
-        report = lemma2_iso_check(grp)
+        report = lemma2_iso_check(grp, lemma2_data(grp))
         if not (report.quotient_dim == grp.order and report.bijective
                 and report.all_pass):
             bad.append(grp.name)
@@ -272,7 +278,7 @@ def test_acceptance_8_ideal_identities():
         d = AlgebraElement.from_coeffs(env, {
             g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
         })
-        u = diagonal_ideal_identity(grp)
+        u = diagonal_ideal_identity(grp, VirtualDiagonal(d))
         u_ok = (u == basis_tensor(env, e, e) - d
                 and pi0(u).is_zero())
         # spot re-check on a few kernel basis vectors

@@ -12,6 +12,7 @@ The derivation certificate is also compared with exact elimination of the
 Leibniz rows (exact_linalg, kept under tests/ as the oracle).
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -40,7 +41,8 @@ from padicamen.finite_group import (catalog, cyclic, dihedral,
                                     from_table, quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
                                      GroupAlgebra, convolve, norm_exponent)
-from padicamen.hopf import BasisMap, basis_tensor, pi0, tensor_of
+from padicamen.hopf import (BasisMap, basis_tensor, lemma2_data, pi0,
+                            tensor_of)
 
 
 def conjugacy_class_count(grp):
@@ -54,6 +56,12 @@ def conjugacy_class_count(grp):
         for g in range(grp.order):
             seen.add(grp.table[grp.table[g][x]][grp.inverses[g]])
     return classes
+
+
+def construct_diagonal(grp):
+    """The virtual diagonal of grp from freshly computed inputs."""
+    return virtual_diagonal_construct(grp, johnson_check(grp),
+                                      lemma2_data(grp))
 
 
 def test_invariant_space_is_one_dimensional_and_uniform():
@@ -85,8 +93,9 @@ def test_johnson_mean_is_averaging_functional():
 def test_schikhof_matches_order_divisibility_oracle():
     # analytic oracle, used only here: amenable iff p does not divide |G|
     for grp in catalog(12):
+        subgroups, jc = enumerate_subgroups(grp), johnson_check(grp)
         for p in (2, 3, 5):
-            sv = schikhof_check(grp, p)
+            sv = schikhof_check(grp, p, subgroups, jc)
             assert sv.amenable == (grp.order % p != 0), (grp.name, p)
             assert sv.norm_method_pass == sv.lattice_method_pass
             if not sv.amenable:
@@ -101,7 +110,8 @@ def test_schikhof_matches_order_divisibility_oracle():
 def test_schikhof_witness_on_cyclic_p():
     for p in (2, 3, 5, 7):
         grp = cyclic(p)
-        sv = schikhof_check(grp, p)
+        sv = schikhof_check(grp, p, enumerate_subgroups(grp),
+                            johnson_check(grp))
         assert not sv.amenable
         s1, s2, idx = sv.witness
         assert s1.members == (0,)
@@ -112,18 +122,25 @@ def test_schikhof_witness_on_cyclic_p():
         assert doc["method_norm"]["mean_norm_exponent"] == 1
 
 
-def test_schikhof_reuses_precomputed_data():
+def test_schikhof_reuses_precomputed_data(monkeypatch):
+    # one lattice and one mean serve every prime; neither is rebuilt
     grp = dihedral(4)
     subs = enumerate_subgroups(grp)
     jc = johnson_check(grp)
-    sv = schikhof_check(grp, 2, subgroups=subs, johnson=jc)
-    assert sv == schikhof_check(grp, 2)
+
+    def refuse(group):
+        raise AssertionError("schikhof_check rebuilt an input")
+    for name in ("enumerate_subgroups", "johnson_check"):
+        monkeypatch.setattr(amenability, name, refuse)
+    verdicts = [schikhof_check(grp, p, subs, jc) for p in (2, 3, 5)]
+    assert [sv.amenable for sv in verdicts] == [False, True, True]
+    assert {sv.subgroup_count for sv in verdicts} == {len(subs)}
 
 
 def test_virtual_diagonal_closed_form():
     for spec in ["cyclic:4", "symmetric:3", "quaternion:8"]:
         grp = from_spec(spec)
-        vd = virtual_diagonal_construct(grp)
+        vd = construct_diagonal(grp)
         n = grp.order
         expected = {
             g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
@@ -136,7 +153,7 @@ def test_virtual_diagonal_closed_form():
 def test_virtual_diagonal_identities_reverified():
     grp = symmetric(3)
     alg = GroupAlgebra(grp)
-    d = virtual_diagonal_construct(grp).tensor
+    d = construct_diagonal(grp).tensor
     one = alg.one()
     # (a (x) 1) d = (1 (x) a) d for every basis a
     for a in range(grp.order):
@@ -153,7 +170,7 @@ def test_virtual_diagonal_identities_reverified():
 def test_mean_from_diagonal_round_trip():
     for spec in ["cyclic:6", "dihedral:4", "symmetric:3"]:
         grp = from_spec(spec)
-        vd = virtual_diagonal_construct(grp)
+        vd = construct_diagonal(grp)
         m = mean_from_diagonal(vd)
         jc = johnson_check(grp)
         assert m == jc.mean
@@ -171,8 +188,8 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
     for spec in ["cyclic:4", "symmetric:3"]:
         grp = from_spec(spec)
         alg = GroupAlgebra(grp)
-        vd = virtual_diagonal_construct(grp)
-        u = diagonal_ideal_identity(grp, diagonal=vd)
+        vd = construct_diagonal(grp)
+        u = diagonal_ideal_identity(grp, vd)
         env = alg.enveloping
         expected = basis_tensor(env, grp.identity, grp.identity) - vd.tensor
         assert u == expected
@@ -187,14 +204,15 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
                 for _ in range(4)
             }
             v = sum((basis_tensor(env, g, h).scale(c)
-                     for (g, h), c in raw.items()), env.zero())
+                     for (g, h), c in raw.items()), AlgebraElement(env, {}))
             v = v - tensor_of(pi0(v), alg.one(), env)
             assert pi0(v).is_zero()
             assert v * u == v
 
 
 def test_diagonal_ideal_identity_trivial_group():
-    u = diagonal_ideal_identity(cyclic(1))
+    grp = cyclic(1)
+    u = diagonal_ideal_identity(grp, construct_diagonal(grp))
     assert u.is_zero()
 
 
@@ -204,8 +222,8 @@ def test_virtual_diagonal_construct_rejects_each_corruption():
     alg = GroupAlgebra(grp)
     jc = johnson_check(grp)
 
-    def build(johnson=jc, lemma2=None):
-        return virtual_diagonal_construct(grp, johnson=johnson, lemma2=lemma2)
+    def build(johnson=jc, lemma2=lemma2_data(grp)):
+        return virtual_diagonal_construct(grp, johnson, lemma2)
 
     def certificate(mean):
         return JohnsonCertificate(1, mean)
@@ -243,7 +261,7 @@ def _ideal_identity_with(grp, coeffs):
     n = grp.order
     fake = VirtualDiagonal(AlgebraElement.from_coeffs(
         env, {g * n + h: c for (g, h), c in coeffs.items()}))
-    return diagonal_ideal_identity(grp, diagonal=fake)
+    return diagonal_ideal_identity(grp, fake)
 
 
 def test_diagonal_ideal_identity_rejects_corrupted_diagonals():
@@ -269,7 +287,7 @@ def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
     # when v.u = v on the whole kernel basis, and the first failing g is
     # the first g of the scan's failing (g, h)
     grp = from_spec(spec)
-    u = diagonal_ideal_identity(grp)
+    u = diagonal_ideal_identity(grp, construct_diagonal(grp))
     assert amenability._kernel_generator_failure(u) is None
     assert kernel_basis_failure(u) is None
     for k in range(u.algebra.dim):
@@ -661,12 +679,36 @@ def _two_functionals(group):
 
 
 def _nonconstant_functional(group):
-    alg = GroupAlgebra(group)
-    return [alg.functional(range(1, group.order + 1))]
+    return [DualFunctional(GroupAlgebra(group),
+                           {g: g + 1 for g in group.elements()})]
 
 
-# one corrupted input per named check: (module, name, stand-in, message)
+def _diagonal_e_basis_map(group):
+    n = group.order
+    return BasisMap(n * n, (g * n + g for g in range(n)))
+
+
+def _twice_the_mean(group, johnson, lemma2):
+    return virtual_diagonal_construct(
+        group, JohnsonCertificate(1, johnson.mean.scale(2)), lemma2)
+
+
+# one corrupted input per named check, in the order certify runs them:
+# (module, name, stand-in, message)
 NEGATIVE_CONTROLS = {
+    # S = identity, not inversion, in the Hopf diagrams
+    "hopf_axioms": (
+        hopf, "antipode_map", lambda group: BasisMap.identity(group.order),
+        "Hopf axioms failed on symmetric:3"),
+    # E(delta_g) = delta_g (x) delta_g on the side of the transposes
+    "dual_action_identity": (
+        hopf, "e_basis_map", _diagonal_e_basis_map,
+        "dual action identity failed"),
+    # the quotient relations of all generators but the last
+    "quotient_isomorphism": (
+        amenability, "lemma2_data", lambda group: lemma2_data(
+            dataclasses.replace(group, generators=group.generators[:-1])),
+        "quotient isomorphism check failed"),
     "invariant_space_dimension_one": (
         amenability, "invariant_functional_space", _two_functionals,
         "has dimension 2, expected 1"),
@@ -681,11 +723,30 @@ NEGATIVE_CONTROLS = {
     "augmentation_ideal_identity": (
         group_algebra, "i0_basis", lambda algebra: [algebra.one()],
         "I_0 identity fails on basis element"),
+    # twice the mean is invariant too, so only the closed form catches it
+    "virtual_diagonal_closed_form": (
+        amenability, "virtual_diagonal_construct", _twice_the_mean,
+        "constructed diagonal differs from the closed form"),
+    # the balance identity read as (a (x) a) d = d: a 3-cycle breaks it
+    "virtual_diagonal_identities": (
+        amenability, "tensor_of",
+        lambda f, h, target: tensor_of(f, f, target),
+        "balance identity fails at"),
     "mean_diagonal_round_trip": (
         amenability, "mean_from_diagonal",
         lambda vd: mean_from_diagonal(vd).scale(2),
         "mean/diagonal round trip failed"),
+    # 1 (x) 1 - 2d leaves ker pi0
+    "multiplication_kernel_right_identity": (
+        amenability, "diagonal_ideal_identity",
+        lambda group, diagonal: diagonal_ideal_identity(
+            group, VirtualDiagonal(diagonal.tensor.scale(2))),
+        "is not in ker pi0"),
 }
+
+
+def test_every_named_check_has_a_negative_control():
+    assert list(NEGATIVE_CONTROLS) == list(certify(symmetric(3), 3)["checks"])
 
 
 @pytest.mark.parametrize("check", sorted(NEGATIVE_CONTROLS))

@@ -1,7 +1,9 @@
 """CLI behaviour: documents, text renderings, exit codes."""
 
+import itertools
 import json
 import random
+import time
 
 import pytest
 from oracles import relabel
@@ -164,20 +166,50 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_over_cap_group_exits_1(capsys, tmp_path):
+def test_over_cap_group_exits_1(capsys, monkeypatch, tmp_path):
     # validation reads O(n^2 log n) entries, so even order 400 is read and
-    # refused by the cap, also with the identity off index 0
+    # refused by the cap, also with the identity off index 0, and before
+    # the bimodules, whose validation is cubic, are built
     labels, table = relabel(cyclic(400), random.Random(4))
     assert labels.index("0") != 0
     path = tmp_path / "relabelled400.json"
     path.write_text(json.dumps({"name": "relabelled", "order": 400,
                                 "labels": labels, "table": table}))
-    for group in ("cyclic:30", "cyclic:400", str(path)):
-        rc, out, err = run(capsys, ["check", "--group", group,
+
+    def refuse(group, names):
+        raise AssertionError("bimodules built")
+    monkeypatch.setattr(cli, "stock_bimodules", refuse)
+    for command, group in itertools.product(
+            ("check", "verify", "derivations"),
+            ("cyclic:30", "cyclic:400", str(path))):
+        rc, out, err = run(capsys, [command, "--group", group,
                                     "--prime", "2"])
         assert rc == 1 and out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "exceeds the cap 24" in err
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("check", "certificate run"),
+    ("verify", "Hopf structure verification"),
+    ("derivations", "derivation certificate"),
+])
+@pytest.mark.parametrize("group", ["cyclic:100000",
+                                   "product:cyclic:1000,cyclic:1000"])
+def test_over_cap_spec_is_refused_before_its_table_is_built(
+        capsys, monkeypatch, command, stage, group):
+    # the declared order is read off the spec; building the n^2-entry
+    # table of either group would take minutes
+    def refuse(spec):
+        raise AssertionError("group built")
+    monkeypatch.setattr(cli, "from_spec", refuse)
+    start = time.monotonic()
+    rc, out, err = run(capsys, [command, "--group", group, "--prime", "2"])
+    assert time.monotonic() - start < 0.5
+    assert rc == 1 and out == ""
+    order = 10 ** 5 if group == "cyclic:100000" else 10 ** 6
+    assert err == ("error: %s refused: group order %d exceeds the cap 24 "
+                   "(override via PADICAMEN_ORDER_CAP)\n" % (stage, order))
 
 
 def test_order_cap_env_lowers_limit(capsys, monkeypatch):

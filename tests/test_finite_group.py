@@ -11,6 +11,7 @@ import pytest
 from oracles import (associativity_failure, closure_subgroups, pair_closure,
                      relabel)
 
+import padicamen.finite_group as finite_group
 from padicamen.errors import (GroupValidationError, OrderCapError,
                               SpecParseError)
 from padicamen.finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV,
@@ -18,7 +19,7 @@ from padicamen.finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV,
                                     dihedral, enumerate_subgroups, from_file,
                                     from_spec, from_table, order_cap, product,
                                     quaternion8, require_within_cap,
-                                    subgroup_index, symmetric)
+                                    spec_order, subgroup_index, symmetric)
 
 # commutative Latin square with two-sided identity 0 and two-sided
 # inverses (1 and every pair 2/4, 3/5) that is nevertheless not
@@ -246,6 +247,26 @@ def test_from_spec_strings():
                 "product:cyclic:2", "product:product:cyclic:2,cyclic:2,cyclic:2"):
         with pytest.raises(SpecParseError):
             from_spec(bad)
+
+
+def test_spec_order_is_read_without_building(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(finite_group, "from_table", refuse)
+    assert spec_order("cyclic:12") == 12
+    assert spec_order(" dihedral:5") == 10
+    assert spec_order("symmetric:4") == 24
+    assert spec_order("quaternion:8") == 8
+    assert spec_order("product:cyclic:1000,dihedral:1000") == 2 * 10 ** 6
+    assert spec_order(str(tmp_path / "table.json")) is None
+    for bad in ("frobnicate:3", "cyclic:x", "cyclic:0", "dihedral:-1",
+                "symmetric:5", "quaternion:4", "product:cyclic:2",
+                "product:cyclic:2,product:cyclic:2,cyclic:2"):
+        with pytest.raises(SpecParseError):
+            spec_order(bad)
+    monkeypatch.undo()
+    # from_spec itself builds past the cap; the CLI refuses such a spec
+    assert from_spec("cyclic:30").order == 30 > DEFAULT_ORDER_CAP
 
 
 def test_from_file_round_trip(tmp_path):

@@ -69,10 +69,20 @@ def test_hopf_axioms_pass_on_catalog_groups():
         assert doc["all_pass"] and doc["order"] == grp.order
 
 
-def test_corrupted_antipode_fails_antipode_axioms():
+def corrupt_antipode(monkeypatch, images):
+    """S delta_g = delta_images[g] in both code paths of the antipode: the
+    index tuple of the diagrams and the map of the antihomomorphism
+    check."""
+    monkeypatch.setattr(hopf, "antipode_map",
+                        lambda group: BasisMap(group.order, images))
+    monkeypatch.setattr(hopf, "antipode", lambda f: AlgebraElement(
+        f.algebra, {images[g]: c for g, c in f.num.items()}, f.den))
+
+
+def test_corrupted_antipode_fails_antipode_axioms(monkeypatch):
     grp = symmetric(3)
-    report = verify_hopf_axioms(grp, antipode_perm=list(range(6)))
-    assert report.antipode_corrupted
+    corrupt_antipode(monkeypatch, range(6))
+    report = verify_hopf_axioms(grp)
     assert not report.axioms["antipode_left"].passed
     assert not report.axioms["antipode_right"].passed
     assert report.axioms["antipode_left"].witness is not None
@@ -81,17 +91,18 @@ def test_corrupted_antipode_fails_antipode_axioms():
     assert report.axioms["coassociativity"].passed
     assert report.axioms["counit_left"].passed
     assert report.axioms["counit_right"].passed
+    assert not report.axioms["antipode_antihomomorphism"].passed
     assert not report.all_pass
 
 
-def test_corrupted_antipode_by_transposition():
+def test_corrupted_antipode_by_transposition(monkeypatch):
     grp = symmetric(3)
     # swap two non-inverse elements on top of inversion
-    inv = list(grp.inverses)
+    images = list(grp.inverses)
     a, b = 1, 2
-    perm = inv[:]
-    perm[a], perm[b] = inv[b], inv[a]
-    report = verify_hopf_axioms(grp, antipode_perm=perm)
+    images[a], images[b] = images[b], images[a]
+    corrupt_antipode(monkeypatch, images)
+    report = verify_hopf_axioms(grp)
     assert not report.all_pass
 
 
@@ -142,7 +153,8 @@ def test_pi0_is_left_module_map():
             for _ in range(5)
         }
         u = sum((basis_tensor(alg.enveloping, g, h).scale(c)
-                 for (g, h), c in coeffs.items()), alg.enveloping.zero())
+                 for (g, h), c in coeffs.items()),
+                AlgebraElement(alg.enveloping, {}))
         for wg in range(n):
             for wh in range(n):
                 w = basis_tensor(alg.enveloping, wg, wh)
@@ -306,7 +318,7 @@ def test_lemma2_classes_match_echelon_oracle():
 
 def test_lemma2_iso_check_on_catalog_groups():
     for grp in GROUPS:
-        report = lemma2_iso_check(grp)
+        report = lemma2_iso_check(grp, lemma2_data(grp))
         assert report.all_pass, grp.name
         assert report.quotient_dim == grp.order
         assert report.well_defined and report.bijective
@@ -338,7 +350,7 @@ def test_diagonal_e_is_refused_at_the_hopf_axioms():
     # E they alone pass, so certify must refuse the group at the Hopf
     # axioms, where e_homomorphism fails, before the quotient is read
     grp = dataclasses.replace(symmetric(3), inverses=tuple(range(6)))
-    assert lemma2_iso_check(grp).all_pass
+    assert lemma2_iso_check(grp, lemma2_data(grp)).all_pass
     assert not verify_hopf_axioms(grp).axioms["e_homomorphism"].passed
     with pytest.raises(InternalCheckError,
                        match="^Hopf axioms failed on symmetric:3$"):
@@ -350,7 +362,7 @@ def test_diagonal_e_is_refused_at_the_hopf_axioms():
 def test_quotient_isomorphism_fails_without_a_generator(grp):
     # a generating set that does not generate leaves too many classes
     short = dataclasses.replace(grp, generators=grp.generators[:-1])
-    report = lemma2_iso_check(short)
+    report = lemma2_iso_check(short, lemma2_data(short))
     assert report.quotient_dim > grp.order
     assert not report.dim_ok and not report.all_pass
     with pytest.raises(InternalCheckError,
@@ -382,9 +394,11 @@ def test_quotient_isomorphism_fails_with_missing_relations():
 
 def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
     # the enveloping product read through G's own table, not the opposite
+    grp = symmetric(3)
+    data = lemma2_data(grp)
     monkeypatch.setattr(FiniteGroup, "opposite_table",
                         property(lambda self: self.table))
-    report = lemma2_iso_check(symmetric(3))
+    report = lemma2_iso_check(grp, data)
     assert report.dim_ok and report.well_defined and report.bijective
     assert not report.action_commutes and not report.all_pass
     # a product that is twice a basis tensor lands in the right class,
@@ -393,7 +407,7 @@ def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
     mul = AlgebraElement.__mul__
     monkeypatch.setattr(AlgebraElement, "__mul__",
                         lambda self, other: mul(self, other).scale(2))
-    report = lemma2_iso_check(symmetric(3))
+    report = lemma2_iso_check(grp, data)
     assert report.dim_ok and report.well_defined and report.bijective
     assert not report.action_commutes
 
@@ -415,7 +429,7 @@ def test_action_check_reads_every_opposite_table_entry(monkeypatch, h, y):
     corrupted[h][y] = (corrupted[h][y] + 1) % S3.order
     monkeypatch.setattr(FiniteGroup, "opposite_table",
                         property(lambda self: corrupted))
-    report = lemma2_iso_check(S3)
+    report = lemma2_iso_check(S3, lemma2_data(S3))
     assert report.well_defined and report.bijective
     assert not report.action_commutes
 
@@ -441,8 +455,6 @@ def test_hopf_structure_builds_and_validates():
     mult = mult_map(grp)
     assert mult.nrows == 8 and mult.ncols == 64
     assert mult.images[2 * 8 + 4] == grp.table[2][4]
-    # a corrupting permutation is inverted: S delta_g = delta_x, perm(x) = g
-    assert antipode_map(grp, [1, 2, 0, 3, 4, 5, 6, 7]).images[:3] == (2, 0, 1)
 
 
 @pytest.mark.parametrize("grp", [symmetric(3), quaternion8(), dihedral(4)],
@@ -513,7 +525,7 @@ def test_tensor_norm_and_doc_stability():
     alg = GroupAlgebra(cyclic(2))
     t = tensor_of(alg.ones(), alg.ones(), alg.enveloping).scale(Fraction(1, 2))
     assert norm_exponent(t, 2) == 1
-    assert norm_exponent(alg.enveloping.zero(), 2) is None
+    assert norm_exponent(AlgebraElement(alg.enveloping, {}), 2) is None
     doc = t.to_doc()
     assert doc == {"0": {"0": "1/2", "1": "1/2"},
                    "1": {"0": "1/2", "1": "1/2"}}

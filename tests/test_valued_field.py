@@ -99,9 +99,7 @@ def test_prime_readers_reject_non_primes(monkeypatch):
         for call in (lambda: norm_exponent(GroupAlgebra(grp).ones(), bad),
                      lambda: norm_exponent(mean, bad),
                      lambda: certify(grp, bad),
-                     lambda: schikhof_check(grp, bad),
-                     lambda: schikhof_check(grp, bad, subgroups=subgroups,
-                                            johnson=jc)):
+                     lambda: schikhof_check(grp, bad, subgroups, jc)):
             with pytest.raises(ValueError, match="not a prime"):
                 call()
 
