@@ -43,7 +43,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _require_prime(p: int) -> int:
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise SpecParseError(str(exc)) from None
+    if not prime:
         raise SpecParseError("%d is not a prime" % p)
     return p
 
@@ -58,6 +62,8 @@ def _parse_primes(text: str) -> List[int]:
             p = int(part)
         except ValueError:
             raise SpecParseError("bad prime list entry %r" % part) from None
+        if p in out:
+            raise SpecParseError("prime %d repeated in the prime list" % p)
         out.append(_require_prime(p))
     if not out:
         raise SpecParseError("empty prime list")
@@ -132,6 +138,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.max_order < 1:
+        raise SpecParseError("--max-order must be at least 1, got %d"
+                             % args.max_order)
     primes = _parse_primes(args.primes)
     groups = catalog(args.max_order)
     rows = []

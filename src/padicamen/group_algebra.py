@@ -7,8 +7,9 @@ l(G) (x) l(G)^op = l(G x G^op) are group algebras themselves.  Each of the
 three is l(G x H) for the group H whose Cayley table is `second`:
 delta_g (x) delta_h = delta_(g,h) has the flat index g*m + h, m = |H|, and
 the one product rule is delta_(g,h) * delta_(x,y) = delta_(gx, second[h][y]).
-l(G) is l(G x 1); its tensor and enveloping algebras take H = G and
-H = G^op, the opposite group.
+GroupAlgebra.product_index states it on flat indices, and convolve is its
+bilinear extension.  l(G) is l(G x 1); its tensor and enveloping algebras
+take H = G and H = G^op, the opposite group.
 
 Elements are sparse and exact: a SparseVec, a dict from flat basis index
 to a nonzero int numerator, over one positive int denominator shared by
@@ -92,6 +93,14 @@ class GroupAlgebra:
                 % (len(coeffs), self.dim)
             )
         return AlgebraElement.from_coeffs(self, dict(enumerate(coeffs)))
+
+    def product_index(self, i: int, j: int) -> int:
+        """The flat index of e_i * e_j: the product rule
+        delta_(g,s) * delta_(x,y) = delta_(first[g][x], second[s][y])."""
+        m = len(self.second)
+        g, s = divmod(i, m)
+        x, y = divmod(j, m)
+        return self.first[g][x] * m + self.second[s][y]
 
     def delta(self, k: int) -> "AlgebraElement":
         return AlgebraElement(self, {k: 1})
@@ -269,25 +278,21 @@ class DualFunctional(_CoeffVector):
 
 
 def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
-    """The product of l(G x H), exactly: bilinear extension of
-    delta_(g,s) * delta_(x,y) = delta_(first[g][x], second[s][y]), on the
-    int numerators over the product of the two denominators."""
+    """The product of l(G x H), exactly: the bilinear extension of
+    product_index, on the int numerators over the product of the two
+    denominators."""
     f._require_same(h)
-    alg = f.algebra
-    first, second = alg.first, alg.second
-    m = len(second)
-    right = [(divmod(k, m), b) for k, b in h.num.items()]
+    index = f.algebra.product_index
+    right = h.num.items()
     out: SparseVec = {}
-    for k, a in f.num.items():
-        g, s = divmod(k, m)
-        row_g, row_s = first[g], second[s]
-        for (x, y), b in right:
-            key = row_g[x] * m + row_s[y]
-            if key in out:
-                out[key] += a * b
+    for i, a in f.num.items():
+        for j, b in right:
+            k = index(i, j)
+            if k in out:
+                out[k] += a * b
             else:
-                out[key] = a * b
-    return AlgebraElement(alg, {k: v for k, v in out.items() if v},
+                out[k] = a * b
+    return AlgebraElement(f.algebra, {k: v for k, v in out.items() if v},
                           f.den * h.den)
 
 

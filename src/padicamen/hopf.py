@@ -18,10 +18,11 @@ quotient is held as a partition of the basis into classes.  Diagram sides
 are computed through genuinely independent code paths: composition of
 index tuples on one side, direct coefficient formulas or generic products
 in the tensor algebras on the other.  eq1_check compares transposed index
-tuples with generic enveloping products, and the action check of the
-quotient isomorphism compares generic products with G's table, so a
-transposition or index mistake in one path cannot cancel against the same
-mistake in the other.
+tuples read off G's table with the enveloping product rule read by index
+(GroupAlgebra.product_index, whose second leg reads the opposite table),
+and the action check of the quotient isomorphism compares that rule with
+G's table, so a transposition or index mistake in one path cannot cancel
+against the same mistake in the other.
 """
 
 from __future__ import annotations
@@ -87,15 +88,6 @@ def pi0(t: AlgebraElement) -> AlgebraElement:
         out[gh] = out.get(gh, 0) + v
     return AlgebraElement(t.algebra.base,
                           {k: v for k, v in out.items() if v}, t.den)
-
-
-def basis_index(x: AlgebraElement) -> Optional[int]:
-    """k when x is the basis vector e_k with coefficient 1, else None."""
-    if x.den == 1 and len(x.num) == 1:
-        ((k, c),) = x.num.items()
-        if c == 1:
-            return k
-    return None
 
 
 class BasisMap:
@@ -196,24 +188,6 @@ def e_basis_map(group: FiniteGroup) -> BasisMap:
 def left_conv_map(group: FiniteGroup, c: int) -> BasisMap:
     """x -> delta_c * x on l(G)."""
     return BasisMap(group.order, group.table[c])
-
-
-def env_left_mult_matrix(t: AlgebraElement) -> BasisMap:
-    """Map w -> t . w in the enveloping algebra for a basis tensor t,
-    built through the generic product so it is an independent code
-    path."""
-    alg = t.algebra
-    if not alg.compatible(alg.enveloping):
-        raise ValueError("an element of the enveloping algebra is required")
-    images = []
-    for k in range(alg.dim):
-        image = basis_index(t * alg.delta(k))
-        if image is None:
-            raise ValueError(
-                "left multiplication does not map basis tensors to "
-                "basis tensors")
-        images.append(image)
-    return BasisMap(alg.dim, images)
 
 
 @dataclass
@@ -364,19 +338,24 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     """Verify E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
     the enveloping algebra and every basis element c.
 
-    The left side routes through transposed convolution maps, the right
-    side through the generic enveloping product; comparing the two
-    composed maps column by column covers every basis phi at once.
+    The left side routes through transposed convolution maps read off
+    G's table, the right side through the left multiplication by the basis
+    tensor E(delta_c), read off the enveloping product rule by index;
+    comparing the two composed maps column by column covers every basis
+    phi at once.
     """
     require_within_cap(group.order, "dual action identity check")
-    alg = GroupAlgebra(group)
+    env = GroupAlgebra(group).enveloping
     n = group.order
-    et = e_basis_map(group).transpose()
+    e = e_basis_map(group)
+    et = e.transpose()
     report = Eq1Report(group.name, n)
     for c in range(n):
         lhs = left_conv_map(group, c).transpose().compose(et)
-        env = env_left_mult_matrix(e_map(alg.delta(c)))
-        rhs = et.compose(env.transpose())
+        ec = e.images[c]
+        left = BasisMap(env.dim, (env.product_index(ec, k)
+                                  for k in range(env.dim)))
+        rhs = et.compose(left.transpose())
         report.per_c[group.labels[c]] = lhs == rhs
     return report
 
@@ -454,9 +433,9 @@ def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:
     is a left ideal, since w.u.(E(a) - 1 (x) 1) is the relation of the
     basis tensor w.u, so the quotient is a left module and the last check
     needs only the 2n generators w = delta_g (x) 1 and 1 (x) delta_h.
-    For each, w.e_r is computed through the generic enveloping product,
-    which reads the opposite table, and compared with delta_wg *
-    pi0(e_r) * delta_wh read from G's table: 2n^2 products.  lemma2 is
+    For each, w.e_r is read off the enveloping product rule by index,
+    whose second leg reads the opposite table, and compared with delta_wg
+    * pi0(e_r) * delta_wh read from G's table: 2n^2 products.  lemma2 is
     lemma2_data(group), which certify also hands to the virtual diagonal.
     """
     require_within_cap(group.order, "quotient isomorphism check")
@@ -471,12 +450,9 @@ def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:
     bijective = len(phi) == n and len(set(phi.values())) == n
 
     def commutes(wg: int, wh: int) -> bool:
-        w = basis_tensor(env, wg, wh)
-        for r, x in phi.items():
-            k = basis_index(w * env.delta(r))
-            if k is None or phi[classes[k]] != table[table[wg][x]][wh]:
-                return False
-        return True
+        w = wg * n + wh
+        return all(phi[classes[env.product_index(w, r)]]
+                   == table[table[wg][x]][wh] for r, x in phi.items())
 
     action_commutes = not well_defined or all(
         commutes(g, e) and commutes(e, g) for g in range(n))

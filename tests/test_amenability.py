@@ -700,7 +700,8 @@ NEGATIVE_CONTROLS = {
     "hopf_axioms": (
         hopf, "antipode_map", lambda group: BasisMap.identity(group.order),
         "Hopf axioms failed on symmetric:3"),
-    # E(delta_g) = delta_g (x) delta_g on the side of the transposes
+    # E(delta_g) = delta_g (x) delta_g on both sides of the identity; the
+    # e_homomorphism Hopf check reads e_map, so the Hopf axioms still pass
     "dual_action_identity": (
         hopf, "e_basis_map", _diagonal_e_basis_map,
         "dual action identity failed"),

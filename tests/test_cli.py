@@ -159,11 +159,29 @@ def test_derivations_all_and_single(capsys):
     ["sweep", "--primes", "2,six"],
     ["sweep", "--primes", ""],
     [],
+    ["sweep", "--max-order", "-3"],
+    ["sweep", "--max-order", "0"],
+    ["sweep", "--primes", "2,2"],
+    ["sweep", "--primes", "3, 2,3"],
+    # the smallest prime above the bound of the primality test
+    ["check", "--group", "cyclic:2", "--prime", "318665857834031151167483"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     rc, out, err = run(capsys, argv)
-    assert rc == 1
-    assert err.startswith("error: ")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "derivations"])
+def test_large_prime_is_decided_fast(capsys, command):
+    # trial division took 1.0 s on a 12-digit prime and never finished on
+    # this 19-digit one
+    start = time.monotonic()
+    rc, out, err = run(capsys, [command, "--group", "cyclic:2",
+                                "--prime", "1000000000000000003"])
+    assert time.monotonic() - start < 1
+    assert rc == 0 and err == ""
+    assert "p=1000000000000000003" in out.splitlines()[0]
 
 
 def test_over_cap_group_exits_1(capsys, monkeypatch, tmp_path):

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import valuation
+from oracles import relabel, valuation
 
-from padicamen.finite_group import cyclic, dihedral, quaternion8, symmetric
+from padicamen.finite_group import (catalog, cyclic, dihedral, from_table,
+                                    quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
                                      GroupAlgebra, augmentation, convolve,
                                      format_norm_exponent, i0_basis,
@@ -82,6 +83,35 @@ def test_delta_convolution_follows_table():
         for h in range(grp.order):
             assert convolve(alg.delta(g), alg.delta(h)) == \
                 alg.delta(grp.table[g][h])
+
+
+def _catalog_and_relabellings(max_order):
+    rng = random.Random(13)
+    for grp in catalog(max_order):
+        yield grp
+        if grp.order > 1:
+            moved = from_table(grp.name, *relabel(grp, rng))
+            assert moved.identity != 0
+            yield moved
+
+
+@pytest.mark.parametrize("grp", list(_catalog_and_relabellings(8)),
+                         ids=lambda g: "%s@%d" % (g.name, g.identity))
+def test_product_index_follows_the_table(grp):
+    # each algebra's rule against the product read straight off G's table;
+    # the enveloping second leg reads table[y][s], never opposite_table
+    alg = GroupAlgebra(grp)
+    table, n = grp.table, grp.order
+    pairs = [(g, s) for g in range(n) for s in range(n)]
+    for i in range(n):
+        for j in range(n):
+            assert alg.product_index(i, j) == table[i][j]
+    for i, (g, s) in enumerate(pairs):
+        for j, (x, y) in enumerate(pairs):
+            assert alg.tensor.product_index(i, j) == \
+                table[g][x] * n + table[s][y]
+            assert alg.enveloping.product_index(i, j) == \
+                table[g][x] * n + table[y][s]
 
 
 def test_norm_exponent():

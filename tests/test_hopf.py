@@ -14,8 +14,8 @@ from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
                                     quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
-                                     augmentation, basis_classes, convolve,
-                                     norm_exponent)
+                                     TensorAlgebra, augmentation,
+                                     basis_classes, convolve, norm_exponent)
 import padicamen.hopf as hopf
 from padicamen.hopf import (BasisMap, antipode, antipode_map, basis_tensor,
                             comultiply, delta_map, e_map, eq1_check,
@@ -220,8 +220,6 @@ def test_tensor_element_ops():
     for op in (lambda a, b: a + b, lambda a, b: a - b, convolve):
         with pytest.raises(ValueError):
             op(plain, env)
-    with pytest.raises(ValueError):
-        hopf.env_left_mult_matrix(plain)
 
 
 def test_basis_map_basics():
@@ -401,12 +399,35 @@ def test_quotient_isomorphism_fails_with_plain_product(monkeypatch):
     report = lemma2_iso_check(grp, data)
     assert report.dim_ok and report.well_defined and report.bijective
     assert not report.action_commutes and not report.all_pass
-    # a product that is twice a basis tensor lands in the right class,
-    # but is not one basis tensor with coefficient 1
+    # the enveloping product's flat index with its legs exchanged,
+    # (g, h) read as (h, g): delta_g (x) 1 times e (x) delta_z lands on
+    # z (x) g, whose product zg differs from gz for noncommuting g, z
     monkeypatch.undo()
-    mul = AlgebraElement.__mul__
-    monkeypatch.setattr(AlgebraElement, "__mul__",
-                        lambda self, other: mul(self, other).scale(2))
+    product_index = TensorAlgebra.product_index
+
+    def exchanged(self, i, j):
+        g, h = divmod(product_index(self, i, j), self.base.dim)
+        return h * self.base.dim + g
+    monkeypatch.setattr(TensorAlgebra, "product_index", exchanged)
+    report = lemma2_iso_check(grp, data)
+    assert report.dim_ok and report.well_defined and report.bijective
+    assert not report.action_commutes
+
+
+def test_swapped_second_leg_fails_both_checks(monkeypatch):
+    # the product rule with its second leg read as second[y][s]: the
+    # enveloping product becomes the plain one, which E does not respect
+    def swapped(self, i, j):
+        m = len(self.second)
+        g, s = divmod(i, m)
+        x, y = divmod(j, m)
+        return self.first[g][x] * m + self.second[y][s]
+    grp = symmetric(3)
+    data = lemma2_data(grp)
+    assert eq1_check(grp).all_pass
+    assert lemma2_iso_check(grp, data).action_commutes
+    monkeypatch.setattr(GroupAlgebra, "product_index", swapped)
+    assert not eq1_check(grp).all_pass
     report = lemma2_iso_check(grp, data)
     assert report.dim_ok and report.well_defined and report.bijective
     assert not report.action_commutes
@@ -512,9 +533,8 @@ def test_corrupted_e_fails_dual_action_identity(monkeypatch):
     grp = symmetric(3)
     # E(delta_g) = delta_g (x) delta_g instead of delta_g (x) delta_{g^-1}
     monkeypatch.setattr(
-        hopf, "e_map",
-        lambda f: AlgebraElement.from_coeffs(
-            f.algebra.enveloping, {g * 6 + g: c for g, c in f.coeffs.items()}))
+        hopf, "e_basis_map",
+        lambda group: BasisMap(36, (g * 6 + g for g in range(6))))
     report = eq1_check(grp)
     assert False in report.per_c.values()
     assert report.per_c["012"]  # the identity element still commutes

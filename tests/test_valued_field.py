@@ -12,7 +12,7 @@ import padicamen.amenability as amenability
 from padicamen.amenability import certify, johnson_check, schikhof_check
 from padicamen.finite_group import cyclic, enumerate_subgroups
 from padicamen.group_algebra import GroupAlgebra, norm_exponent
-from padicamen.valued_field import is_prime
+from padicamen.valued_field import PRIMALITY_BOUND, is_prime, require_prime
 
 
 def oracle_valuation(x, p):
@@ -110,3 +110,23 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
     assert is_prime(97)
     assert not is_prime(91)  # 7 * 13
+    for n in range(10 ** 5 + 1):  # against trial division
+        assert is_prime(n) == (
+            n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+    # psi_4 and psi_9: the smallest strong pseudoprimes to the first four
+    # and the first nine prime bases
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(999999999989) and is_prime(1000000000000000003)
+    assert is_prime(PRIMALITY_BOUND - 20)  # the largest prime below it
+    assert not any(is_prime(PRIMALITY_BOUND - k) for k in range(1, 20))
+
+
+def test_primes_at_or_above_the_bound_are_refused():
+    # PRIMALITY_BOUND is composite and passes all twelve bases
+    assert PRIMALITY_BOUND == 399165290221 * 798330580441
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 22):
+        with pytest.raises(ValueError, match="bound of the primality test"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="bound of the primality test"):
+            require_prime(n)
