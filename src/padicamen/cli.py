@@ -221,10 +221,8 @@ def cmd_derivations(args) -> int:
     group = _load_group(args.group, "derivation certificate")
     prime = _require_prime(args.prime)
     names = STOCK_BIMODULES if args.bimodule == "all" else (args.bimodule,)
-    reports = {
-        name: derivation_spaces(group, bim)
-        for name, bim in stock_bimodules(group, names).items()
-    }
+    reports = {name: derivation_spaces(bim)
+               for name, bim in stock_bimodules(group, names).items()}
     doc = {
         "schema": "padicamen.derivations/1",
         "group": {

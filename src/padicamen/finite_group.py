@@ -345,7 +345,12 @@ def from_spec(spec: str) -> FiniteGroup:
     spec = spec.strip()
     if _names_a_file(spec):
         return from_file(spec)
-    groups = [_BUILDERS[kind](n) for kind, n, _ in _factors(spec)]
+    return _build(_factors(spec))
+
+
+def _build(factors: List[Tuple[str, int, int]]) -> FiniteGroup:
+    """The group of a built-in spec from its _factors."""
+    groups = [_BUILDERS[kind](n) for kind, n, _ in factors]
     return groups[0] if len(groups) == 1 else product(*groups)
 
 
@@ -453,38 +458,24 @@ def subgroup_index(s1: Subgroup, s2: Subgroup) -> int:
     return s2.order // s1.order
 
 
+_CATALOG_SPECS = (
+    *("cyclic:%d" % n for n in range(1, 17)),
+    *("dihedral:%d" % n for n in range(3, 9)),
+    "symmetric:3", "symmetric:4", "quaternion:8",
+    "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4",
+    "product:cyclic:3,cyclic:3", "product:cyclic:2,cyclic:6",
+    "product:cyclic:2,symmetric:3",
+)
+
+
 def catalog(max_order: int) -> List[FiniteGroup]:
     """The deterministic test family, filtered by order.
 
     Cyclic groups up to 16, dihedral groups of the 3..8-gons, the
     symmetric groups on 3 and 4 letters, the quaternion group, and a few
-    direct products (the Klein group among them).  Names are valid group
-    specs, so any row of a report can be replayed through the CLI.
+    direct products (the Klein group among them).  Each is built from its
+    spec, so any row of a report can be replayed through the CLI, and
+    never read from a file of the same name.
     """
-    groups: List[FiniteGroup] = []
-    for n in range(1, 17):
-        if n <= max_order:
-            groups.append(cyclic(n))
-    for n in range(3, 9):
-        if 2 * n <= max_order:
-            groups.append(dihedral(n))
-    if 6 <= max_order:
-        groups.append(symmetric(3))
-    if 24 <= max_order:
-        groups.append(symmetric(4))
-    if 8 <= max_order:
-        groups.append(quaternion8())
-    product_specs = [
-        ("cyclic", 2, "cyclic", 2),
-        ("cyclic", 2, "cyclic", 4),
-        ("cyclic", 3, "cyclic", 3),
-        ("cyclic", 2, "cyclic", 6),
-        ("cyclic", 2, "symmetric", 3),
-    ]
-    makers = {"cyclic": cyclic, "symmetric": symmetric}
-    for kind_a, na, kind_b, nb in product_specs:
-        a = makers[kind_a](na)
-        b = makers[kind_b](nb)
-        if a.order * b.order <= max_order:
-            groups.append(product(a, b))
-    return groups
+    return [_build(f) for f in map(_factors, _CATALOG_SPECS)
+            if math.prod(order for _, _, order in f) <= max_order]

@@ -9,7 +9,10 @@ numerators over one denominator; `fraction_add` and `fraction_convolve` are
 the sum and the product on plain Fraction coefficients, as the package
 computed them before.  `apply` applies a BasisMap to a sparse vector, which
 tests use to apply transposed actions, and `relabel` moves a group's
-elements to other indices, for checks that relabelling changes no verdict.
+elements to other indices, for checks that relabelling changes no verdict;
+`relabelled_catalog` pairs each catalog group with such a copy.  The
+package checks the bimodule axioms on a generating set too, and
+`bimodule_axiom_failure` checks them at every pair.
 `valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
 package only ever takes the valuations of nonzero int numerators and
 denominators.
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from padicamen.finite_group import FiniteGroup, Subgroup
+from padicamen.finite_group import (FiniteGroup, Subgroup, catalog,
+                                    from_table)
 from padicamen.group_algebra import AlgebraElement, GroupAlgebra
 from padicamen.hopf import BasisMap, basis_tensor
 from padicamen.valued_field import int_valuation
@@ -145,7 +149,10 @@ def kernel_basis_failure(u: AlgebraElement) -> Optional[Tuple[int, int]]:
 def relabel(g: FiniteGroup, rng: random.Random
             ) -> Tuple[List[str], List[List[int]]]:
     """Labels and table of g with its elements moved to a random order,
-    the identity among them, so the identity leaves index 0."""
+    the identity among them, so the identity leaves its index.  The
+    trivial group has no other index, so it raises ValueError."""
+    if g.order == 1:
+        raise ValueError("the identity of a trivial group cannot move")
     new = list(range(g.order))
     while new[g.identity] == g.identity:
         rng.shuffle(new)
@@ -157,6 +164,37 @@ def relabel(g: FiniteGroup, rng: random.Random
     for a, label in enumerate(g.labels):
         labels[new[a]] = label
     return labels, table
+
+
+def relabelled_catalog(max_order: int, seed: int) -> Iterator[FiniteGroup]:
+    """catalog(max_order), each group of order > 1 followed by a relabelled
+    copy whose identity is off its index, both named as in the catalog."""
+    rng = random.Random(seed)
+    for grp in catalog(max_order):
+        yield grp
+        if grp.order > 1:
+            yield from_table(grp.name, *relabel(grp, rng))
+
+
+def bimodule_axiom_failure(group: FiniteGroup, left: Sequence[BasisMap],
+                           right: Sequence[BasisMap]
+                           ) -> Optional[Tuple[str, int, int]]:
+    """First (law, g, h) at which the actions break a bimodule axiom, or
+    None: the homomorphism, antihomomorphism and commutation laws at all
+    n^2 pairs, and unitality at the identity."""
+    e = group.identity
+    if left[e] != BasisMap.identity(left[e].ncols) or \
+            right[e] != BasisMap.identity(right[e].ncols):
+        return "unital", e, e
+    for g, row in enumerate(group.table):
+        for h, gh in enumerate(row):
+            if left[gh] != left[g].compose(left[h]):
+                return "left", g, h
+            if right[gh] != right[h].compose(right[g]):
+                return "right", g, h
+            if left[g].compose(right[h]) != right[h].compose(left[g]):
+                return "commute", g, h
+    return None
 
 
 def pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:

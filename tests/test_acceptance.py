@@ -200,7 +200,7 @@ def test_acceptance_6_derivations_all_inner():
     bad = []
     for grp in catalog(8):
         for name, bim in stock_bimodules(grp).items():
-            report = derivation_spaces(grp, bim)
+            report = derivation_spaces(bim)
             if not report.all_inner:
                 bad.append((grp.name, name))
             cases += 1

@@ -14,6 +14,7 @@ Leibniz rows (exact_linalg, kept under tests/ as the oracle).
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import pytest
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
-from oracles import apply, kernel_basis_failure, relabel, valuation
+from oracles import (apply, bimodule_axiom_failure, kernel_basis_failure,
+                     relabel, relabelled_catalog, valuation)
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
@@ -310,14 +312,14 @@ def test_derivation_dims_match_character_theory():
                 symmetric(3), quaternion8()]:
         n = grp.order
         classes = conjugacy_class_count(grp)
-        reg = derivation_spaces(grp, regular_bimodule(grp))
+        reg = derivation_spaces(regular_bimodule(grp))
         assert reg.derivation_dim == n - classes, grp.name
         assert reg.inner_dim == n - classes
         assert reg.all_inner
-        triv = derivation_spaces(grp, trivial_bimodule(grp))
+        triv = derivation_spaces(trivial_bimodule(grp))
         assert triv.derivation_dim == 0 and triv.inner_dim == 0
         assert triv.all_inner
-        outer = derivation_spaces(grp, outer_tensor_bimodule(grp))
+        outer = derivation_spaces(outer_tensor_bimodule(grp))
         assert outer.derivation_dim == n * n - n, grp.name
         assert outer.inner_dim == n * n - n
         assert outer.all_inner
@@ -369,7 +371,7 @@ def test_derivation_vectors_satisfy_leibniz():
     # with the dual actions applied directly
     grp = symmetric(3)
     bim = regular_bimodule(grp)
-    rep = derivation_spaces(grp, bim)
+    rep = derivation_spaces(bim)
     basis, _ = oracle_derivations(grp, bim)
     assert len(basis) == rep.derivation_dim
     n, dim = grp.order, bim.dimension
@@ -394,7 +396,7 @@ def test_derivation_vectors_satisfy_leibniz():
 def test_derivation_report_prime_independence_and_doc():
     # the certificate has integer coefficients and takes no prime
     grp = cyclic(4)
-    r2 = derivation_spaces(grp, outer_tensor_bimodule(grp))
+    r2 = derivation_spaces(outer_tensor_bimodule(grp))
     doc = r2.to_doc()
     assert doc == {
         "bimodule": "outer_tensor",
@@ -407,46 +409,50 @@ def test_derivation_report_prime_independence_and_doc():
 
 
 def test_derivation_certificate_matches_elimination_oracle():
-    for grp in catalog(8):
-        n = grp.order
-        for name, bim in stock_bimodules(grp).items():
-            rep = derivation_spaces(grp, bim)
-            basis, inner = oracle_derivations(grp, bim)
-            ech = Echelon(n * bim.dimension)
-            ech.add_rows(inner)
-            case = (grp.name, name)
-            assert rep.derivation_dim == len(basis), case
-            assert rep.inner_dim == ech.rank, case
-            assert spans_equal(basis, inner, n * bim.dimension), case
-            # Johnson's xi_D = -|G|^{-1} sum_h D(delta_h).delta_{h^-1}
-            # recovers every basis derivation as ad_{xi_D}
-            right_t = [mp.transpose() for mp in bim.right]
-            left_t = [mp.transpose() for mp in bim.left]
-            for vec in basis:
-                cols = _columns(vec, bim.dimension)
-                xi = _sparse_sum(
-                    (c, -v / n) for h in range(n)
-                    for c, v in apply(left_t[grp.inverses[h]],
-                                      cols.get(h, {})).items())
-                for g in range(n):
-                    ad = _sparse_sum([
-                        *apply(right_t[g], xi).items(),
-                        *((c, -v) for c, v in apply(left_t[g], xi).items())])
-                    assert ad == cols.get(g, {}), case
+    # relabelling moves the generators the certificate reads, and not the
+    # rows the elimination reads
+    for grp in relabelled_catalog(8, 7):
+        _match_elimination_oracle(grp)
 
 
-def _corrupted_bimodule(monkeypatch, name, side):
-    """The stock bimodule over symmetric:3 with one transposition swapped
-    in the action of one element on one side, built without validation."""
+def _match_elimination_oracle(grp):
+    n = grp.order
+    for name, bim in stock_bimodules(grp).items():
+        rep = derivation_spaces(bim)
+        basis, inner = oracle_derivations(grp, bim)
+        ech = Echelon(n * bim.dimension)
+        ech.add_rows(inner)
+        case = (grp.name, grp.identity, name)
+        assert rep.derivation_dim == len(basis), case
+        assert rep.inner_dim == ech.rank, case
+        assert spans_equal(basis, inner, n * bim.dimension), case
+        # Johnson's xi_D = -|G|^{-1} sum_h D(delta_h).delta_{h^-1}
+        # recovers every basis derivation as ad_{xi_D}
+        right_t = [mp.transpose() for mp in bim.right]
+        left_t = [mp.transpose() for mp in bim.left]
+        for vec in basis:
+            cols = _columns(vec, bim.dimension)
+            xi = _sparse_sum(
+                (c, -v / n) for h in range(n)
+                for c, v in apply(left_t[grp.inverses[h]],
+                                  cols.get(h, {})).items())
+            for g in range(n):
+                ad = _sparse_sum([
+                    *apply(right_t[g], xi).items(),
+                    *((c, -v) for c, v in apply(left_t[g], xi).items())])
+                assert ad == cols.get(g, {}), case
+
+
+def _corrupted_bimodule_args(name, side):
+    """Constructor arguments of the stock bimodule over symmetric:3 with
+    one transposition swapped in the action of one element on one side."""
     grp = symmetric(3)
     good = stock_bimodules(grp, (name,))[name]
     actions = {"left": list(good.left), "right": list(good.right)}
     images = list(actions[side][1].images)
     images[0], images[1] = images[1], images[0]
     actions[side][1] = BasisMap(good.dimension, images)
-    monkeypatch.setattr(Bimodule, "_validate", lambda self: None)
-    return Bimodule(name, good.group, good.dimension,
-                    actions["left"], actions["right"])
+    return name, grp, good.dimension, actions["left"], actions["right"]
 
 
 def _derivations_exit_2(capsys, name, message):
@@ -462,12 +468,18 @@ def _derivations_exit_2(capsys, name, message):
 @pytest.mark.parametrize("name", ["regular", "outer_tensor"])
 def test_derivation_certificate_rejects_a_non_action(capsys, monkeypatch,
                                                      name, side):
-    bim = _corrupted_bimodule(monkeypatch, name, side)
-    message = "derivation certificate part (a) fails on %s" % name
-    with pytest.raises(InternalCheckError, match=r"part \(a\)"):
-        derivation_spaces(symmetric(3), bim)
-    monkeypatch.setattr(amenability, name + "_bimodule", lambda group: bim)
-    _derivations_exit_2(capsys, name, message)
+    args = _corrupted_bimodule_args(name, side)
+    # part (a) of the certificate is the bimodule axioms
+    with pytest.raises(ValueError):
+        Bimodule(*args)
+    monkeypatch.setattr(amenability, name + "_bimodule",
+                        lambda group: Bimodule(*args))
+    _derivations_exit_2(
+        capsys, name, "derivation certificate part (a) fails on %s" % name)
+    # without them, part (b) no longer recovers D as ad(xi_D)
+    monkeypatch.setattr(Bimodule, "_validate", lambda self: None)
+    with pytest.raises(InternalCheckError, match=r"part \(b\)"):
+        derivation_spaces(Bimodule(*args))
 
 
 @pytest.mark.parametrize("factor", [2, -1], ids=["scale", "sign"])
@@ -480,7 +492,7 @@ def test_derivation_certificate_rejects_a_wrong_xi(capsys, monkeypatch,
         (k, factor * v) for k, v in real(*args)])
     grp = symmetric(3)
     with pytest.raises(InternalCheckError, match=r"part \(b\)"):
-        derivation_spaces(grp, regular_bimodule(grp))
+        derivation_spaces(regular_bimodule(grp))
     _derivations_exit_2(
         capsys, "regular", "derivation certificate part (b) fails on regular")
 
@@ -498,10 +510,54 @@ def test_bimodule_validation_rejects_bad_actions():
         Bimodule("nonunital", grp, grp.order, shifted, good.right)
 
 
-def test_derivation_spaces_rejects_mismatched_group():
-    bim = regular_bimodule(cyclic(4))
-    with pytest.raises(ValueError):
-        derivation_spaces(cyclic(5), bim)
+def _refused_exactly_when_broken(name, grp, dim, left, right):
+    """The all-pairs oracle's first broken axiom, asserting that the
+    Bimodule constructor refuses the actions exactly when there is one."""
+    broken = bimodule_axiom_failure(grp, left, right)
+    try:
+        Bimodule(name, grp, dim, left, right)
+    except ValueError:
+        assert broken is not None, (name, grp.name, grp.identity)
+    else:
+        assert broken is None, (name, grp.name, grp.identity, broken)
+    return broken
+
+
+@pytest.mark.parametrize("grp", list(relabelled_catalog(8, 5)),
+                         ids=lambda g: "%s@%d" % (g.name, g.identity))
+def test_bimodule_axioms_on_generators_match_every_pair(grp):
+    # swapped sides, and one transposition swapped in the action of each
+    # element on each side: the check on the generating set refuses
+    # exactly what the check at every pair refuses
+    for name in ("regular", "outer_tensor"):
+        good = stock_bimodules(grp, (name,))[name]
+        cases = [(good.right, good.left)]
+        for k, side in itertools.product(grp.elements(), range(2)):
+            actions = [list(good.left), list(good.right)]
+            images = list(actions[side][k].images)
+            images[0], images[-1] = images[-1], images[0]
+            actions[side][k] = BasisMap(good.dimension, images)
+            cases.append(actions)
+        for left, right in cases:
+            _refused_exactly_when_broken(name, grp, good.dimension, left,
+                                         right)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "symmetric:3"])
+def test_commutation_on_generators_matches_every_pair(spec):
+    # the right regular action moved by a permutation p of the basis is an
+    # antirepresentation, which commutes with the left one for some p only
+    grp = from_spec(spec)
+    good = regular_bimodule(grp)
+    verdicts = set()
+    for images in itertools.permutations(grp.elements()):
+        p = BasisMap(grp.order, images)
+        right = [p.compose(r).compose(p.transpose()) for r in good.right]
+        broken = _refused_exactly_when_broken("moved", grp, grp.order,
+                                              good.left, right)
+        assert broken is None or broken[0] == "commute"
+        verdicts.add(broken is None)
+    assert verdicts == {True, False}
 
 
 def test_stock_bimodules_names():

@@ -328,6 +328,18 @@ def _relabelled(g, rng):
     return from_table(g.name + "~", *relabel(g, rng))
 
 
+def test_relabel_moves_the_identity_and_refuses_the_trivial_group():
+    rng = random.Random(3)
+    for g in catalog(12):
+        if g.order == 1:
+            with pytest.raises(ValueError):
+                relabel(g, rng)
+            continue
+        moved = _relabelled(g, rng)
+        assert moved.identity != g.identity, g.name
+        assert sorted(moved.labels) == sorted(g.labels)
+
+
 def test_subgroup_lattice_matches_closure_oracle(monkeypatch):
     rng = random.Random(7)
     relabelled = [_relabelled(g, rng) for g in catalog(24) if g.order > 1]
@@ -378,6 +390,16 @@ def test_catalog_shape():
         # names are replayable specs
         h = from_spec(g.name)
         assert h.table == g.table
+
+
+def test_catalog_reads_no_file_named_like_a_spec(monkeypatch, tmp_path):
+    # a table file named like a catalog spec, where from_spec looks first
+    (tmp_path / "cyclic:3").write_text(json.dumps({
+        "name": "impostor", "order": 2, "labels": ["a", "b"],
+        "table": [[0, 1], [1, 0]]}))
+    monkeypatch.chdir(tmp_path)
+    assert [g.name for g in catalog(3)] == ["cyclic:1", "cyclic:2", "cyclic:3"]
+    assert catalog(3)[2].order == 3
 
 
 def test_catalog_case_count_for_four_primes():
