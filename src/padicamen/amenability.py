@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
@@ -472,24 +473,10 @@ class DerivationReport:
         }
 
 
-Terms = List[Tuple[int, int]]
-
-
-def _neg(terms: Iterable[Tuple[int, int]]) -> Terms:
-    return [(k, -v) for k, v in terms]
-
-
-def _collect(terms: Terms) -> Dict[int, int]:
-    """The linear form sum v.e_k of (k, v) terms, zeros dropped."""
-    out: Dict[int, int] = {}
-    for k, v in terms:
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _johnson_xi(left, inverses, dim: int, x: int) -> Terms:
-    """|G|.xi_D[x] = -sum_h D[h, L_{h^-1} x] as terms in the unknowns."""
-    return [(h * dim + left[hi][x], -1) for h, hi in enumerate(inverses)]
+def _johnson_xi(left, inverses) -> List[Tuple[Sequence[int], int]]:
+    """|G|.xi_D[x] = sum_h v.D[h, m[x]] over the pairs (m, v) in place h:
+    m = L_{h^-1} and v = -1."""
+    return [(left[hi], -1) for hi in inverses]
 
 
 def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
@@ -512,7 +499,19 @@ def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
         delta_{h^-1} gives Johnson's xi_D = -|G|^{-1} sum_h
         D(delta_h).delta_{h^-1}, and n.(D - ad_{xi_D})[g, c] =
         -sum_k l(g, k, L_{k^-1} c) as linear forms in the unknowns.  So
-        every D satisfying the Leibniz rows is ad_{xi_D}.
+        every D satisfying the Leibniz rows is ad_{xi_D}.  The terms of
+        both sides have coefficients +-1 (n.D[g, c] is n terms), so the
+        two are equal exactly when the multisets of their positive terms
+        plus the other side's negative ones are.  For each h the terms
+        fall into three pairs, each a permutation image of c in one
+        block of unknowns: D[h, L_{h^-1} R_g c] against D[h, R_g L_{h^-1}
+        c]; D[h, L_{h^-1} L_g c] against D[h, L_{(g^-1 h)^-1} c], the term
+        D[gk, L_{k^-1} c] of the rows at k = g^-1 h; and one copy of
+        D[g, c] against D[g, L_h L_{h^-1} c].  A pair whose images are
+        the same list over c cancels for every c, and removing a term
+        from both multisets keeps them equal or unequal.  What is left
+        is counted with its sign, keyed by c first, so the smallest key
+        with a nonzero count names the smallest failing c.
     (c) ad_xi is a derivation, so it vanishes on G once it vanishes on
         the generating set S, and ad_xi = 0 exactly when xi is constant
         on the classes of the pairs (R_a c, L_a c) for a in S: dim Inn =
@@ -522,25 +521,44 @@ def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
     require_within_cap(group.order, "derivation certificate")
     n, dim = group.order, bimodule.dimension
     table, inv, labels = group.table, group.inverses, group.labels
-    left = [mp.images for mp in bimodule.left]
-    right = [mp.images for mp in bimodule.right]
+    # lists, as the image lists built below are: a tuple never equals a
+    # list, and a pair that does not cancel is left to the slower count
+    left = [list(mp.images) for mp in bimodule.left]
+    right = [list(mp.images) for mp in bimodule.right]
 
-    def leibniz(g: int, h: int, c: int) -> Terms:
-        """Terms of l(g, h, c) in the unknowns."""
-        return [(table[g][h] * dim + c, 1), (h * dim + right[g][c], -1),
-                (g * dim + left[h][c], -1)]
-
-    for g, c in itertools.product(range(n), range(dim)):
-        lhs = _collect([(g * dim + c, n)]
-                       + _neg(_johnson_xi(left, inv, dim, right[g][c]))
-                       + _johnson_xi(left, inv, dim, left[g][c]))
-        rhs = _collect(_neg(term for k in range(n) for term in
-                            leibniz(g, k, left[inv[k]][c])))
-        if lhs != rhs:
+    width = n * dim  # key c * width + column: c first
+    ident = list(range(dim))
+    back = [left[hi] for hi in inv]  # L_{h^-1}
+    # L_h L_{h^-1} against one copy of the identity, in block g: the
+    # images are the same for every g
+    units = [unit for unit in (list(map(lh.__getitem__, lhi))
+                               for lh, lhi in zip(left, back))
+             if unit != ident]
+    xi = _johnson_xi(left, inv)
+    for g in range(n):
+        rg, lg, gi = right[g], left[g], inv[g]
+        pairs = [(g, (1, ident), (-1, unit)) for unit in units]
+        for h, (m, v) in enumerate(xi):
+            pairs.append((h, (-v, list(map(m.__getitem__, rg))),
+                          (-1, list(map(rg.__getitem__, back[h])))))
+            pairs.append((h, (v, list(map(m.__getitem__, lg))),
+                          (1, back[table[gi][h]])))
+        # LHS - RHS of the identities (g, c) for every c, summed over the
+        # pairs that do not cancel
+        net: Counter = Counter()
+        for block, (sa, a), (sb, b) in pairs:
+            if sa == -sb and a == b:
+                continue
+            base = block * dim
+            for s, images in ((sa, a), (sb, b)):
+                for c, x in enumerate(images):
+                    net[c * width + base + x] += s
+        left_over = [k for k, v in net.items() if v]
+        if left_over:
             raise InternalCheckError(
                 "derivation certificate part (b) fails on %s: D - ad(xi_D) "
                 "is no combination of Leibniz rows at (%s, %d)"
-                % (bimodule.name, labels[g], c))
+                % (bimodule.name, labels[g], min(left_over) // width))
 
     classes = basis_classes(dim, (
         (right[a][c], left[a][c]) for a in group.generators

@@ -297,7 +297,14 @@ _BUILDERS = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric,
 
 
 def _names_a_file(spec: str) -> bool:
-    return os.path.sep in spec or spec.endswith(".json") or \
+    """Whether spec is a path to a Cayley-table file: one with a path
+    separator, one ending in .json, or a file whose name starts with no
+    built-in kind.  A file named like a built-in spec, such as
+    "cyclic:3", is read as "./cyclic:3" only."""
+    if os.path.sep in spec or spec.endswith(".json"):
+        return True
+    kind = spec.partition(":")[0]
+    return kind not in _BUILDERS and kind != "product" and \
         os.path.isfile(spec)
 
 

@@ -12,7 +12,10 @@ tests use to apply transposed actions, and `relabel` moves a group's
 elements to other indices, for checks that relabelling changes no verdict;
 `relabelled_catalog` pairs each catalog group with such a copy.  The
 package checks the bimodule axioms on a generating set too, and
-`bimodule_axiom_failure` checks them at every pair.
+`bimodule_axiom_failure` checks them at every pair.  The package decides
+part (b) of the derivation certificate by whole families of terms at
+once, and `johnson_identity_failure` collects the linear forms of each
+identity (g, c) of it one at a time.
 `valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
 package only ever takes the valuations of nonzero int numerators and
 denominators.
@@ -22,7 +25,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from padicamen.finite_group import (FiniteGroup, Subgroup, catalog,
                                     from_table)
@@ -239,3 +243,41 @@ def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
     subs = [Subgroup(g, tuple(sorted(m))) for m in known]
     subs.sort(key=lambda s: (s.order, s.members))
     return subs
+
+
+def _collect(terms: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """The linear form sum v.e_k of (k, v) terms, zeros dropped."""
+    out: Dict[int, int] = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def johnson_identity_failure(bimodule) -> Optional[Tuple[int, int]]:
+    """First (g, c) at which n.(D - ad_{xi_D})[g, c] = -sum_k l(g, k,
+    L_{k^-1} c) fails as linear forms in the unknowns D[g, c] at g*dim + c,
+    or None, for Johnson's |G|.xi_D[x] = -sum_h D[h, L_{h^-1} x] and the
+    Leibniz rows l(g, h, c) = D[gh, c] - D[h, R_g c] - D[g, L_h c]."""
+    group = bimodule.group
+    n, dim = group.order, bimodule.dimension
+    table, inv = group.table, group.inverses
+    left = [mp.images for mp in bimodule.left]
+    right = [mp.images for mp in bimodule.right]
+
+    def xi(x: int) -> List[Tuple[int, int]]:
+        return [(h * dim + left[hi][x], -1) for h, hi in enumerate(inv)]
+
+    def leibniz(g: int, h: int, c: int) -> List[Tuple[int, int]]:
+        return [(table[g][h] * dim + c, 1), (h * dim + right[g][c], -1),
+                (g * dim + left[h][c], -1)]
+
+    for g in range(n):
+        for c in range(dim):
+            lhs = _collect([(g * dim + c, n)]
+                           + [(k, -v) for k, v in xi(right[g][c])]
+                           + xi(left[g][c]))
+            rhs = _collect((k, -v) for h in range(n)
+                           for k, v in leibniz(g, h, left[inv[h]][c]))
+            if lhs != rhs:
+                return g, c
+    return None

@@ -9,7 +9,9 @@ Three independent oracles anchor the derived quantities:
   dim Der = |G|^2 - |G|, and 0 on the trivial bimodule.
 
 The derivation certificate is also compared with exact elimination of the
-Leibniz rows (exact_linalg, kept under tests/ as the oracle).
+Leibniz rows (exact_linalg, kept under tests/ as the oracle), and its part
+(b) with the Johnson identities taken one linear form at a time
+(oracles.johnson_identity_failure).
 """
 
 import dataclasses
@@ -22,8 +24,9 @@ from pathlib import Path
 
 import pytest
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
-from oracles import (apply, bimodule_axiom_failure, kernel_basis_failure,
-                     relabel, relabelled_catalog, valuation)
+from oracles import (apply, bimodule_axiom_failure, johnson_identity_failure,
+                     kernel_basis_failure, relabel, relabelled_catalog,
+                     valuation)
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
@@ -495,6 +498,53 @@ def test_derivation_certificate_rejects_a_wrong_xi(capsys, monkeypatch,
         derivation_spaces(regular_bimodule(grp))
     _derivations_exit_2(
         capsys, "regular", "derivation certificate part (b) fails on regular")
+
+
+def _unvalidated_actions(grp, rng):
+    """(name, dim, left, right) of the stock bimodules, and of actions
+    that break their axioms: random permutations at dim 1, 2, 3 and n,
+    one transposition swapped in the action of each element on each side,
+    the two sides swapped, and the same maps on both sides."""
+    n = grp.order
+    for dim in (1, 2, 3, n):
+        yield "random", dim, *([BasisMap(dim, rng.sample(range(dim), dim))
+                                for _ in range(n)] for _ in range(2))
+    for name, good in stock_bimodules(grp).items():
+        yield name, good.dimension, good.left, good.right
+        if good.dimension == 1:
+            continue
+        for k, side in itertools.product(grp.elements(), range(2)):
+            actions = [list(good.left), list(good.right)]
+            images = list(actions[side][k].images)
+            images[0], images[1] = images[1], images[0]
+            actions[side][k] = BasisMap(good.dimension, images)
+            yield name, good.dimension, *actions
+        yield name, good.dimension, good.right, good.left
+        yield name, good.dimension, good.left, good.left
+
+
+@pytest.mark.parametrize("grp", list(relabelled_catalog(8, 11)),
+                         ids=lambda g: "%s@%d" % (g.name, g.identity))
+def test_johnson_identities_by_families_match_each_identity(monkeypatch, grp):
+    # part (b) by whole families of terms fails exactly when, and first
+    # where, the linear forms of the identities (g, c) taken one at a
+    # time differ
+    monkeypatch.setattr(Bimodule, "_validate", lambda self: None)
+    verdicts = set()
+    for name, dim, left, right in _unvalidated_actions(
+            grp, random.Random(grp.order)):
+        bim = Bimodule(name, grp, dim, left, right)
+        failure = johnson_identity_failure(bim)
+        try:
+            derivation_spaces(bim)
+        except InternalCheckError as exc:
+            assert failure is not None, (name, left, right)
+            g, c = failure
+            assert str(exc).endswith("at (%s, %d)" % (grp.labels[g], c))
+        else:
+            assert failure is None, (name, left, right, failure)
+        verdicts.add(failure is None)
+    assert verdicts == {True, False}
 
 
 def test_bimodule_validation_rejects_bad_actions():

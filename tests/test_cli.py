@@ -10,7 +10,7 @@ from oracles import relabel
 
 import padicamen.cli as cli
 from padicamen.errors import InternalCheckError
-from padicamen.finite_group import cyclic
+from padicamen.finite_group import catalog, cyclic, from_spec
 
 
 def run(capsys, argv):
@@ -147,6 +147,27 @@ def test_derivations_all_and_single(capsys):
     assert "bimodule regular: module_dim 6, derivation_dim 3, inner_dim 3, " \
            "all_inner true" in out
     assert out.splitlines()[-1] == "all_inner: true"
+
+
+@pytest.mark.parametrize("spec", [g.name for g in catalog(12) if g.order > 1])
+def test_derivations_are_invariant_under_relabelling(capsys, tmp_path, spec):
+    # the table moved to new indices, the identity off index 0, and read
+    # from a file: every stock bimodule keeps its dimensions
+    labels, table = relabel(from_spec(spec), random.Random(spec))
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps({"name": "relabelled", "order": len(table),
+                                "labels": labels, "table": table}),
+                    encoding="utf-8")
+    docs = []
+    for group in (spec, str(path)):
+        rc, out, err = run(capsys, ["derivations", "--group", group,
+                                    "--prime", "2", "--format", "structured"])
+        assert rc == 0 and err == "", group
+        docs.append(json.loads(out))
+    original, moved = docs
+    assert table[0] != list(range(len(table)))  # 0 is not the identity
+    assert moved["bimodules"] == original["bimodules"]
+    assert set(moved["bimodules"]) == {"regular", "trivial", "outer_tensor"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,3 +356,21 @@ def test_table_file_round_trip(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["group"]["name"] == "d3-from-file"
     assert doc["schikhof"]["amenable"] is False
+
+
+def test_built_in_spec_wins_over_a_file_of_its_name(capsys, monkeypatch,
+                                                   tmp_path):
+    # a table file named like a built-in spec, in the working directory
+    impostor = json.dumps({"name": "impostor", "order": 2,
+                           "labels": ["a", "b"], "table": [[0, 1], [1, 0]]})
+    for name in ("cyclic:3", "mygroup"):
+        (tmp_path / name).write_text(impostor, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for spec, name, order in [("cyclic:3", "cyclic:3", 3),
+                              ("./cyclic:3", "impostor", 2),
+                              ("mygroup", "impostor", 2)]:
+        rc, out, err = run(capsys, ["check", "--group", spec, "--prime", "3"])
+        assert rc == 0 and err == "", spec
+        lines = out.splitlines()
+        assert lines[0] == "certificate: %s at p=3" % name, spec
+        assert "order: %d" % order in lines, spec
