@@ -19,9 +19,8 @@ from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
                             TensorAlgebra, augmentation, convolve,
                             format_norm_exponent, i0_basis, i0_identity,
                             i0_membership, norm_exponent)
-from .hopf import (BasisMap, antipode, basis_tensor, comultiply, e_map,
-                   eq1_check, lemma2_data, lemma2_iso_check, pi0, tensor_of,
-                   verify_hopf_axioms)
+from .hopf import (BasisMap, basis_tensor, e_map, eq1_check, lemma2_data,
+                   lemma2_iso_check, pi0, tensor_of, verify_hopf_axioms)
 from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,
                           JohnsonCertificate, SchikhofVerdict,
                           VirtualDiagonal, certify, derivation_spaces,

@@ -50,7 +50,7 @@ from .group_algebra import (AlgebraElement, DualFunctional, GroupAlgebra,
                             format_norm_exponent, i0_identity, norm_exponent)
 from .hopf import (BasisMap, Lemma2Data, basis_tensor, e_map, eq1_check,
                    lemma2_data, lemma2_iso_check, pi0, tensor_of,
-                   verify_hopf_axioms)
+                   translations, verify_hopf_axioms)
 from .valued_field import require_prime
 
 
@@ -392,16 +392,9 @@ class Bimodule:
         return f"Bimodule({self.name!r}, dim={self.dimension})"
 
 
-def _translations(group: FiniteGroup):
-    """The maps x -> gx and x -> xg on l(G), for every g."""
-    n = group.order
-    return ([BasisMap(n, group.table[g]) for g in range(n)],
-            [BasisMap(n, group.opposite_table[g]) for g in range(n)])
-
-
 def regular_bimodule(group: FiniteGroup) -> Bimodule:
     """X = l(G) itself, both actions by convolution."""
-    left, right = _translations(group)
+    left, right = translations(group)
     return Bimodule("regular", group, group.order, left, right)
 
 
@@ -417,7 +410,7 @@ def outer_tensor_bimodule(group: FiniteGroup) -> Bimodule:
     right action on the right leg."""
     n = group.order
     ident = BasisMap.identity(n)
-    left, right = _translations(group)
+    left, right = translations(group)
     return Bimodule("outer_tensor", group, n * n,
                     [lg.kron(ident) for lg in left],
                     [ident.kron(rg) for rg in right])

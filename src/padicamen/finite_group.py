@@ -7,7 +7,9 @@ generating set, kept as FiniteGroup.generators: O(n**2 log n) reads in
 all.  The order cap (default 24, environment-overridable) guards the
 downstream computations that scale as n**3 and n**4; spec_order reads the
 order of a built-in spec off its parameters, so the command line applies
-the cap before the n**2 table is built.
+the cap before the n**2 table is built, and read_table_file parses a
+table file without validating the table, so a file is capped by its
+declared order first.
 
 Subgroup enumeration is by cyclic extension (J. Neubuser, Numer. Math. 2
 (1960) 280-292): seed with the distinct cyclic subgroups, then join each
@@ -260,9 +262,11 @@ def product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return from_table(f"product:{a.name},{b.name}", labels, table)
 
 
-def from_file(path: str) -> FiniteGroup:
-    """Load a Cayley-table document: JSON with fields name, order, labels,
-    table (row-major element indices)."""
+def read_table_file(path: str) -> Tuple[str, list, list]:
+    """The name, labels and table of a Cayley-table document: JSON with
+    fields name, order, labels, table (row-major element indices).  The
+    fields are checked, and the table has order rows, each a list; the
+    table itself is validated by from_table."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -289,7 +293,12 @@ def from_file(path: str) -> FiniteGroup:
             not all(isinstance(row, list) for row in table):
         raise SpecParseError(
             f"group file {path!r}: table must have {n} rows, each a list")
-    return from_table(name, labels, table)
+    return name, labels, table
+
+
+def from_file(path: str) -> FiniteGroup:
+    """Load a Cayley-table document (see read_table_file)."""
+    return from_table(*read_table_file(path))
 
 
 _BUILDERS = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric,

@@ -14,15 +14,19 @@ l(G x G^op) = A^e of group_algebra, so Delta, E and pi0 are maps between
 l(G) and those two.  Every structure map also sends a basis vector to one
 basis vector, so each is stored as a BasisMap, a tuple of basis indices.
 Every quotient relation is a difference of two basis tensors, so the
-quotient is held as a partition of the basis into classes.  Diagram sides
-are computed through genuinely independent code paths: composition of
-index tuples on one side, direct coefficient formulas or generic products
-in the tensor algebras on the other.  eq1_check compares transposed index
-tuples read off G's table with the enveloping product rule read by index
-(GroupAlgebra.product_index, whose second leg reads the opposite table),
-and the action check of the quotient isomorphism compares that rule with
-G's table, so a transposition or index mistake in one path cannot cancel
-against the same mistake in the other.
+quotient is held as a partition of the basis into classes.  Each of
+Delta, S, E, pi0 and the left translations is stated once, by the
+function that builds its BasisMap, and BasisMap.apply carries it to
+elements, so every stage reads the map a check certified.  The two sides
+of a check still come from independent code paths.  The diagrams compare
+compositions of index tuples.  A pair check compares a map applied to a
+product read off G's table with the product of the images under the
+target's product rule (GroupAlgebra.product_index, whose second leg
+reads the opposite table in the enveloping algebra).  eq1_check compares
+transposed index tuples read off G's table with the enveloping product
+rule read by index, and the action check of the quotient isomorphism
+compares that rule with G's table, so a transposition or index mistake
+in one path cannot cancel against the same mistake in the other.
 """
 
 from __future__ import annotations
@@ -51,43 +55,6 @@ def tensor_of(f: AlgebraElement, h: AlgebraElement,
     return AlgebraElement(target, {
         g * n + x: a * b
         for g, a in f.num.items() for x, b in h.num.items()}, f.den * h.den)
-
-
-def comultiply(f: AlgebraElement) -> AlgebraElement:
-    """Delta(f): diagonal tensor sum_g f(g) delta_g (x) delta_g."""
-    n = f.algebra.dim
-    return AlgebraElement(
-        f.algebra.tensor, {g * n + g: c for g, c in f.num.items()}, f.den)
-
-
-def antipode(f: AlgebraElement) -> AlgebraElement:
-    """S f(g) = f(g^{-1})."""
-    num = f.num
-    return AlgebraElement(f.algebra, {
-        g: num[x] for g, x in enumerate(f.algebra.group.inverses)
-        if x in num}, f.den)
-
-
-def e_map(f: AlgebraElement) -> AlgebraElement:
-    """E = (1 (x) S) Delta into the enveloping algebra:
-    E(delta_g) = delta_g (x) delta_{g^{-1}}."""
-    inv = f.algebra.group.inverses
-    n = f.algebra.dim
-    return AlgebraElement(f.algebra.enveloping,
-                          {g * n + inv[g]: c for g, c in f.num.items()}, f.den)
-
-
-def pi0(t: AlgebraElement) -> AlgebraElement:
-    """The multiplication map sum t_{g,h} delta_g (x) delta_h ->
-    sum t_{g,h} delta_{gh}, from either tensor algebra to l(G)."""
-    table = t.algebra.group.table
-    n = len(table)
-    out: SparseVec = {}
-    for k, v in t.num.items():
-        gh = table[k // n][k % n]
-        out[gh] = out.get(gh, 0) + v
-    return AlgebraElement(t.algebra.base,
-                          {k: v for k, v in out.items() if v}, t.den)
 
 
 class BasisMap:
@@ -141,6 +108,23 @@ class BasisMap:
             out[i] = j
         return BasisMap(self.ncols, out)
 
+    def apply(self, f: AlgebraElement, target: GroupAlgebra) -> AlgebraElement:
+        """The image of f in target, an algebra of dimension nrows: the
+        coefficients of columns with one image add up, and a column sent
+        to 0 or a sum that cancels is dropped."""
+        if f.algebra.dim != self.ncols or target.dim != self.nrows:
+            raise ValueError("basis map of shape %d x %d applied from "
+                             "dimension %d to %d" % (self.nrows, self.ncols,
+                                                     f.algebra.dim, target.dim))
+        im = self.images
+        out: SparseVec = {}
+        for j, v in f.num.items():
+            i = im[j]
+            if i is not None:
+                out[i] = out.get(i, 0) + v
+        return AlgebraElement(target, {i: v for i, v in out.items() if v},
+                              f.den)
+
     def __eq__(self, other):
         if not isinstance(other, BasisMap):
             return NotImplemented
@@ -180,14 +164,28 @@ def unit_map(group: FiniteGroup) -> BasisMap:
 
 
 def e_basis_map(group: FiniteGroup) -> BasisMap:
-    """E: delta_g -> delta_g (x) delta_{g^{-1}}."""
+    """E = (1 (x) S) Delta: delta_g -> delta_g (x) delta_{g^{-1}}."""
     n = group.order
     return BasisMap(n * n, (g * n + group.inverses[g] for g in range(n)))
 
 
-def left_conv_map(group: FiniteGroup, c: int) -> BasisMap:
-    """x -> delta_c * x on l(G)."""
-    return BasisMap(group.order, group.table[c])
+def translations(group: FiniteGroup
+                 ) -> Tuple[List[BasisMap], List[BasisMap]]:
+    """The maps x -> gx and x -> xg on l(G), for every g."""
+    n = group.order
+    return ([BasisMap(n, group.table[g]) for g in range(n)],
+            [BasisMap(n, group.opposite_table[g]) for g in range(n)])
+
+
+def e_map(f: AlgebraElement) -> AlgebraElement:
+    """E(f) in the enveloping algebra, for f in l(G)."""
+    return e_basis_map(f.algebra.group).apply(f, f.algebra.enveloping)
+
+
+def pi0(t: AlgebraElement) -> AlgebraElement:
+    """The multiplication map sum t_{g,h} delta_g (x) delta_h ->
+    sum t_{g,h} delta_{gh}, from either tensor algebra to l(G)."""
+    return mult_map(t.algebra.group).apply(t, t.algebra.base)
 
 
 @dataclass
@@ -242,9 +240,12 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     """Check the five Hopf diagrams plus the structural homomorphism and
     involution properties, exactly, on the full delta basis.
 
-    The diagrams read S through antipode_map and the antihomomorphism
-    check through antipode; replacing either with another permutation,
-    such as the identity on a nonabelian group, fails the antipode checks.
+    Every check reads the maps of delta_map, antipode_map and
+    e_basis_map, each built once per call: the diagrams compose them, and
+    the pair checks apply them to the product of two basis elements and
+    to each factor.  Replacing S with another permutation, such as the
+    identity on a nonabelian group, fails the antipode checks; replacing
+    Delta or E with a map that is no homomorphism fails its pair check.
     """
     alg = GroupAlgebra(group)
     require_within_cap(group.order, "Hopf structure verification")
@@ -253,6 +254,7 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     delta = delta_map(group)
     counit = counit_map(group)
     s = antipode_map(group)
+    e = e_basis_map(group)
     mult = mult_map(group)
     ident = BasisMap.identity(n)
     report = HopfReport(group.name, n)
@@ -292,22 +294,24 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
         witness = first_pair_failure(predicate)
         report.axioms[name] = AxiomResult(witness is None, pair_note, witness)
 
+    tensor, env = alg.tensor, alg.enveloping
     record_pairs(
         "comultiplication_homomorphism",
-        lambda g, h: comultiply(convolve(alg.delta(g), alg.delta(h)))
-        == comultiply(alg.delta(g)) * comultiply(alg.delta(h)))
+        lambda g, h: delta.apply(convolve(alg.delta(g), alg.delta(h)), tensor)
+        == delta.apply(alg.delta(g), tensor)
+        * delta.apply(alg.delta(h), tensor))
     record_pairs(
         "counit_homomorphism",
         lambda g, h: augmentation(convolve(alg.delta(g), alg.delta(h)))
         == augmentation(alg.delta(g)) * augmentation(alg.delta(h)))
     record_pairs(
         "antipode_antihomomorphism",
-        lambda g, h: antipode(convolve(alg.delta(g), alg.delta(h)))
-        == convolve(antipode(alg.delta(h)), antipode(alg.delta(g))))
+        lambda g, h: s.apply(convolve(alg.delta(g), alg.delta(h)), alg)
+        == convolve(s.apply(alg.delta(h), alg), s.apply(alg.delta(g), alg)))
     record_pairs(
         "e_homomorphism",
-        lambda g, h: e_map(convolve(alg.delta(g), alg.delta(h)))
-        == e_map(alg.delta(g)) * e_map(alg.delta(h)))
+        lambda g, h: e.apply(convolve(alg.delta(g), alg.delta(h)), env)
+        == e.apply(alg.delta(g), env) * e.apply(alg.delta(h), env))
     return report
 
 
@@ -338,24 +342,25 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     """Verify E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
     the enveloping algebra and every basis element c.
 
-    The left side routes through transposed convolution maps read off
-    G's table, the right side through the left multiplication by the basis
-    tensor E(delta_c), read off the enveloping product rule by index;
-    comparing the two composed maps column by column covers every basis
-    phi at once.
+    The left side routes through the transposed left translations of
+    translations(group), read off G's table, the right side through the
+    left multiplication by the basis tensor E(delta_c), read off the
+    enveloping product rule by index; comparing the two composed maps
+    column by column covers every basis phi at once.
     """
     require_within_cap(group.order, "dual action identity check")
     env = GroupAlgebra(group).enveloping
     n = group.order
     e = e_basis_map(group)
     et = e.transpose()
+    left, _ = translations(group)
     report = Eq1Report(group.name, n)
     for c in range(n):
-        lhs = left_conv_map(group, c).transpose().compose(et)
+        lhs = left[c].transpose().compose(et)
         ec = e.images[c]
-        left = BasisMap(env.dim, (env.product_index(ec, k)
-                                  for k in range(env.dim)))
-        rhs = et.compose(left.transpose())
+        by_ec = BasisMap(env.dim, (env.product_index(ec, k)
+                                   for k in range(env.dim)))
+        rhs = et.compose(by_ec.transpose())
         report.per_c[group.labels[c]] = lhs == rhs
     return report
 

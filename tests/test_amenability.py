@@ -47,7 +47,7 @@ from padicamen.finite_group import (catalog, cyclic, dihedral,
 from padicamen.group_algebra import (AlgebraElement, DualFunctional,
                                      GroupAlgebra, convolve, norm_exponent)
 from padicamen.hopf import (BasisMap, basis_tensor, lemma2_data, pi0,
-                            tensor_of)
+                            tensor_of, translations)
 
 
 def conjugacy_class_count(grp):
@@ -789,11 +789,6 @@ def _nonconstant_functional(group):
                            {g: g + 1 for g in group.elements()})]
 
 
-def _diagonal_e_basis_map(group):
-    n = group.order
-    return BasisMap(n * n, (g * n + g for g in range(n)))
-
-
 def _twice_the_mean(group, johnson, lemma2):
     return virtual_diagonal_construct(
         group, JohnsonCertificate(1, johnson.mean.scale(2)), lemma2)
@@ -802,14 +797,15 @@ def _twice_the_mean(group, johnson, lemma2):
 # one corrupted input per named check, in the order certify runs them:
 # (module, name, stand-in, message)
 NEGATIVE_CONTROLS = {
-    # S = identity, not inversion, in the Hopf diagrams
+    # S = identity, not inversion, in the map every antipode check reads
     "hopf_axioms": (
         hopf, "antipode_map", lambda group: BasisMap.identity(group.order),
         "Hopf axioms failed on symmetric:3"),
-    # E(delta_g) = delta_g (x) delta_g on both sides of the identity; the
-    # e_homomorphism Hopf check reads e_map, so the Hopf axioms still pass
+    # right translations x -> xc where eq1_check reads the left ones
+    # x -> cx; the Hopf axioms read no translation, so they still pass (a
+    # corrupted E fails the e_homomorphism Hopf check first)
     "dual_action_identity": (
-        hopf, "e_basis_map", _diagonal_e_basis_map,
+        hopf, "translations", lambda group: translations(group)[::-1],
         "dual action identity failed"),
     # the quotient relations of all generators but the last
     "quotient_isomorphism": (

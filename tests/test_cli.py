@@ -9,6 +9,7 @@ import pytest
 from oracles import relabel
 
 import padicamen.cli as cli
+import padicamen.finite_group as finite_group
 from padicamen.errors import InternalCheckError
 from padicamen.finite_group import catalog, cyclic, from_spec
 
@@ -149,25 +150,106 @@ def test_derivations_all_and_single(capsys):
     assert out.splitlines()[-1] == "all_inner: true"
 
 
-@pytest.mark.parametrize("spec", [g.name for g in catalog(12) if g.order > 1])
-def test_derivations_are_invariant_under_relabelling(capsys, tmp_path, spec):
-    # the table moved to new indices, the identity off index 0, and read
-    # from a file: every stock bimodule keeps its dimensions
+RELABELLED_SPECS = [g.name for g in catalog(12) if g.order > 1]
+
+
+def _relabelled_file(tmp_path, spec):
+    """The table of spec moved to new indices, the identity off index 0,
+    written as a table file."""
     labels, table = relabel(from_spec(spec), random.Random(spec))
+    assert table[0] != list(range(len(table)))  # 0 is not the identity
     path = tmp_path / "relabelled.json"
     path.write_text(json.dumps({"name": "relabelled", "order": len(table),
                                 "labels": labels, "table": table}),
                     encoding="utf-8")
+    return str(path)
+
+
+def _documents(capsys, command, groups, prime):
+    """The structured documents of command on each group, in order."""
     docs = []
-    for group in (spec, str(path)):
-        rc, out, err = run(capsys, ["derivations", "--group", group,
-                                    "--prime", "2", "--format", "structured"])
+    for group in groups:
+        rc, out, err = run(capsys, [command, "--group", group,
+                                    "--prime", str(prime),
+                                    "--format", "structured"])
         assert rc == 0 and err == "", group
         docs.append(json.loads(out))
-    original, moved = docs
-    assert table[0] != list(range(len(table)))  # 0 is not the identity
+    return docs
+
+
+@pytest.mark.parametrize("spec", RELABELLED_SPECS)
+def test_derivations_are_invariant_under_relabelling(capsys, tmp_path, spec):
+    # the table moved to new indices, the identity off index 0, and read
+    # from a file: every stock bimodule keeps its dimensions
+    original, moved = _documents(
+        capsys, "derivations", (spec, _relabelled_file(tmp_path, spec)), 2)
     assert moved["bimodules"] == original["bimodules"]
     assert set(moved["bimodules"]) == {"regular", "trivial", "outer_tensor"}
+
+
+def _check_fields(doc):
+    """What a certificate says that does not depend on the labels: the
+    verdicts, the exponents, the lattice counts and the check set."""
+    johnson, schikhof = doc["johnson"], doc["schikhof"]
+    lattice = dict(schikhof["method_lattice"])
+    lattice.pop("witness", None)
+    return {
+        "johnson": (johnson["amenable"], johnson["invariant_space_dim"],
+                    johnson["mean_norm_exponent"]),
+        "schikhof": (schikhof["amenable"], schikhof["method_norm"], lattice),
+        "diagonal_norm_exponent": doc["diagonal"]["norm_exponent"],
+        "checks": doc["checks"],
+    }
+
+
+def _verify_fields(doc):
+    """What a verify document says that does not depend on the labels:
+    the pass map of the Hopf axioms, the count of elements c that pass
+    the dual-action identity, and the quotient fields."""
+    per_c = doc["dual_action_identity"]["per_c"]
+    quotient = dict(doc["quotient_isomorphism"])
+    del quotient["group"]
+    return {
+        "hopf": {name: axiom["pass"]
+                 for name, axiom in doc["hopf"]["axioms"].items()},
+        "per_c": (len(per_c), sum(per_c.values())),
+        "quotient": quotient,
+        "all_pass": doc["all_pass"],
+    }
+
+
+def _same_fields(capsys, groups):
+    """check at p = 2, 3, 5, 7 and verify give the same label-free fields
+    on each group; the fields of the first are returned."""
+    checks = {}
+    for p in (2, 3, 5, 7):
+        original, moved = map(_check_fields,
+                              _documents(capsys, "check", groups, p))
+        assert moved == original, p
+        checks[p] = original
+    original, moved = map(_verify_fields,
+                          _documents(capsys, "verify", groups, 3))
+    assert moved == original
+    return checks, original
+
+
+@pytest.mark.parametrize("spec", RELABELLED_SPECS)
+def test_check_and_verify_are_invariant_under_relabelling(capsys, tmp_path,
+                                                          spec):
+    # as for derivations: the identity off index 0, read from a file
+    checks, verify = _same_fields(
+        capsys, (spec, _relabelled_file(tmp_path, spec)))
+    n = from_spec(spec).order
+    assert verify["per_c"] == (n, n) and verify["all_pass"]
+    assert all(len(doc["checks"]) == 11 for doc in checks.values())
+    assert [p for p, doc in checks.items() if not doc["schikhof"][0]] == \
+        [p for p in (2, 3, 5, 7) if n % p == 0]
+
+
+def test_product_of_coprime_cyclics_certifies_as_cyclic(capsys):
+    # C2 x C3 is C6 under other labels, with the identity at index 0 in both
+    checks, _ = _same_fields(capsys, ("cyclic:6", "product:cyclic:2,cyclic:3"))
+    assert checks[2]["schikhof"][2]["subgroup_count"] == 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,6 +331,42 @@ def test_over_cap_spec_is_refused_before_its_table_is_built(
     order = 10 ** 5 if group == "cyclic:100000" else 10 ** 6
     assert err == ("error: %s refused: group order %d exceeds the cap 24 "
                    "(override via PADICAMEN_ORDER_CAP)\n" % (stage, order))
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("check", "certificate run"),
+    ("verify", "Hopf structure verification"),
+    ("derivations", "derivation certificate"),
+])
+def test_over_cap_file_is_refused_before_its_table_is_validated(
+        capsys, monkeypatch, tmp_path, command, stage):
+    # six rows, the last of them no Latin row: the cap of 4 refuses the
+    # file by its declared order, and the table is never validated
+    monkeypatch.setenv("PADICAMEN_ORDER_CAP", "4")
+    table = [list(row) for row in cyclic(6).table]
+    table[-1] = [0] * 6
+    path = tmp_path / "broken6.json"
+    path.write_text(json.dumps({"name": "broken", "order": 6,
+                                "labels": [str(i) for i in range(6)],
+                                "table": table}), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("table validated")
+    monkeypatch.setattr(cli, "from_table", refuse)
+    monkeypatch.setattr(finite_group, "from_table", refuse)
+    rc, out, err = run(capsys, [command, "--group", str(path),
+                                "--prime", "2"])
+    assert rc == 1 and out == ""
+    assert err == ("error: %s refused: group order 6 exceeds the cap 4 "
+                   "(override via PADICAMEN_ORDER_CAP)\n" % stage)
+    # under the cap the same file is refused for its table
+    monkeypatch.undo()
+    monkeypatch.setenv("PADICAMEN_ORDER_CAP", "6")
+    rc, out, err = run(capsys, [command, "--group", str(path),
+                                "--prime", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the cap" not in err
 
 
 def test_order_cap_env_lowers_limit(capsys, monkeypatch):

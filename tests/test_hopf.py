@@ -17,10 +17,9 @@ from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      TensorAlgebra, augmentation,
                                      basis_classes, convolve, norm_exponent)
 import padicamen.hopf as hopf
-from padicamen.hopf import (BasisMap, antipode, antipode_map, basis_tensor,
-                            comultiply, delta_map, e_map, eq1_check,
-                            lemma2_data, lemma2_iso_check, mult_map, pi0,
-                            tensor_of, verify_hopf_axioms)
+from padicamen.hopf import (BasisMap, antipode_map, basis_tensor, delta_map,
+                            e_map, eq1_check, lemma2_data, lemma2_iso_check,
+                            mult_map, pi0, tensor_of, verify_hopf_axioms)
 
 GROUPS = [cyclic(1), cyclic(4), cyclic(6), dihedral(3), dihedral(4),
           symmetric(3), quaternion8()]
@@ -36,7 +35,7 @@ def random_element(rng, alg, span=6):
 def test_comultiply_is_diagonal():
     alg = GroupAlgebra(symmetric(3))
     f = alg.element([1, 2, 0, Fraction(1, 3), 0, -5])
-    t = comultiply(f)
+    t = delta_map(alg.group).apply(f, alg.tensor)
     assert t.algebra is alg.tensor
     for g in range(6):
         for h in range(6):
@@ -47,17 +46,18 @@ def test_comultiply_is_diagonal():
 def test_antipode_reverses():
     grp = cyclic(4)
     alg = GroupAlgebra(grp)
-    s = antipode(alg.delta(1))
-    assert s == alg.delta(3)
+    s = antipode_map(grp)
+    assert s.apply(alg.delta(1), alg) == alg.delta(3)
     f = alg.element([1, 2, 3, 4])
-    assert antipode(antipode(f)) == f
+    assert s.apply(s.apply(f, alg), alg) == f
     # S is an algebra antihomomorphism: S(fh) = S(h)S(f)
     rng = random.Random(9)
     nab = GroupAlgebra(symmetric(3))
+    s = antipode_map(nab.group)
     for _ in range(20):
         f, h = random_element(rng, nab), random_element(rng, nab)
-        assert antipode(convolve(f, h)) == \
-            convolve(antipode(h), antipode(f))
+        assert s.apply(convolve(f, h), nab) == \
+            convolve(s.apply(h, nab), s.apply(f, nab))
 
 
 def test_hopf_axioms_pass_on_catalog_groups():
@@ -70,13 +70,10 @@ def test_hopf_axioms_pass_on_catalog_groups():
 
 
 def corrupt_antipode(monkeypatch, images):
-    """S delta_g = delta_images[g] in both code paths of the antipode: the
-    index tuple of the diagrams and the map of the antihomomorphism
-    check."""
+    """S delta_g = delta_images[g] in the one statement of the antipode,
+    which the diagrams and the antihomomorphism check both read."""
     monkeypatch.setattr(hopf, "antipode_map",
                         lambda group: BasisMap(group.order, images))
-    monkeypatch.setattr(hopf, "antipode", lambda f: AlgebraElement(
-        f.algebra, {images[g]: c for g, c in f.num.items()}, f.den))
 
 
 def test_corrupted_antipode_fails_antipode_axioms(monkeypatch):
@@ -478,6 +475,21 @@ def test_hopf_structure_builds_and_validates():
     assert mult.images[2 * 8 + 4] == grp.table[2][4]
 
 
+def test_basis_map_apply_adds_drops_and_reduces():
+    alg = GroupAlgebra(cyclic(4))
+    m = BasisMap(4, (1, 1, None, 3))
+    # delta_0 and delta_1 share an image and cancel, delta_2 goes to 0,
+    # and 2/4 at delta_3 is kept over the denominator, then reduced
+    image = m.apply(AlgebraElement(alg, {0: 1, 1: -1, 2: 5, 3: 2}, 4), alg)
+    assert (image.num, image.den) == ({3: 1}, 2)
+    assert m.apply(alg.delta(0) + alg.delta(1), alg) == alg.delta(1).scale(2)
+    assert m.apply(alg.delta(2), alg).is_zero()
+    for f, target in [(alg.delta(0), alg.tensor),
+                      (alg.tensor.delta(0), alg)]:
+        with pytest.raises(ValueError, match="basis map of shape 4 x 4"):
+            m.apply(f, target)
+
+
 @pytest.mark.parametrize("grp", [symmetric(3), quaternion8(), dihedral(4)],
                          ids=lambda g: g.name)
 def test_tensor_products_match_per_leg_convolution(grp):
@@ -501,6 +513,18 @@ def test_tensor_products_match_per_leg_convolution(grp):
                                   alg.enveloping)
 
 
+def _shifted_delta(group, t=1):
+    # delta_g -> delta_g (x) delta_{tg}, t != e
+    n = group.order
+    return BasisMap(n * n, (g * n + group.table[t][g] for g in range(n)))
+
+
+def _diagonal_e(group):
+    # E(delta_g) = delta_g (x) delta_g
+    n = group.order
+    return BasisMap(n * n, (g * n + g for g in range(n)))
+
+
 def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
     grp = symmetric(3)
     n = grp.order
@@ -517,10 +541,7 @@ def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
     assert report.axioms["coassociativity"].passed
     # delta_g -> delta_g (x) delta_{tg}, t != e, breaks coassociativity too:
     # the sides give g (x) tg (x) tg and g (x) tg (x) ttg
-    t = 1
-    monkeypatch.setattr(hopf, "delta_map",
-                        lambda group: BasisMap(n * n, (g * n + grp.table[t][g]
-                                                       for g in range(n))))
+    monkeypatch.setattr(hopf, "delta_map", _shifted_delta)
     report = verify_hopf_axioms(grp)
     for name in ("coassociativity", "counit_left"):
         assert not report.axioms[name].passed, name
@@ -532,12 +553,38 @@ def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
 def test_corrupted_e_fails_dual_action_identity(monkeypatch):
     grp = symmetric(3)
     # E(delta_g) = delta_g (x) delta_g instead of delta_g (x) delta_{g^-1}
-    monkeypatch.setattr(
-        hopf, "e_basis_map",
-        lambda group: BasisMap(36, (g * 6 + g for g in range(6))))
+    monkeypatch.setattr(hopf, "e_basis_map", _diagonal_e)
     report = eq1_check(grp)
     assert False in report.per_c.values()
     assert report.per_c["012"]  # the identity element still commutes
+    assert not report.all_pass
+    # the Hopf check reads the same E, so it rejects it first
+    hopf_report = verify_hopf_axioms(grp)
+    assert not hopf_report.axioms["e_homomorphism"].passed
+    assert not hopf_report.all_pass
+
+
+PAIR_CHECKS = ("comultiplication_homomorphism", "counit_homomorphism",
+               "antipode_antihomomorphism", "e_homomorphism")
+
+
+@pytest.mark.parametrize("builder, stand_in, axiom", [
+    ("delta_map", _shifted_delta, "comultiplication_homomorphism"),
+    ("antipode_map", lambda group: BasisMap.identity(group.order),
+     "antipode_antihomomorphism"),
+    ("e_basis_map", _diagonal_e, "e_homomorphism"),
+], ids=["delta", "antipode", "e"])
+def test_each_pair_check_fails_on_its_own_map(monkeypatch, builder,
+                                              stand_in, axiom):
+    # the pair check reads the map its builder states, and no other
+    grp = symmetric(3)
+    assert grp.identity == 0 and grp.table[1][0] != 0
+    monkeypatch.setattr(hopf, builder, stand_in)
+    report = verify_hopf_axioms(grp)
+    failed = [name for name in PAIR_CHECKS if not report.axioms[name].passed]
+    assert failed == [axiom]
+    witness = report.axioms[axiom].witness
+    assert witness.startswith("pair (") and witness.endswith(")")
     assert not report.all_pass
 
 
