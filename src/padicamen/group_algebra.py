@@ -19,9 +19,10 @@ arithmetic.  Rational input enters through from_coeffs (and the dense
 GroupAlgebra.element), and the coeffs property reads the coefficients
 back as Fractions for documents and repr.  An element of
 l(G) is read in three ways, all legitimate in finite dimension: as an
-algebra element sum alpha_g delta_g, as a bounded function on G, and (via
-the explicit pairing) as a functional on functions.  DualFunctional is a
-separate type reserved for means, i.e. functionals on the function space.
+algebra element sum alpha_g delta_g, as a bounded function on G, and as
+the functional phi -> sum_g alpha_g phi(g) on functions.  A mean is an
+element read the third way, and its value on the constant function 1 is
+its augmentation: m(1) = augmentation(m).
 
 The algebras hold no prime: their elements and products are rational and
 the same over every Q_p.  The norm is the sup of |alpha|_p over the
@@ -157,15 +158,15 @@ class TensorAlgebra(GroupAlgebra):
         return f"TensorAlgebra({self.group.name}, {kind})"
 
 
-class _CoeffVector:
-    """Shared sparse-vector mechanics for elements and functionals.
+class AlgebraElement:
+    """Element of l(G) or of one of its tensor algebras.
 
     The coefficient of e_k is num[k] / den: num maps a flat basis index to
     a nonzero int and den is a positive int.  The constructor brings the
     pair to lowest terms (den > 0, gcd(den, *num) = 1, den = 1 for zero),
-    so equal vectors have equal pairs.  It trusts its callers to pass
+    so equal elements have equal pairs.  It trusts its callers to pass
     ints; rationals go through from_coeffs.  Nothing is mutated once the
-    vector is built.
+    element is built.
     """
 
     __slots__ = ("algebra", "num", "den")
@@ -183,8 +184,8 @@ class _CoeffVector:
 
     @classmethod
     def from_coeffs(cls, algebra: GroupAlgebra,
-                    coeffs: Mapping[int, ScalarLike]):
-        """The vector with the given rational coefficients, zeros
+                    coeffs: Mapping[int, ScalarLike]) -> "AlgebraElement":
+        """The element with the given rational coefficients, zeros
         dropped: the one way rationals enter."""
         fracs = {k: Fraction(c) for k, c in coeffs.items()}
         den = math.lcm(*(c.denominator for c in fracs.values()))
@@ -200,7 +201,7 @@ class _CoeffVector:
         return not self.num
 
     def _require_same(self, other):
-        if type(self) is not type(other) or \
+        if not isinstance(other, AlgebraElement) or \
                 not self.algebra.compatible(other.algebra):
             raise ValueError(
                 "operands live in different algebras or types: %r vs %r"
@@ -208,23 +209,23 @@ class _CoeffVector:
             )
 
     def __eq__(self, other):
-        if type(self) is not type(other):
+        if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.algebra.compatible(other.algebra) and \
             self.den == other.den and self.num == other.num
 
-    def scale(self, c: ScalarLike):
-        """c times the vector; an int c stays in int arithmetic."""
+    def scale(self, c: ScalarLike) -> "AlgebraElement":
+        """c times the element; an int c stays in int arithmetic."""
         if isinstance(c, int):
             top, bottom = c, 1
         else:
             c = Fraction(c)
             top, bottom = c.numerator, c.denominator
         if not top:
-            return type(self)(self.algebra, {})
-        return type(self)(self.algebra,
-                          {k: top * v for k, v in self.num.items()},
-                          self.den * bottom)
+            return AlgebraElement(self.algebra, {})
+        return AlgebraElement(self.algebra,
+                              {k: top * v for k, v in self.num.items()},
+                              self.den * bottom)
 
     def to_doc(self) -> Dict:
         return self.algebra.doc(self.coeffs)
@@ -233,11 +234,7 @@ class _CoeffVector:
         body = ", ".join(
             f"{self.algebra.label(k)}: {c}"
             for k, c in sorted(self.coeffs.items())) or "0"
-        return f"{type(self).__name__}({body})"
-
-
-class AlgebraElement(_CoeffVector):
-    """Element of l(G) or of one of its tensor algebras."""
+        return f"AlgebraElement({body})"
 
     def __add__(self, other) -> "AlgebraElement":
         self._require_same(other)
@@ -264,17 +261,6 @@ class AlgebraElement(_CoeffVector):
 
     def __mul__(self, other) -> "AlgebraElement":
         return convolve(self, other)
-
-
-class DualFunctional(_CoeffVector):
-    """Functional on the function space: m(f) = sum_h m_h f(h)."""
-
-    def pair(self, f: AlgebraElement) -> Fraction:
-        if not self.algebra.compatible(f.algebra):
-            raise ValueError("functional and function live over different data")
-        fn = f.num
-        return Fraction(sum(m * fn[k] for k, m in self.num.items() if k in fn),
-                        self.den * f.den)
 
 
 def convolve(f: AlgebraElement, h: AlgebraElement) -> AlgebraElement:
@@ -318,11 +304,6 @@ def augmentation(f: AlgebraElement) -> ScalarLike:
     return total if f.den == 1 else Fraction(total, f.den)
 
 
-def i0_membership(f: AlgebraElement) -> bool:
-    """Membership in the augmentation ideal I_0 = ker epsilon."""
-    return not sum(f.num.values())
-
-
 def i0_basis(algebra: GroupAlgebra) -> List[AlgebraElement]:
     """Basis of I_0: delta_g - delta_e for g != e (empty for order 1)."""
     e = algebra.group.identity
@@ -343,7 +324,7 @@ def i0_identity(algebra: GroupAlgebra) -> AlgebraElement:
     """
     n = algebra.group.order
     e0 = algebra.one() - algebra.ones().scale(Fraction(1, n))
-    if not i0_membership(e0):
+    if augmentation(e0) != 0:
         raise InternalCheckError("candidate I_0 identity has nonzero augmentation")
     for f in i0_basis(algebra):
         if convolve(f, e0) != f or convolve(e0, f) != f:

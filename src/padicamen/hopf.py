@@ -17,7 +17,9 @@ Every quotient relation is a difference of two basis tensors, so the
 quotient is held as a partition of the basis into classes.  Each of
 Delta, S, E, pi0 and the left translations is stated once, by the
 function that builds its BasisMap, and BasisMap.apply carries it to
-elements, so every stage reads the map a check certified.  The two sides
+elements, so every stage reads the map a check certified.  The counit is
+counit_map, which the counit diagrams read, and augmentation on
+elements, which the counit_homomorphism check reads.  The two sides
 of a check still come from independent code paths.  The diagrams compare
 compositions of index tuples.  A pair check compares a map applied to a
 product read off G's table with the product of the images under the
@@ -42,19 +44,6 @@ from .group_algebra import (AlgebraElement, GroupAlgebra, SparseVec,
 def basis_tensor(algebra: GroupAlgebra, g: int, h: int) -> AlgebraElement:
     """delta_g (x) delta_h in the tensor algebra given."""
     return algebra.delta(g * algebra.base.dim + h)
-
-
-def tensor_of(f: AlgebraElement, h: AlgebraElement,
-              target: GroupAlgebra) -> AlgebraElement:
-    """The elementary tensor f (x) h in target, a tensor algebra of the
-    algebra of f and h."""
-    f._require_same(h)
-    if target is target.base or not target.base.compatible(f.algebra):
-        raise ValueError("%r is no tensor algebra of %r" % (target, f.algebra))
-    n = f.algebra.dim
-    return AlgebraElement(target, {
-        g * n + x: a * b
-        for g, a in f.num.items() for x, b in h.num.items()}, f.den * h.den)
 
 
 class BasisMap:

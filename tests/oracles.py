@@ -8,7 +8,8 @@ tests can require the two to agree.  The package's elements hold int
 numerators over one denominator; `fraction_add` and `fraction_convolve` are
 the sum and the product on plain Fraction coefficients, as the package
 computed them before.  `apply` applies a BasisMap to a sparse vector, which
-tests use to apply transposed actions, and `relabel` moves a group's
+tests use to apply transposed actions, `tensor_of` builds the elementary
+tensor f (x) h coefficient by coefficient, and `relabel` moves a group's
 elements to other indices, for checks that relabelling changes no verdict;
 `relabelled_catalog` pairs each catalog group with such a copy.  The
 package checks the bimodule axioms on a generating set too, and
@@ -132,6 +133,16 @@ def apply(mp: BasisMap, vec: FractionVec) -> FractionVec:
         else:
             out.pop(i, None)
     return out
+
+
+def tensor_of(f: AlgebraElement, h: AlgebraElement,
+              target: GroupAlgebra) -> AlgebraElement:
+    """The elementary tensor f (x) h in target, a tensor algebra of the
+    algebra of f and h."""
+    n = f.algebra.dim
+    return AlgebraElement.from_coeffs(target, {
+        g * n + x: a * b
+        for g, a in f.coeffs.items() for x, b in h.coeffs.items()})
 
 
 def kernel_basis_failure(u: AlgebraElement) -> Optional[Tuple[int, int]]:

@@ -42,7 +42,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import valuation
+from oracles import tensor_of, valuation
 
 from padicamen import cli
 from padicamen.amenability import (VirtualDiagonal, derivation_spaces,
@@ -55,8 +55,7 @@ from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      augmentation, convolve, i0_identity,
                                      norm_exponent)
 from padicamen.hopf import (BasisMap, basis_tensor, eq1_check, lemma2_data,
-                            lemma2_iso_check, pi0, tensor_of,
-                            verify_hopf_axioms)
+                            lemma2_iso_check, pi0, verify_hopf_axioms)
 
 PRIMES = (2, 3, 5, 7)
 

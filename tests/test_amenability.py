@@ -26,7 +26,7 @@ import pytest
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
 from oracles import (apply, bimodule_axiom_failure, johnson_identity_failure,
                      kernel_basis_failure, relabel, relabelled_catalog,
-                     valuation)
+                     tensor_of, valuation)
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
@@ -44,10 +44,10 @@ from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (catalog, cyclic, dihedral,
                                     enumerate_subgroups, from_spec,
                                     from_table, quaternion8, symmetric)
-from padicamen.group_algebra import (AlgebraElement, DualFunctional,
-                                     GroupAlgebra, convolve, norm_exponent)
+from padicamen.group_algebra import (AlgebraElement, GroupAlgebra, convolve,
+                                     norm_exponent)
 from padicamen.hopf import (BasisMap, basis_tensor, lemma2_data, pi0,
-                            tensor_of, translations)
+                            translations)
 
 
 def conjugacy_class_count(grp):
@@ -235,7 +235,7 @@ def test_virtual_diagonal_construct_rejects_each_corruption():
 
     # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
     with pytest.raises(InternalCheckError, match="quotient relation"):
-        build(certificate(DualFunctional.from_coeffs(alg, alg.one().coeffs)))
+        build(certificate(alg.one()))
     # twice the mean is invariant too, so only the closed form catches it
     with pytest.raises(InternalCheckError, match="closed form"):
         build(certificate(jc.mean.scale(2)))
@@ -773,8 +773,7 @@ def test_zero_total_invariant_functional_exits_2(capsys, monkeypatch):
     # a functional that vanishes on 1 cannot be normalized into a mean
     def vanishing(group):
         alg = GroupAlgebra(group)
-        return [DualFunctional.from_coeffs(
-            alg, (alg.delta(1) - alg.one()).coeffs)]
+        return [alg.delta(1) - alg.one()]
     monkeypatch.setattr(amenability, "invariant_functional_space", vanishing)
     _fails_internally(capsys, symmetric(3), 3, "vanishes on 1")
 
@@ -785,7 +784,7 @@ def _two_functionals(group):
 
 
 def _nonconstant_functional(group):
-    return [DualFunctional(GroupAlgebra(group),
+    return [AlgebraElement(GroupAlgebra(group),
                            {g: g + 1 for g in group.elements()})]
 
 
@@ -832,8 +831,8 @@ NEGATIVE_CONTROLS = {
         "constructed diagonal differs from the closed form"),
     # the balance identity read as (a (x) a) d = d: a 3-cycle breaks it
     "virtual_diagonal_identities": (
-        amenability, "tensor_of",
-        lambda f, h, target: tensor_of(f, f, target),
+        amenability, "basis_tensor",
+        lambda alg, g, h: basis_tensor(alg, g, g),
         "balance identity fails at"),
     "mean_diagonal_round_trip": (
         amenability, "mean_from_diagonal",

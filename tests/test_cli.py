@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from oracles import relabel
+from oracles import relabel, relabelled_catalog
 
 import padicamen.cli as cli
 import padicamen.finite_group as finite_group
@@ -244,6 +244,67 @@ def test_check_and_verify_are_invariant_under_relabelling(capsys, tmp_path,
     assert all(len(doc["checks"]) == 11 for doc in checks.values())
     assert [p for p, doc in checks.items() if not doc["schikhof"][0]] == \
         [p for p in (2, 3, 5, 7) if n % p == 0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_is_invariant_under_relabelling(capsys, monkeypatch, seed):
+    # sweep reads only the built-in catalog, so the catalog is replaced in
+    # process by its relabelled copies, which keep the catalog names (the
+    # trivial group has none and stays); a sweep row holds no label
+    argv = ["sweep", "--max-order", "24", "--format", "structured"]
+    rc, original, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    copies = list({g.name: g for g in relabelled_catalog(24, seed)}.values())
+    assert [g.name for g in copies] == [g.name for g in catalog(24)]
+    assert all(g.identity != 0 for g in copies if g.order > 1)
+    monkeypatch.setattr(cli, "catalog", lambda max_order: copies)
+    rc, moved, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert moved == original
+
+
+def _order_300_file(tmp_path, defect):
+    """cyclic:300 as a table file, with defect applied to its labels and
+    table near their ends."""
+    grp = cyclic(300)
+    labels, table = list(grp.labels), [list(row) for row in grp.table]
+    defect(labels, table)
+    path = tmp_path / "order300.json"
+    path.write_text(json.dumps({"name": "big", "order": 300,
+                                "labels": labels, "table": table}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _bad_last_entry(labels, table):
+    table[-1][-1] = 300
+
+
+def _int_last_label(labels, table):
+    labels[-1] = 299
+
+
+def _repeated_last_label(labels, table):
+    labels[-1] = labels[-2]
+
+
+@pytest.mark.parametrize("defect, message", [
+    (_bad_last_entry, "big: row 299 contains an out-of-range entry"),
+    (_int_last_label, "labels must be strings"),
+    (_repeated_last_label, "big: duplicate labels"),
+], ids=["bad-last-entry", "int-last-label", "repeated-last-label"])
+def test_hostile_table_file_at_order_300_exits_1(capsys, monkeypatch,
+                                                 tmp_path, defect, message):
+    # under a cap that admits the file, the defect at the end of the
+    # labels or of the table is found and reported in one line
+    monkeypatch.setenv("PADICAMEN_ORDER_CAP", "300")
+    path = _order_300_file(tmp_path, defect)
+    for command in ("check", "verify", "derivations"):
+        rc, out, err = run(capsys, [command, "--group", path,
+                                    "--prime", "2"])
+        assert rc == 1 and out == "", command
+        assert err.startswith("error: ") and err.count("\n") == 1, command
+        assert message in err and "Traceback" not in err, command
 
 
 def test_product_of_coprime_cyclics_certifies_as_cyclic(capsys):
