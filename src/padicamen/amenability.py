@@ -50,8 +50,8 @@ from .group_algebra import (AlgebraElement, GroupAlgebra, augmentation,
                             basis_classes, format_norm_exponent, i0_identity,
                             norm_exponent)
 from .hopf import (BasisMap, Lemma2Data, basis_tensor, counit_map, e_map,
-                   eq1_check, lemma2_data, lemma2_iso_check, pi0,
-                   translations, verify_hopf_axioms)
+                   eq1_check, lemma2_data, lemma2_iso_check, mult_map,
+                   pi0, translations, verify_hopf_axioms)
 from .valued_field import require_prime
 
 
@@ -278,7 +278,8 @@ def virtual_diagonal_construct(group: FiniteGroup,
     # lift delta_e through the induced isomorphism class(e_r) -> pi0(e_r):
     # it sends each class to one basis element, so the lift is the one
     # class whose representative multiplies to e
-    over_e = [r for r in reps if grp.table[r // n][r % n] == grp.identity]
+    products = mult_map(grp).images
+    over_e = [r for r in reps if products[r] == grp.identity]
     if not over_e:
         raise InternalCheckError(
             "delta_e is not in the image of the induced map")

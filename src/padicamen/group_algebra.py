@@ -15,14 +15,13 @@ Elements are sparse and exact: a SparseVec, a dict from flat basis index
 to a nonzero int numerator, over one positive int denominator shared by
 every coefficient.  The pair is kept in lowest terms, so one value has
 one representation and equality is structural; products and sums are int
-arithmetic.  Rational input enters through from_coeffs (and the dense
-GroupAlgebra.element), and the coeffs property reads the coefficients
-back as Fractions for documents and repr.  An element of
-l(G) is read in three ways, all legitimate in finite dimension: as an
-algebra element sum alpha_g delta_g, as a bounded function on G, and as
-the functional phi -> sum_g alpha_g phi(g) on functions.  A mean is an
-element read the third way, and its value on the constant function 1 is
-its augmentation: m(1) = augmentation(m).
+arithmetic.  Rational input enters through from_coeffs, and the coeffs
+property reads the coefficients back as Fractions for documents and
+repr.  An element of l(G) is read in three ways, all legitimate in
+finite dimension: as an algebra element sum alpha_g delta_g, as a
+bounded function on G, and as the functional phi -> sum_g alpha_g phi(g)
+on functions.  A mean is an element read the third way, and its value on
+the constant function 1 is its augmentation: m(1) = augmentation(m).
 
 The algebras hold no prime: their elements and products are rational and
 the same over every Q_p.  The norm is the sup of |alpha|_p over the
@@ -36,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import InternalCheckError
 from .finite_group import FiniteGroup
@@ -85,15 +84,6 @@ class GroupAlgebra:
                 and self.second == other.second
                 and self.group.table == other.group.table
                 and self.group.labels == other.group.labels)
-
-    def element(self, coeffs: Sequence[ScalarLike]) -> "AlgebraElement":
-        """The element with the given dense rational coefficients."""
-        if len(coeffs) != self.dim:
-            raise ValueError(
-                "coefficient vector of length %d for group of order %d"
-                % (len(coeffs), self.dim)
-            )
-        return AlgebraElement.from_coeffs(self, dict(enumerate(coeffs)))
 
     def product_index(self, i: int, j: int) -> int:
         """The flat index of e_i * e_j: the product rule

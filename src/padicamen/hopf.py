@@ -24,11 +24,20 @@ of a check still come from independent code paths.  The diagrams compare
 compositions of index tuples.  A pair check compares a map applied to a
 product read off G's table with the product of the images under the
 target's product rule (GroupAlgebra.product_index, whose second leg
-reads the opposite table in the enveloping algebra).  eq1_check compares
-transposed index tuples read off G's table with the enveloping product
-rule read by index, and the action check of the quotient isomorphism
-compares that rule with G's table, so a transposition or index mistake
-in one path cannot cancel against the same mistake in the other.
+reads the opposite table in the enveloping algebra).  On coefficient
+vectors the two sides of the dual-action identity are (E L_c)^T and
+(l_E(c) E)^T, for L_c the left translation by c and l_E(c) the left
+multiplication by E(delta_c), and M^T = N^T exactly when M = N.  So
+eq1_check compares E L_c, read off G's table, with l_E(c) E, read off
+the enveloping product rule by index.  Column a of those maps is
+E(delta_ca) and E(delta_c)E(delta_a), so the dual-action identity and
+the e_homomorphism pair check decide the same equations
+E(ca) = E(c)E(a), the pair check through convolve and BasisMap.apply.
+Both stay, and each can fail on its own: eq1_check reads the
+translations and the pair check reads convolve.  The action check of the
+quotient isomorphism compares the enveloping product rule with G's
+table, so an index mistake in one path cannot cancel against the same
+mistake in the other.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ class BasisMap:
     or None when e_j maps to 0; nrows is the dimension of the target.
     The Hopf structure maps, translations by group elements and the
     actions of the stock bimodules all have this form, so composition,
-    tensor product, transposition and equality act on index tuples.
+    tensor product and equality act on index tuples.
     """
 
     __slots__ = ("nrows", "images")
@@ -84,18 +93,6 @@ class BasisMap:
         return BasisMap(self.nrows * m, (
             None if i is None or j is None else i * m + j
             for i in self.images for j in other.images))
-
-    def transpose(self) -> "BasisMap":
-        """Transpose of an injective map: e_i goes to e_j where
-        images[j] = i, and to 0 where i is no image."""
-        out: List[Optional[int]] = [None] * self.nrows
-        for j, i in enumerate(self.images):
-            if i is None:
-                continue
-            if out[i] is not None:
-                raise ValueError("transpose of a non-injective basis map")
-            out[i] = j
-        return BasisMap(self.ncols, out)
 
     def apply(self, f: AlgebraElement, target: GroupAlgebra) -> AlgebraElement:
         """The image of f in target, an algebra of dimension nrows: the
@@ -331,26 +328,27 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     """Verify E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
     the enveloping algebra and every basis element c.
 
-    The left side routes through the transposed left translations of
-    translations(group), read off G's table, the right side through the
-    left multiplication by the basis tensor E(delta_c), read off the
-    enveloping product rule by index; comparing the two composed maps
-    column by column covers every basis phi at once.
+    On coefficient vectors the left side sends phi to L_c^T E^T phi and
+    the right side to E^T l_E(c)^T phi, for L_c the left translation by c
+    and l_E(c) the left multiplication by E(delta_c).  By transposition
+    they are (E L_c)^T and (l_E(c) E)^T, and M^T = N^T exactly when
+    M = N.  So comparing the n images of E L_c, through the left
+    translations of translations(group) read off G's table, with those of
+    l_E(c) E, read off the enveloping product rule by index, decides the
+    identity for all n^2 basis phi at once: 2n^2 reads in all.  Column a
+    of the two maps is E(delta_ca) and E(delta_c)E(delta_a), so these are
+    the equations E(ca) = E(c)E(a) that the e_homomorphism Hopf check
+    decides through convolve and BasisMap.apply.  Each check can fail on
+    its own: this one reads the translations and the pair check convolve.
     """
     require_within_cap(group.order, "dual action identity check")
     env = GroupAlgebra(group).enveloping
-    n = group.order
     e = e_basis_map(group)
-    et = e.transpose()
     left, _ = translations(group)
-    report = Eq1Report(group.name, n)
-    for c in range(n):
-        lhs = left[c].transpose().compose(et)
-        ec = e.images[c]
-        by_ec = BasisMap(env.dim, (env.product_index(ec, k)
-                                   for k in range(env.dim)))
-        rhs = et.compose(by_ec.transpose())
-        report.per_c[group.labels[c]] = lhs == rhs
+    report = Eq1Report(group.name, group.order)
+    for c, label in enumerate(group.labels):
+        by_ec = tuple(env.product_index(e.images[c], j) for j in e.images)
+        report.per_c[label] = e.compose(left[c]).images == by_ec
     return report
 
 
@@ -436,11 +434,11 @@ def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:
     env = GroupAlgebra(group).enveloping
     n, e = group.order, group.identity
     table = group.table
+    products = mult_map(group).images
     relations, classes = lemma2
-    well_defined = all(
-        table[i // n][i % n] == table[j // n][j % n] for i, j in relations)
+    well_defined = all(products[i] == products[j] for i, j in relations)
     # induced map on classes: class of e_r -> delta_{pi0(e_r)}
-    phi = {r: table[r // n][r % n] for r in sorted(set(classes))}
+    phi = {r: products[r] for r in sorted(set(classes))}
     bijective = len(phi) == n and len(set(phi.values())) == n
 
     def commutes(wg: int, wh: int) -> bool:

@@ -7,10 +7,15 @@ extension.  The functions here do the full work those reductions avoid, so
 tests can require the two to agree.  The package's elements hold int
 numerators over one denominator; `fraction_add` and `fraction_convolve` are
 the sum and the product on plain Fraction coefficients, as the package
-computed them before.  `apply` applies a BasisMap to a sparse vector, which
-tests use to apply transposed actions, `tensor_of` builds the elementary
-tensor f (x) h coefficient by coefficient, and `relabel` moves a group's
-elements to other indices, for checks that relabelling changes no verdict;
+computed them before.  `apply` applies a BasisMap to a sparse vector and
+`transpose` gives the transpose of an injective one, which tests use to
+apply transposed actions.  The package decides the dual-action identity
+on the maps E L_c and l_E(c) E, whose transposes are its two sides, and
+`dual_action_verdicts` composes the transposed maps themselves, over all
+n^2 basis functionals.  `tensor_of` builds the elementary tensor
+f (x) h coefficient by coefficient, and `relabel` moves a group's
+elements to other indices (by `permuted`, given the new index of each),
+for checks that relabelling changes no verdict;
 `relabelled_catalog` pairs each catalog group with such a copy.  The
 package checks the bimodule axioms on a generating set too, and
 `bimodule_axiom_failure` checks them at every pair.  The package decides
@@ -135,6 +140,40 @@ def apply(mp: BasisMap, vec: FractionVec) -> FractionVec:
     return out
 
 
+def transpose(mp: BasisMap) -> BasisMap:
+    """Transpose of an injective basis map: e_i goes to e_j where
+    images[j] = i, and to 0 where i is no image."""
+    out: List[Optional[int]] = [None] * mp.nrows
+    for j, i in enumerate(mp.images):
+        if i is None:
+            continue
+        if out[i] is not None:
+            raise ValueError("transpose of a non-injective basis map")
+        out[i] = j
+    return BasisMap(mp.ncols, out)
+
+
+def dual_action_verdicts(group: FiniteGroup, e: BasisMap,
+                         left: Sequence[BasisMap]) -> Dict[str, bool]:
+    """For each label c, whether E^*(phi).c = E^*(phi.E(c)) holds for
+    every basis functional phi, with E the basis map e and left[c] the
+    translation by c: the transposed sides L_c^T E^T and E^T l_E(c)^T,
+    n^2 columns each, where l_E(c) is left multiplication by E(delta_c)
+    in the enveloping algebra, read off G's table with the second leg in
+    the opposite order."""
+    table = group.table
+    n = group.order
+    et = transpose(e)
+    verdicts = {}
+    for c, label in enumerate(group.labels):
+        g, s = divmod(e.images[c], n)
+        by_ec = BasisMap(n * n, (table[g][x] * n + table[y][s]
+                                 for x in range(n) for y in range(n)))
+        verdicts[label] = transpose(left[c]).compose(et) == \
+            et.compose(transpose(by_ec))
+    return verdicts
+
+
 def tensor_of(f: AlgebraElement, h: AlgebraElement,
               target: GroupAlgebra) -> AlgebraElement:
     """The elementary tensor f (x) h in target, a tensor algebra of the
@@ -171,6 +210,12 @@ def relabel(g: FiniteGroup, rng: random.Random
     new = list(range(g.order))
     while new[g.identity] == g.identity:
         rng.shuffle(new)
+    return permuted(g, new)
+
+
+def permuted(g: FiniteGroup, new: Sequence[int]
+             ) -> Tuple[List[str], List[List[int]]]:
+    """Labels and table of g with element a moved to index new[a]."""
     table = [[0] * g.order for _ in range(g.order)]
     for a, row in enumerate(g.table):
         for b, ab in enumerate(row):

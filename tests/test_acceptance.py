@@ -217,11 +217,11 @@ def _random_fraction(rng, p):
 
 
 def _random_element(rng, alg, p):
-    coeffs = tuple(
-        Fraction(0) if rng.random() < 0.3 else _random_fraction(rng, p)
-        for _ in range(alg.group.order)
-    )
-    return alg.element(coeffs)
+    coeffs = {
+        g: Fraction(0) if rng.random() < 0.3 else _random_fraction(rng, p)
+        for g in range(alg.group.order)
+    }
+    return AlgebraElement.from_coeffs(alg, coeffs)
 
 
 def test_acceptance_7_randomized_norm_laws():

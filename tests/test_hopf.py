@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 from exact_linalg import Echelon
-from oracles import QuotientRelations, apply, tensor_of
+from oracles import (QuotientRelations, apply, dual_action_verdicts,
+                     relabelled_catalog, tensor_of, transpose)
 
 import padicamen.amenability as amenability
 from padicamen.amenability import certify
@@ -18,23 +19,25 @@ from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      basis_classes, convolve, norm_exponent)
 import padicamen.hopf as hopf
 from padicamen.hopf import (BasisMap, antipode_map, basis_tensor, delta_map,
-                            e_map, eq1_check, lemma2_data, lemma2_iso_check,
-                            mult_map, pi0, verify_hopf_axioms)
+                            e_basis_map, e_map, eq1_check, lemma2_data,
+                            lemma2_iso_check, mult_map, pi0, translations,
+                            verify_hopf_axioms)
 
 GROUPS = [cyclic(1), cyclic(4), cyclic(6), dihedral(3), dihedral(4),
           symmetric(3), quaternion8()]
 
 
 def random_element(rng, alg, span=6):
-    return alg.element([
-        Fraction(rng.randint(-span, span), rng.randint(1, 3))
-        for _ in range(alg.group.order)
-    ])
+    return AlgebraElement.from_coeffs(alg, {
+        g: Fraction(rng.randint(-span, span), rng.randint(1, 3))
+        for g in range(alg.group.order)
+    })
 
 
 def test_comultiply_is_diagonal():
     alg = GroupAlgebra(symmetric(3))
-    f = alg.element([1, 2, 0, Fraction(1, 3), 0, -5])
+    f = AlgebraElement.from_coeffs(
+        alg, {0: 1, 1: 2, 3: Fraction(1, 3), 5: -5})
     t = delta_map(alg.group).apply(f, alg.tensor)
     assert t.algebra is alg.tensor
     for g in range(6):
@@ -48,7 +51,7 @@ def test_antipode_reverses():
     alg = GroupAlgebra(grp)
     s = antipode_map(grp)
     assert s.apply(alg.delta(1), alg) == alg.delta(3)
-    f = alg.element([1, 2, 3, 4])
+    f = AlgebraElement.from_coeffs(alg, {0: 1, 1: 2, 2: 3, 3: 4})
     assert s.apply(s.apply(f, alg), alg) == f
     # S is an algebra antihomomorphism: S(fh) = S(h)S(f)
     rng = random.Random(9)
@@ -193,7 +196,8 @@ def test_tensor_algebras_built_once_per_algebra():
 
 def test_tensor_element_ops():
     alg = GroupAlgebra(cyclic(3))
-    t = tensor_of(alg.element([1, 2, 0]), alg.element([0, 1, 1]), alg.tensor)
+    t = tensor_of(AlgebraElement.from_coeffs(alg, {0: 1, 1: 2}),
+                  AlgebraElement.from_coeffs(alg, {1: 1, 2: 1}), alg.tensor)
     assert t.coeffs == {1: 1, 2: 1, 4: 2, 5: 2}
     assert (t - t).is_zero()
     assert t.scale(0).is_zero()
@@ -225,12 +229,12 @@ def test_basis_map_basics():
     assert m.compose(m).images == (0, None, 2)
     assert apply(m, {0: f(1), 1: f(4), 2: f(3)}) == {2: f(1), 0: f(3)}
     assert apply(BasisMap(1, (0, 0)), {0: f(1), 1: f(-1)}) == {}
-    assert m.transpose().images == (2, None, 0)
+    assert transpose(m).images == (2, None, 0)
     e = BasisMap(4, (3, 1))  # injective, rank 2 in a 4-dimensional target
-    assert e.transpose().images == (None, 1, None, 0)
-    assert e.transpose().compose(e) == BasisMap.identity(2)
+    assert transpose(e).images == (None, 1, None, 0)
+    assert transpose(e).compose(e) == BasisMap.identity(2)
     with pytest.raises(ValueError):
-        BasisMap(1, (0, 0)).transpose()
+        transpose(BasisMap(1, (0, 0)))
     with pytest.raises(ValueError):
         m.compose(e)  # e lands in dimension 4, m reads dimension 3
     kron = e.kron(m)
@@ -246,6 +250,27 @@ def test_eq1_identity_on_catalog_groups():
         report = eq1_check(grp)
         assert report.all_pass, grp.name
         assert len(report.per_c) == grp.order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_action_identity_matches_transposed_oracle(monkeypatch, seed):
+    # the package compares E L_c with l_E(c) E, the oracle their
+    # transposes over all n^2 basis functionals; with a corrupted E or
+    # right translations in place of the left ones, some c fail
+    verdicts = set()
+    for grp in relabelled_catalog(12, seed):
+        left, right = translations(grp)
+        for e, sides in [(e_basis_map(grp), (left, right)),
+                         (_diagonal_e(grp), (left, right)),
+                         (_shifted_e(grp), (left, right)),
+                         (e_basis_map(grp), (right, left))]:
+            monkeypatch.setattr(hopf, "e_basis_map", lambda group, e=e: e)
+            monkeypatch.setattr(hopf, "translations",
+                                lambda group, sides=sides: sides)
+            per_c = eq1_check(grp).per_c
+            assert per_c == dual_action_verdicts(grp, e, sides[0]), grp.name
+            verdicts.update(per_c.values())
+    assert verdicts == {True, False}
 
 
 def enveloping_relations(grp, elements):
@@ -519,6 +544,13 @@ def _diagonal_e(group):
     # E(delta_g) = delta_g (x) delta_g
     n = group.order
     return BasisMap(n * n, (g * n + g for g in range(n)))
+
+
+def _shifted_e(group):
+    # E(delta_g) = delta_g (x) delta_{g^-1 t}, t != e for a nontrivial group
+    n, t = group.order, (group.generators or (group.identity,))[0]
+    return BasisMap(n * n, (g * n + group.table[group.inverses[g]][t]
+                            for g in range(n)))
 
 
 def test_corrupted_comultiplication_fails_diagrams(monkeypatch):
