@@ -307,17 +307,20 @@ def i0_basis(algebra: GroupAlgebra) -> List[AlgebraElement]:
 def i0_identity(algebra: GroupAlgebra) -> AlgebraElement:
     """The exact identity element of I_0: e_0 = delta_e - |G|^{-1} * ones.
 
-    Verified as a two-sided identity on an I_0 basis before returning;
-    failure here is an implementation bug, never a data condition.  Its
-    norm exponent is v_p(|G|), the quantity that separates the two
-    amenability notions.
+    Verified before returning; failure here is an implementation bug,
+    never a data condition.  epsilon(e_0) = 0 puts e_0 in I_0, and f.e_0 =
+    f on the basis f = delta_g - delta_e makes X = delta_e - e_0 left
+    invariant, so X = c.1 and e_0.f = f - c.epsilon(f).1 = f: e_0 is a
+    two-sided identity.  f.e_0 = f holds for every c, so only the first
+    check pins c = 1/|G|.  The norm exponent of e_0 is v_p(|G|), the
+    quantity that separates the two amenability notions.
     """
     n = algebra.group.order
     e0 = algebra.one() - algebra.ones().scale(Fraction(1, n))
     if augmentation(e0) != 0:
         raise InternalCheckError("candidate I_0 identity has nonzero augmentation")
     for f in i0_basis(algebra):
-        if convolve(f, e0) != f or convolve(e0, f) != f:
+        if convolve(f, e0) != f:
             raise InternalCheckError(
                 "I_0 identity fails on basis element %r" % (f,))
     return e0

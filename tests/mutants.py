@@ -1,0 +1,184 @@
+"""Mutants of src/: one for each `raise InternalCheckError` check, each
+disabling that check, with the tests that must fail on it.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+Each mutant is applied alone to a temporary copy of src/, tests/,
+pyproject.toml and README.md, and its tests run there under pytest, two
+mutants at a time.  A mutant is killed when every test it lists (a file or
+a node id) has a failing case.  The exit status is 1 if any mutant
+survives or any anchor (its old text) is missing or not unique, else 0.
+
+tests/test_mutants.py keeps the anchors in step with src/ in tier-1: each
+old text occurs exactly once in its file, and there is one mutant per
+check.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+WORKERS = 2
+TIMEOUT_S = 300
+
+AMEN = "src/padicamen/amenability.py"
+ALGEBRA = "src/padicamen/group_algebra.py"
+TESTS = "tests/test_amenability.py"
+CONTROL = TESTS + "::test_named_check_fails_on_corrupted_input[%s]"
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+def _off(file: str, condition: str, *tests: str) -> Mutant:
+    """The mutant that makes `if <condition>:` never taken."""
+    old = "if %s:" % condition
+    return Mutant(file, old, "if False and (%s):" % condition, tests)
+
+
+MUTANTS = (
+    # johnson_check
+    _off(AMEN, "len(basis) != 1",
+         CONTROL % "invariant_space_dimension_one"),
+    _off(AMEN, "total == 0",
+         TESTS + "::test_zero_total_invariant_functional_exits_2"),
+    _off(AMEN, "mean != AlgebraElement(alg, dict.fromkeys(range(n), 1), n)",
+         CONTROL % "mean_normalized_and_invariant"),
+    # schikhof_check
+    _off(AMEN, "norm_pass != lattice_pass",
+         CONTROL % "schikhof_methods_agree"),
+    # virtual_diagonal_construct
+    _off(AMEN, "len(reps) != n",
+         TESTS + "::test_virtual_diagonal_construct_rejects_each_corruption"),
+    _off(AMEN, "not over_e",
+         TESTS + "::test_virtual_diagonal_construct_rejects_each_corruption"),
+    _off(AMEN, "over_e != [classes[grp.identity * n + grp.identity]]",
+         TESTS + "::test_virtual_diagonal_construct_rejects_each_corruption"),
+    _off(AMEN, "e_map(alg.delta(a)) * em != em",
+         TESTS + "::test_virtual_diagonal_construct_rejects_each_corruption"),
+    _off(AMEN, "d != closed",
+         CONTROL % "virtual_diagonal_closed_form",
+         TESTS + "::test_virtual_diagonal_construct_rejects_each_corruption"),
+    _off(AMEN, "basis_tensor(env, a, e) * d != basis_tensor(env, e, a) * d",
+         CONTROL % "virtual_diagonal_identities"),
+    # stock_bimodules: a part (a) failure escapes as a plain ValueError
+    Mutant(AMEN, "except ValueError as exc:\n            raise Internal",
+           "except ArithmeticError as exc:\n            raise Internal",
+           (TESTS + "::test_derivation_certificate_rejects_a_non_action",)),
+    # derivation_spaces
+    _off(AMEN, "left_over",
+         TESTS + "::test_derivation_certificate_rejects_a_non_action",
+         TESTS + "::test_derivation_certificate_rejects_a_wrong_xi"),
+    # diagonal_ideal_identity
+    _off(AMEN, "not pi0(u).is_zero()",
+         CONTROL % "multiplication_kernel_right_identity",
+         TESTS + "::test_diagonal_ideal_identity_rejects_corrupted_diagonals"),
+    _off(AMEN, "not (d * u).is_zero()",
+         TESTS + "::test_diagonal_ideal_identity_rejects_corrupted_diagonals"),
+    _off(AMEN, "g is not None",
+         TESTS + "::test_diagonal_ideal_identity_rejects_corrupted_diagonals"),
+    # certify
+    _off(AMEN, "not hopf_report.all_pass", CONTROL % "hopf_axioms"),
+    _off(AMEN, "not eq1.all_pass", CONTROL % "dual_action_identity"),
+    _off(AMEN, "not l2.all_pass", CONTROL % "quotient_isomorphism"),
+    _off(AMEN, "m2 != jc.mean",
+         CONTROL % "mean_diagonal_round_trip",
+         TESTS + "::test_round_trip_rejects_tampered_diagonal"),
+    # i0_identity
+    _off(ALGEBRA, "augmentation(e0) != 0",
+         "tests/test_group_algebra.py"
+         "::test_i0_identity_rejects_a_wrong_constant"),
+    _off(ALGEBRA, "convolve(f, e0) != f",
+         CONTROL % "augmentation_ideal_identity"),
+)
+
+
+def anchor_count(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file."""
+    return (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+
+
+def _failed(nodeids, test: str) -> bool:
+    """Whether a failing node id is test, or a case or test of it."""
+    return any(nid == test or nid.startswith((test + "::", test + "["))
+               for nid in nodeids)
+
+
+def run_mutant(mutant: Mutant) -> Tuple[str, str]:
+    """(verdict, detail): verdict is "killed", "survived" or "error"."""
+    if anchor_count(mutant) != 1:
+        return "error", "old text is not in the file exactly once"
+    with tempfile.TemporaryDirectory(prefix="padicamen-mutant-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, work / name, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(src, work / name)
+        target = work / mutant.file
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant.old, mutant.new),
+                          encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(work / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf",
+                 "-p", "no:cacheprovider", *mutant.tests],
+                cwd=work, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "error", "tests ran over %d s" % TIMEOUT_S
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    if proc.returncode not in (0, 1):
+        return "error", "pytest exited %d:\n%s" % (
+            proc.returncode, proc.stdout[-2000:] + proc.stderr[-2000:])
+    missed = [t for t in mutant.tests if not _failed(failed, t)]
+    if missed:
+        return "survived", "passed: " + ", ".join(missed)
+    return "killed", ""
+
+
+def main() -> int:
+    start = time.perf_counter()
+    bad = 0
+
+    def timed(mutant):
+        t0 = time.perf_counter()
+        return run_mutant(mutant), time.perf_counter() - t0
+
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, ((verdict, detail), secs) in zip(
+                MUTANTS, pool.map(timed, MUTANTS)):
+            bad += verdict != "killed"
+            where = "%s: %s" % (Path(mutant.file).name,
+                                mutant.old.splitlines()[0])
+            print("%-8s %5.1f s  %s" % (verdict, secs, where), flush=True)
+            if detail:
+                print("    " + detail.replace("\n", "\n    "), flush=True)
+    print("%d of %d mutants killed in %.1f s"
+          % (len(MUTANTS) - bad, len(MUTANTS), time.perf_counter() - start))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

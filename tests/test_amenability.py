@@ -183,12 +183,15 @@ def test_mean_from_diagonal_round_trip():
         assert m == jc.mean
 
 
-def test_mean_from_diagonal_rejects_tampered_tensor():
-    grp = cyclic(3)
-    alg = GroupAlgebra(grp)
-    fake = VirtualDiagonal(basis_tensor(alg.enveloping, 0, 0))
-    with pytest.raises(InternalCheckError):
-        mean_from_diagonal(fake)
+def test_round_trip_rejects_tampered_diagonal(monkeypatch):
+    # the marginal of delta_e (x) delta_e is delta_e, not the mean, and
+    # mean_from_diagonal leaves that to certify's round trip
+    def tampered(group, johnson, lemma2):
+        env, e = GroupAlgebra(group).enveloping, group.identity
+        return VirtualDiagonal(basis_tensor(env, e, e))
+    monkeypatch.setattr(amenability, "virtual_diagonal_construct", tampered)
+    with pytest.raises(InternalCheckError, match="round trip failed"):
+        certify(cyclic(3), 2)
 
 
 def test_diagonal_ideal_identity_equals_one_minus_d():

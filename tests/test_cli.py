@@ -519,6 +519,22 @@ def test_hostile_group_file_exits_1(capsys, tmp_path, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["name", "labels"])
+def test_unprintable_name_or_label_exits_1_in_one_line(capsys, tmp_path,
+                                                       field):
+    # a newline would let the message quoting it spoof a second line
+    doc = json.loads(_group_file([[0, 1], [1, 0]]))
+    spoof = "evil\nTraceback (most recent call last):"
+    doc[field] = spoof if field == "name" else ["a", spoof]
+    path = tmp_path / "spoof.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run(capsys, ["check", "--group", str(path),
+                                "--prime", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be printable" in err
+
+
 def test_table_file_round_trip(capsys, tmp_path):
     from padicamen.finite_group import dihedral
     grp = dihedral(3)

@@ -361,6 +361,13 @@ def test_subgroup_validation():
         Subgroup(g, (1, 3))  # misses identity
     with pytest.raises(GroupValidationError):
         Subgroup(g, (0, 1))  # not closed: 1+1 = 2 missing
+    # indices outside the group, which Python would read from the end of
+    # a row: without the range check (-2, 0, 2) passes as closed
+    for members in [(-2, 0, 2), (0, 2, 4)]:
+        with pytest.raises(GroupValidationError, match="must be elements"):
+            Subgroup(g, members)
+    with pytest.raises(GroupValidationError, match="must be elements"):
+        Subgroup(cyclic(1), (-1, 0))
 
 
 def test_subgroup_index():

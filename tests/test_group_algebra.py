@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from oracles import relabelled_catalog, valuation
 
+from padicamen.errors import InternalCheckError
 from padicamen.finite_group import cyclic, dihedral, quaternion8, symmetric
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      augmentation, convolve,
@@ -156,6 +157,18 @@ def test_i0_identity_norm_is_group_order_valuation():
         e0 = i0_identity(GroupAlgebra(grp))
         for p in (2, 3, 5):
             assert norm_exponent(e0, p) == valuation(grp.order, p)
+
+
+def test_i0_identity_rejects_a_wrong_constant(monkeypatch):
+    # delta_e - (2/n).1 is a right identity on I_0 too, since f.1 =
+    # epsilon(f).1 = 0 there: only the augmentation tells it from e_0
+    ones = GroupAlgebra.ones
+    monkeypatch.setattr(GroupAlgebra, "ones", lambda self: ones(self).scale(2))
+    alg = GroupAlgebra(symmetric(3))
+    wrong = alg.one() - alg.ones().scale(Fraction(1, 6))
+    assert all(convolve(f, wrong) == f for f in i0_basis(alg))
+    with pytest.raises(InternalCheckError, match="nonzero augmentation"):
+        i0_identity(alg)
 
 
 def test_i0_identity_trivial_group():
