@@ -2,14 +2,15 @@
 
 The package checks what the proofs need: associativity and the lemma-2
 quotient relations on a generating set of the group, the kernel right
-identity on the n generators of ker pi0, and the subgroup lattice by cyclic
-extension.  The functions here do the full work those reductions avoid, so
-tests can require the two to agree.  The package's elements hold int
-numerators over one denominator; `fraction_add` and `fraction_convolve` are
-the sum and the product on plain Fraction coefficients, as the package
-computed them before.  `apply` applies a BasisMap to a sparse vector and
-`transpose` gives the transpose of an injective one, which tests use to
-apply transposed actions.  The package decides the dual-action identity
+identity on the generators x_s of ker pi0 for s in that set, and the
+subgroup lattice by cyclic extension.  The functions here do the full
+work those reductions avoid, so tests can require the two to agree.  The
+package's elements hold int numerators over one denominator;
+`fraction_add` and `fraction_convolve` are the sum and the product on
+plain Fraction coefficients, as the package computed them before.
+`apply` applies a BasisMap to a sparse vector and `transpose` gives the
+transpose of an injective one, which tests use to apply transposed
+actions.  The package decides the dual-action identity
 on the maps E L_c and l_E(c) E, whose transposes are its two sides, and
 `dual_action_verdicts` composes the transposed maps themselves, over all
 n^2 basis functionals.  `tensor_of` builds the elementary tensor
@@ -20,8 +21,9 @@ for checks that relabelling changes no verdict;
 package checks the bimodule axioms on a generating set too, and
 `bimodule_axiom_failure` checks them at every pair.  The package decides
 part (b) of the derivation certificate by whole families of terms at
-once, and `johnson_identity_failure` collects the linear forms of each
-identity (g, c) of it one at a time.
+once, and on the generating set, and `johnson_identity_failure` collects
+the linear forms of each identity (g, c) of it one at a time, at every g
+or at the g given.
 `valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
 package only ever takes the valuations of nonzero int numerators and
 denominators.
@@ -309,11 +311,13 @@ def _collect(terms: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def johnson_identity_failure(bimodule) -> Optional[Tuple[int, int]]:
-    """First (g, c) at which n.(D - ad_{xi_D})[g, c] = -sum_k l(g, k,
-    L_{k^-1} c) fails as linear forms in the unknowns D[g, c] at g*dim + c,
-    or None, for Johnson's |G|.xi_D[x] = -sum_h D[h, L_{h^-1} x] and the
-    Leibniz rows l(g, h, c) = D[gh, c] - D[h, R_g c] - D[g, L_h c]."""
+def johnson_identity_failure(bimodule, elements: Optional[Sequence[int]] = None
+                             ) -> Optional[Tuple[int, int]]:
+    """First (g, c), g taken in the order of elements (every element by
+    default), at which n.(D - ad_{xi_D})[g, c] = -sum_k l(g, k, L_{k^-1} c)
+    fails as linear forms in the unknowns D[g, c] at g*dim + c, or None,
+    for Johnson's |G|.xi_D[x] = -sum_h D[h, L_{h^-1} x] and the Leibniz
+    rows l(g, h, c) = D[gh, c] - D[h, R_g c] - D[g, L_h c]."""
     group = bimodule.group
     n, dim = group.order, bimodule.dimension
     table, inv = group.table, group.inverses
@@ -327,7 +331,7 @@ def johnson_identity_failure(bimodule) -> Optional[Tuple[int, int]]:
         return [(table[g][h] * dim + c, 1), (h * dim + right[g][c], -1),
                 (g * dim + left[h][c], -1)]
 
-    for g in range(n):
+    for g in range(n) if elements is None else elements:
         for c in range(dim):
             lhs = _collect([(g * dim + c, n)]
                            + [(k, -v) for k, v in xi(right[g][c])]

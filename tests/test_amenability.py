@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
 from oracles import (apply, bimodule_axiom_failure, johnson_identity_failure,
-                     kernel_basis_failure, permuted, relabel,
+                     kernel_basis_failure, pair_closure, permuted, relabel,
                      relabelled_catalog, tensor_of, transpose, valuation)
 
 import padicamen.amenability as amenability
@@ -46,9 +46,9 @@ from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (catalog, cyclic, dihedral,
                                     enumerate_subgroups, from_spec,
                                     from_table, quaternion8, symmetric)
-from padicamen.group_algebra import (AlgebraElement, GroupAlgebra, convolve,
-                                     norm_exponent)
-from padicamen.hopf import (BasisMap, basis_tensor, lemma2_data, pi0,
+from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
+                                     basis_classes, convolve, norm_exponent)
+from padicamen.hopf import (BasisMap, basis_tensor, e_map, lemma2_data, pi0,
                             translations)
 
 
@@ -293,9 +293,11 @@ def test_diagonal_ideal_identity_rejects_corrupted_diagonals():
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "quaternion:8"])
 def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
-    # v_{g,h} = (1 (x) delta_h).x_g, so x_g.u = x_g for every g exactly
-    # when v.u = v on the whole kernel basis, and the first failing g is
-    # the first g of the scan's failing (g, h)
+    # v_{g,h} = (1 (x) delta_h).x_g, so x_s.u = x_s for every s in S
+    # exactly when v.u = v on the whole kernel basis.  The g with x_g.u =
+    # x_g form a subgroup K, and each generator is the least element
+    # outside the closure of those before it, so the first failing
+    # generator is min(G - K), the first g of the scan's failing (g, h)
     grp = from_spec(spec)
     u = diagonal_ideal_identity(grp, construct_diagonal(grp))
     assert amenability._kernel_generator_failure(u) is None
@@ -313,6 +315,75 @@ def test_kernel_generators_agree_with_the_kernel_basis_scan(spec):
         outside = min(set(grp.elements()) - set(sub.members))
         assert amenability._kernel_generator_failure(perturbed) == outside
         assert kernel_basis_failure(perturbed)[0] == outside, sub.members
+
+
+def _indicator(alg, members):
+    return AlgebraElement(alg, dict.fromkeys(members, 1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generating_set_decides_what_every_element_decides(seed):
+    # the kernel identity, the invariant classes and the quotient relation
+    # check read S only, and each decides what the same identity at every
+    # element of G decides
+    rng = random.Random(seed)
+    for grp in relabelled_catalog(12, seed):
+        n, table, alg = grp.order, grp.table, GroupAlgebra(grp)
+        jc, lemma2 = johnson_check(grp), lemma2_data(grp)
+        u = diagonal_ideal_identity(grp, virtual_diagonal_construct(
+            grp, jc, lemma2))
+        env = u.algebra
+        # x_g.w = 0 for every g when w is a function of the product yx of
+        # the legs of its basis tensors x (x) y: two such w keep u.  The
+        # sum over h in <T> of delta_h (x) delta_{h^-1}, for a proper
+        # prefix T of S, breaks x_g.u = x_g for g outside <T> only
+        kept = [_indicator(env, (x * n + y for x in range(n)
+                                 for y in range(n) if table[y][x] == t))
+                for t in (grp.identity, rng.randrange(n))]
+        broken = [_indicator(env, (h * n + grp.inverses[h] for h in
+                                   pair_closure(grp, frozenset(
+                                       grp.generators[:size]))))
+                  for size in range(len(grp.generators))]
+        for w in [env.delta(k) for k in range(n * n)] + kept + broken:
+            assert (amenability._kernel_generator_failure(u + w) is None) \
+                == (kernel_basis_failure(u + w) is None), (grp.name, w)
+
+        # the invariant classes of the prefixes T of S: the pairs (th, h)
+        # for t in T against the pairs (kh, h) for every k in <T>
+        for size in range(len(grp.generators) + 1):
+            prefix = grp.generators[:size]
+            spanned = pair_closure(grp, frozenset(prefix))
+            classes = basis_classes(n, ((table[k][h], h) for k in spanned
+                                        for h in range(n)))
+            every_pair = {frozenset(k for k in range(n) if classes[k] == r)
+                          for r in set(classes)}
+            on_prefix = invariant_functional_space(
+                dataclasses.replace(grp, generators=prefix))
+            assert {frozenset(m.num) for m in on_prefix} == every_pair
+
+        # E(delta_a).E(f) = E(f) for a in S exactly when for every a: the
+        # relation check raises exactly when f is not left invariant
+        means = [jc.mean, jc.mean.scale(2), AlgebraElement(alg, {})]
+        means += [_indicator(alg, pair_closure(grp, frozenset(
+            grp.generators[:size]))) for size in range(len(grp.generators))]
+        means += [AlgebraElement(alg, {g: rng.randrange(1, 3)
+                                       for g in rng.sample(range(n), n // 2)})
+                  for _ in range(3)]
+        verdicts = set()
+        for f in means:
+            ef = e_map(f)
+            invariant = all(e_map(alg.delta(a)) * ef == ef
+                            for a in grp.elements())
+            try:
+                virtual_diagonal_construct(grp, JohnsonCertificate(1, f),
+                                           lemma2)
+            except InternalCheckError as exc:
+                survives = "quotient relation" in str(exc)
+            else:
+                survives = False
+            assert survives != invariant, (grp.name, f)
+            verdicts.add(invariant)
+        assert verdicts == ({True, False} if n > 1 else {True})
 
 
 def test_derivation_dims_match_character_theory():
@@ -532,24 +603,37 @@ def _unvalidated_actions(grp, rng):
                          ids=lambda g: "%s@%d" % (g.name, g.identity))
 def test_johnson_identities_by_families_match_each_identity(monkeypatch, grp):
     # part (b) by whole families of terms fails exactly when, and first
-    # where, the linear forms of the identities (g, c) taken one at a
-    # time differ
+    # where, the linear forms of the identities (g, c) for g in S taken one
+    # at a time differ; on the actions that are bimodules, that is exactly
+    # when an identity at any g fails
+    validate = Bimodule._validate
     monkeypatch.setattr(Bimodule, "_validate", lambda self: None)
     verdicts = set()
     for name, dim, left, right in _unvalidated_actions(
             grp, random.Random(grp.order)):
         bim = Bimodule(name, grp, dim, left, right)
-        failure = johnson_identity_failure(bim)
+        failures = [johnson_identity_failure(bim, grp.generators)]
+        try:
+            validate(bim)
+        except ValueError:
+            pass
+        else:
+            failures.append(johnson_identity_failure(bim))
         try:
             derivation_spaces(bim)
+            raised = None
         except InternalCheckError as exc:
-            assert failure is not None, (name, left, right)
-            g, c = failure
-            assert str(exc).endswith("at (%s, %d)" % (grp.labels[g], c))
-        else:
-            assert failure is None, (name, left, right, failure)
-        verdicts.add(failure is None)
-    assert verdicts == {True, False}
+            raised = str(exc)
+        for failure in failures:
+            if raised is None:
+                assert failure is None, (name, left, right, failure)
+            else:
+                assert failure is not None, (name, left, right)
+                g, c = failure
+                assert raised.endswith("at (%s, %d)" % (grp.labels[g], c))
+            verdicts.add(failure is None)
+    # the trivial group has S empty, so no identity is read and none fails
+    assert verdicts == ({True, False} if grp.generators else {True})
 
 
 def test_bimodule_validation_rejects_bad_actions():
@@ -904,3 +988,16 @@ def test_certificate_is_invariant_under_drawn_relabelling(case):
     moved = from_table(grp.name, *permuted(grp, new))
     for p in (2, 3, 5, 7):
         assert _label_free(certify(grp, p)) == _label_free(certify(moved, p))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(catalog(12)).flatmap(lambda grp: st.tuples(
+    st.just(grp), st.permutations(range(grp.order)))))
+def test_derivations_are_invariant_under_drawn_relabelling(case):
+    # part (b) reads the identities at g in S only, and S moves with the
+    # element order; no report may
+    grp, new = case
+    moved = stock_bimodules(from_table(grp.name, *permuted(grp, new)))
+    for name, bim in stock_bimodules(grp).items():
+        assert derivation_spaces(bim).to_doc() == \
+            derivation_spaces(moved[name]).to_doc()
