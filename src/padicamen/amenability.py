@@ -41,9 +41,8 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
@@ -73,8 +72,7 @@ def invariant_functional_space(group: FiniteGroup) -> List[AlgebraElement]:
         for root in sorted(set(classes))]
 
 
-@dataclass
-class JohnsonCertificate:
+class JohnsonCertificate(NamedTuple):
     """Witness for the existence of a left-invariant mean with m(1) != 0,
     normalized to m(1) = 1.  Every finite group has one."""
 
@@ -119,8 +117,7 @@ def johnson_check(group: FiniteGroup) -> JohnsonCertificate:
     return JohnsonCertificate(1, mean)
 
 
-@dataclass
-class SchikhofVerdict:
+class SchikhofVerdict(NamedTuple):
     """Dual-method verdict for the contractive-mean notion.
 
     method_norm asks whether the normalized mean has norm exponent <= 0;
@@ -212,8 +209,7 @@ def schikhof_check(group: FiniteGroup, prime: int,
     )
 
 
-@dataclass
-class VirtualDiagonal:
+class VirtualDiagonal(NamedTuple):
     """A virtual diagonal d, checked in closed form and balanced by
     virtual_diagonal_construct; diagonal_ideal_identity decides pi0(d) =
     delta_e and d.d = d on it."""
@@ -406,6 +402,7 @@ def stock_bimodules(group: FiniteGroup,
     """The stock bimodules with the given names, built in that order.  One
     that fails the bimodule axioms, which hold by construction and are
     part (a) of the derivation certificate, raises InternalCheckError."""
+    require_within_cap(group.order, "derivation certificate")
     builders = {
         "regular": regular_bimodule,
         "trivial": trivial_bimodule,
@@ -422,8 +419,7 @@ def stock_bimodules(group: FiniteGroup,
     return out
 
 
-@dataclass
-class DerivationReport:
+class DerivationReport(NamedTuple):
     """Derivation and inner-derivation counts for one bimodule.  A report
     exists only once Der = Inn is certified, so all_inner always holds."""
 

@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GroupValidationError, OrderCapError, SpecParseError
@@ -57,17 +56,30 @@ def require_within_cap(order: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
-    """Validated finite group presented by its Cayley table."""
+    """Validated finite group presented by its Cayley table.  A group is
+    never changed once built; two compare and hash alike when every
+    field is equal."""
 
-    name: str
-    order: int
-    table: Tuple[Tuple[int, ...], ...]
-    identity: int
-    inverses: Tuple[int, ...]
-    labels: Tuple[str, ...]
-    generators: Tuple[int, ...]
+    def __init__(self, name: str, order: int,
+                 table: Tuple[Tuple[int, ...], ...], identity: int,
+                 inverses: Tuple[int, ...], labels: Tuple[str, ...],
+                 generators: Tuple[int, ...]):
+        self.name, self.order, self.table = name, order, table
+        self.identity, self.inverses = identity, inverses
+        self.labels, self.generators = labels, generators
+
+    def _fields(self) -> tuple:
+        return (self.name, self.order, self.table, self.identity,
+                self.inverses, self.labels, self.generators)
+
+    def __eq__(self, other):
+        if type(other) is not FiniteGroup:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @functools.cached_property
     def opposite_table(self) -> Tuple[Tuple[int, ...], ...]:
@@ -373,19 +385,15 @@ def _build(factors: List[Tuple[str, int, int]]) -> FiniteGroup:
     return groups[0] if len(groups) == 1 else product(*groups)
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """Validated subgroup given by its member index set: sorted element
     indices, holding the identity and closed under products.  That is all
     a subset of G needs: it then holds each x^-1 = x^(ord x - 1), and its
     order divides |G| by Lagrange."""
 
-    group: FiniteGroup = field(repr=False)
-    members: Tuple[int, ...]
-
-    def __post_init__(self):
-        g = self.group
-        mem = self.member_set
+    def __init__(self, group: FiniteGroup, members: Tuple[int, ...]):
+        self.group, self.members = group, members
+        g, mem = group, self.member_set
         if tuple(sorted(mem)) != self.members:
             raise GroupValidationError("subgroup members must be sorted")
         if g.identity not in mem:
@@ -413,6 +421,17 @@ class Subgroup:
 
     def contains(self, other: "Subgroup") -> bool:
         return other.member_set <= self.member_set
+
+    def __eq__(self, other):
+        if type(other) is not Subgroup:
+            return NotImplemented
+        return (self.group, self.members) == (other.group, other.members)
+
+    def __hash__(self):
+        return hash((self.group, self.members))
+
+    def __repr__(self):
+        return f"Subgroup(members={self.members!r})"
 
 
 def _closure(table: Sequence[Sequence[int]], identity: int,

@@ -42,8 +42,8 @@ mistake in the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .finite_group import FiniteGroup, require_within_cap
 from .group_algebra import (AlgebraElement, GroupAlgebra, SparseVec,
@@ -174,8 +174,7 @@ def pi0(t: AlgebraElement) -> AlgebraElement:
     return mult_map(t.algebra.group).apply(t, t.algebra.base)
 
 
-@dataclass
-class AxiomResult:
+class AxiomResult(NamedTuple):
     passed: bool
     checked: str
     witness: Optional[str] = None
@@ -187,15 +186,14 @@ class AxiomResult:
         return doc
 
 
-@dataclass
-class HopfReport:
+class HopfReport(NamedTuple):
     """The Hopf diagrams and structural properties of one group.  The
     antipode checked is always inversion, so antipode_corrupted, kept in
     the document, is always false."""
 
     group_name: str
     order: int
-    axioms: "Dict[str, AxiomResult]" = field(default_factory=dict)
+    axioms: "Dict[str, AxiomResult]"
     antipode_corrupted = False
 
     @property
@@ -243,7 +241,7 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     e = e_basis_map(group)
     mult = mult_map(group)
     ident = BasisMap.identity(n)
-    report = HopfReport(group.name, n)
+    report = HopfReport(group.name, n, {})
 
     basis_note = f"all {n} basis columns"
     _matrix_axiom(
@@ -301,13 +299,12 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     return report
 
 
-@dataclass
-class Eq1Report:
+class Eq1Report(NamedTuple):
     """Outcome of the dual-action identity E^*(phi).c = E^*(phi.E(c))."""
 
     group_name: str
     order: int
-    per_c: "Dict[str, bool]" = field(default_factory=dict)
+    per_c: "Dict[str, bool]"
 
     @property
     def all_pass(self) -> bool:
@@ -345,15 +342,14 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     env = GroupAlgebra(group).enveloping
     e = e_basis_map(group)
     left, _ = translations(group)
-    report = Eq1Report(group.name, group.order)
+    report = Eq1Report(group.name, group.order, {})
     for c, label in enumerate(group.labels):
         by_ec = tuple(env.product_index(e.images[c], j) for j in e.images)
         report.per_c[label] = e.compose(left[c]).images == by_ec
     return report
 
 
-@dataclass
-class Lemma2Report:
+class Lemma2Report(NamedTuple):
     group_name: str
     order: int
     quotient_dim: int
@@ -403,6 +399,7 @@ def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     g, h, a, and classes is their partition of the basis from
     basis_classes: entry k is the smallest flat index in the class of k.
     """
+    require_within_cap(group.order, "quotient isomorphism check")
     n, table = group.order, group.table
     # (a, row of a^-1) for a in S
     moves = [(a, table[group.inverses[a]]) for a in group.generators]

@@ -14,7 +14,6 @@ Leibniz rows (exact_linalg, kept under tests/ as the oracle), and its part
 (oracles.johnson_identity_failure).
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -42,10 +41,11 @@ from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
                                    schikhof_check, stock_bimodules,
                                    trivial_bimodule, VirtualDiagonal,
                                    virtual_diagonal_construct)
-from padicamen.errors import InternalCheckError
-from padicamen.finite_group import (catalog, cyclic, dihedral,
-                                    enumerate_subgroups, from_spec,
-                                    from_table, quaternion8, symmetric)
+from padicamen.errors import InternalCheckError, OrderCapError
+from padicamen.finite_group import (ORDER_CAP_ENV, FiniteGroup, catalog,
+                                    cyclic, dihedral, enumerate_subgroups,
+                                    from_spec, from_table, quaternion8,
+                                    symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      basis_classes, convolve, norm_exponent)
 from padicamen.hopf import (BasisMap, basis_tensor, e_map, lemma2_data, pi0,
@@ -357,8 +357,9 @@ def test_generating_set_decides_what_every_element_decides(seed):
                                         for h in range(n)))
             every_pair = {frozenset(k for k in range(n) if classes[k] == r)
                           for r in set(classes)}
-            on_prefix = invariant_functional_space(
-                dataclasses.replace(grp, generators=prefix))
+            on_prefix = invariant_functional_space(FiniteGroup(
+                grp.name, n, table, grp.identity, grp.inverses, grp.labels,
+                prefix))
             assert {frozenset(m.num) for m in on_prefix} == every_pair
 
         # E(delta_a).E(f) = E(f) for a in S exactly when for every a: the
@@ -707,6 +708,21 @@ def test_stock_bimodules_names():
     assert stock["outer_tensor"].dimension == 9
 
 
+def test_n_squared_builders_refuse_above_the_cap(monkeypatch):
+    # lemma2_data would hold n^2 |S| relation pairs and the outer_tensor
+    # bimodule has dimension n^2: the cap refuses both before building
+    monkeypatch.delenv(ORDER_CAP_ENV, raising=False)
+    grp = cyclic(30)
+    with pytest.raises(OrderCapError,
+                       match="^quotient isomorphism check refused: group "
+                             "order 30 exceeds the cap 24"):
+        lemma2_data(grp)
+    with pytest.raises(OrderCapError,
+                       match="^derivation certificate refused: group "
+                             "order 30 exceeds the cap 24"):
+        stock_bimodules(grp, ("outer_tensor",))
+
+
 def test_certify_document_shape_and_stability():
     grp = cyclic(6)
     doc = certify(grp, 3)
@@ -897,8 +913,9 @@ NEGATIVE_CONTROLS = {
         "dual action identity failed"),
     # the quotient relations of all generators but the last
     "quotient_isomorphism": (
-        amenability, "lemma2_data", lambda group: lemma2_data(
-            dataclasses.replace(group, generators=group.generators[:-1])),
+        amenability, "lemma2_data", lambda group: lemma2_data(FiniteGroup(
+            group.name, group.order, group.table, group.identity,
+            group.inverses, group.labels, group.generators[:-1])),
         "quotient isomorphism check failed"),
     "invariant_space_dimension_one": (
         amenability, "invariant_functional_space", _two_functionals,

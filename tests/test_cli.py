@@ -3,7 +3,10 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from oracles import relabel, relabelled_catalog
@@ -569,3 +572,17 @@ def test_built_in_spec_wins_over_a_file_of_its_name(capsys, monkeypatch,
         lines = out.splitlines()
         assert lines[0] == "certificate: %s at p=3" % name, spec
         assert "order: %d" % order in lines, spec
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays its imports at start-up, and dataclasses brings
+    # in inspect, ast, dis and tokenize; only the modules the import adds
+    # count, so whatever site or a .pth file loads first is no failure
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, %r); "
+            "import padicamen.cli; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
