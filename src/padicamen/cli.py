@@ -72,17 +72,18 @@ def _parse_primes(text: str) -> List[int]:
 
 
 def _emit(args, doc: dict, text: str) -> None:
-    if args.format == "structured":
-        sys.stdout.write(render_json(doc))
-    else:
-        sys.stdout.write(text)
+    """Write --out first, so a failed write leaves stdout empty, then the
+    document or its text on stdout; the document is rendered once."""
+    rendered = render_json(doc) \
+        if args.out or args.format == "structured" else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(render_json(doc))
+                fh.write(rendered)
         except OSError as exc:
             raise OutputError("cannot write %s: %s"
                               % (args.out, exc.strerror or exc)) from None
+    sys.stdout.write(rendered if args.format == "structured" else text)
 
 
 def _load_group(spec: str, stage: str) -> FiniteGroup:

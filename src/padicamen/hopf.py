@@ -21,10 +21,12 @@ elements, so every stage reads the map a check certified.  The counit is
 counit_map, which the counit diagrams read, and augmentation on
 elements, which the counit_homomorphism check reads.  The two sides
 of a check still come from independent code paths.  The diagrams compare
-compositions of index tuples.  A pair check compares a map applied to a
-product read off G's table with the product of the images under the
-target's product rule (GroupAlgebra.product_index, whose second leg
-reads the opposite table in the enveloping algebra).  On coefficient
+compositions of index tuples.  A pair check compares a map applied to the
+convolution of two basis elements, read off G's table, with the product
+of their two images under the target's product rule
+(GroupAlgebra.product_index, whose second leg reads the opposite table in
+the enveloping algebra); each basis image is built once per call, and
+every pair with that factor reads it.  On coefficient
 vectors the two sides of the dual-action identity are (E L_c)^T and
 (l_E(c) E)^T, for L_c the left translation by c and l_E(c) the left
 multiplication by E(delta_c), and M^T = N^T exactly when M = N.  So
@@ -225,11 +227,15 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     involution properties, exactly, on the full delta basis.
 
     Every check reads the maps of delta_map, antipode_map and
-    e_basis_map, each built once per call: the diagrams compose them, and
-    the pair checks apply them to the product of two basis elements and
-    to each factor.  Replacing S with another permutation, such as the
-    identity on a nonabelian group, fails the antipode checks; replacing
-    Delta or E with a map that is no homomorphism fails its pair check.
+    e_basis_map, each built once per call: the diagrams compose them.
+    The pair checks apply them, and augmentation, to each basis element
+    once per call, and for each of the n^2 pairs apply them to the
+    convolution of the two basis elements and compare that with the
+    product of the two stored images: 3n^2 + 3n applications of a
+    BasisMap, each check with its own scan and first failing pair.
+    Replacing S with another permutation, such as the identity on a
+    nonabelian group, fails the antipode checks; replacing Delta or E
+    with a map that is no homomorphism fails its pair check.
     """
     alg = GroupAlgebra(group)
     require_within_cap(group.order, "Hopf structure verification")
@@ -279,23 +285,27 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
         report.axioms[name] = AxiomResult(witness is None, pair_note, witness)
 
     tensor, env = alg.tensor, alg.enveloping
+    basis = [alg.delta(g) for g in range(n)]
+    delta_of = [delta.apply(b, tensor) for b in basis]
+    eps_of = [augmentation(b) for b in basis]
+    s_of = [s.apply(b, alg) for b in basis]
+    e_of = [e.apply(b, env) for b in basis]
     record_pairs(
         "comultiplication_homomorphism",
-        lambda g, h: delta.apply(convolve(alg.delta(g), alg.delta(h)), tensor)
-        == delta.apply(alg.delta(g), tensor)
-        * delta.apply(alg.delta(h), tensor))
+        lambda g, h: delta.apply(convolve(basis[g], basis[h]), tensor)
+        == delta_of[g] * delta_of[h])
     record_pairs(
         "counit_homomorphism",
-        lambda g, h: augmentation(convolve(alg.delta(g), alg.delta(h)))
-        == augmentation(alg.delta(g)) * augmentation(alg.delta(h)))
+        lambda g, h: augmentation(convolve(basis[g], basis[h]))
+        == eps_of[g] * eps_of[h])
     record_pairs(
         "antipode_antihomomorphism",
-        lambda g, h: s.apply(convolve(alg.delta(g), alg.delta(h)), alg)
-        == convolve(s.apply(alg.delta(h), alg), s.apply(alg.delta(g), alg)))
+        lambda g, h: s.apply(convolve(basis[g], basis[h]), alg)
+        == convolve(s_of[h], s_of[g]))
     record_pairs(
         "e_homomorphism",
-        lambda g, h: e.apply(convolve(alg.delta(g), alg.delta(h)), env)
-        == e.apply(alg.delta(g), env) * e.apply(alg.delta(h), env))
+        lambda g, h: e.apply(convolve(basis[g], basis[h]), env)
+        == e_of[g] * e_of[h])
     return report
 
 

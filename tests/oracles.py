@@ -19,7 +19,10 @@ elements to other indices (by `permuted`, given the new index of each),
 for checks that relabelling changes no verdict;
 `relabelled_catalog` pairs each catalog group with such a copy.  The
 package checks the bimodule axioms on a generating set too, and
-`bimodule_axiom_failure` checks them at every pair.  The package decides
+`bimodule_axiom_failure` checks them at every pair.  The package reads
+each basis image of Delta, epsilon, S and E once for its Hopf pair checks,
+and `hopf_pair_witnesses` applies the maps again to both factors of
+every pair.  The package decides
 part (b) of the derivation certificate by whole families of terms at
 once, and on the generating set, and `johnson_identity_failure` collects
 the linear forms of each identity (g, c) of it one at a time, at every g
@@ -38,7 +41,9 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from padicamen.finite_group import (FiniteGroup, Subgroup, catalog,
                                     from_table)
-from padicamen.group_algebra import AlgebraElement, GroupAlgebra
+import padicamen.hopf as hopf
+from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
+                                     augmentation, convolve)
 from padicamen.hopf import BasisMap, basis_tensor
 from padicamen.valued_field import int_valuation
 
@@ -257,6 +262,38 @@ def bimodule_axiom_failure(group: FiniteGroup, left: Sequence[BasisMap],
             if left[g].compose(right[h]) != right[h].compose(left[g]):
                 return "commute", g, h
     return None
+
+
+def hopf_pair_witnesses(group: FiniteGroup) -> Dict[str, Optional[str]]:
+    """The witness of each Hopf pair check, None where it passes: the
+    first pair (g, h) in row order whose product's image differs from the
+    product of the images, each factor's image built again for the pair.
+    The maps are read from hopf's builders at each call."""
+    alg = GroupAlgebra(group)
+    tensor, env = alg.tensor, alg.enveloping
+    delta = hopf.delta_map(group)
+    s = hopf.antipode_map(group)
+    e = hopf.e_basis_map(group)
+    d = alg.delta
+    predicates = {
+        "comultiplication_homomorphism":
+            lambda g, h: delta.apply(convolve(d(g), d(h)), tensor)
+            == delta.apply(d(g), tensor) * delta.apply(d(h), tensor),
+        "counit_homomorphism":
+            lambda g, h: augmentation(convolve(d(g), d(h)))
+            == augmentation(d(g)) * augmentation(d(h)),
+        "antipode_antihomomorphism":
+            lambda g, h: s.apply(convolve(d(g), d(h)), alg)
+            == convolve(s.apply(d(h), alg), s.apply(d(g), alg)),
+        "e_homomorphism":
+            lambda g, h: e.apply(convolve(d(g), d(h)), env)
+            == e.apply(d(g), env) * e.apply(d(h), env),
+    }
+    n, labels = group.order, group.labels
+    return {name: next((f"pair ({labels[g]}, {labels[h]})"
+                        for g in range(n) for h in range(n)
+                        if not holds(g, h)), None)
+            for name, holds in predicates.items()}
 
 
 def pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:

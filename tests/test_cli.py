@@ -455,8 +455,9 @@ def test_order_cap_env_lowers_limit(capsys, monkeypatch):
 def test_unwritable_out_exits_1(capsys, tmp_path, argv, target):
     out = tmp_path / "absent" / "x.json" if target == "missing-directory" \
         else tmp_path
-    rc, _, err = run(capsys, argv + ["--out", str(out)])
+    rc, stdout, err = run(capsys, argv + ["--out", str(out)])
     assert rc == 1
+    assert stdout == ""
     assert err.startswith("error: cannot write %s: " % out)
     assert err.count("\n") == 1
     assert not (tmp_path / "absent").exists()

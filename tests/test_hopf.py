@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from exact_linalg import Echelon
 from oracles import (QuotientRelations, apply, dual_action_verdicts,
-                     relabelled_catalog, tensor_of, transpose)
+                     hopf_pair_witnesses, relabelled_catalog, tensor_of,
+                     transpose)
 
 import padicamen.amenability as amenability
 from padicamen.amenability import certify
@@ -616,6 +617,52 @@ def test_each_pair_check_fails_on_its_own_map(monkeypatch, builder,
     witness = report.axioms[axiom].witness
     assert witness.startswith("pair (") and witness.endswith(")")
     assert not report.all_pass
+
+
+STAND_INS = [
+    ("delta_map", lambda group: _shifted_delta(
+        group, (group.generators or (group.identity,))[0])),
+    ("antipode_map", lambda group: BasisMap.identity(group.order)),
+    ("e_basis_map", _diagonal_e),
+    ("e_basis_map", _shifted_e),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_checks_match_per_pair_oracle(monkeypatch, seed):
+    # the package reads each basis image once, the oracle builds both
+    # factors' images again for every pair; with the true maps and with
+    # each stand-in they agree on every verdict and witness
+    for builder, stand_in in [(None, None)] + STAND_INS:
+        monkeypatch.undo()
+        if builder is not None:
+            monkeypatch.setattr(hopf, builder, stand_in)
+        failed = set()
+        for grp in relabelled_catalog(12, seed):
+            report = verify_hopf_axioms(grp)
+            for name, witness in hopf_pair_witnesses(grp).items():
+                result = report.axioms[name]
+                assert (result.passed, result.witness) == \
+                    (witness is None, witness), (grp.name, builder, name)
+                if witness is not None:
+                    failed.add(name)
+        assert bool(failed) == (builder is not None), builder
+
+
+def test_pair_checks_apply_the_maps_to_each_basis_image_once(monkeypatch):
+    # per pair one image of the product under each of Delta, S and E, and
+    # one image of each basis element under each: 3n^2 + 3n applications
+    calls = []
+    apply_map = BasisMap.apply
+
+    def counted(self, f, target):
+        calls.append(self)
+        return apply_map(self, f, target)
+    monkeypatch.setattr(BasisMap, "apply", counted)
+    grp = symmetric(3)
+    n = grp.order
+    assert verify_hopf_axioms(grp).all_pass
+    assert len(calls) <= 3 * n * n + 3 * n == 126
 
 
 def test_tensor_norm_and_doc_stability():
