@@ -18,6 +18,7 @@ file that cannot be written, 2 when an exact internal cross-check fails
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -318,7 +319,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """main, with stdout flushed inside it: a reader that closes the pipe
+    before all the output is written, as `| head -c 1` can, gives one
+    error line and exit 1, like every other input or output failure."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; on /dev/null that
+        # flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all the output was written",
+              file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

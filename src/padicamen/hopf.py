@@ -26,10 +26,13 @@ convolution of two basis elements, read off G's table, with the product
 of their two images under the target's product rule
 (GroupAlgebra.product_index, whose second leg reads the opposite table in
 the enveloping algebra); each basis image is built once per call, and
-every pair with that factor reads it.  On coefficient
-vectors the two sides of the dual-action identity are (E L_c)^T and
-(l_E(c) E)^T, for L_c the left translation by c and l_E(c) the left
-multiplication by E(delta_c), and M^T = N^T exactly when M = N.  So
+every pair with that factor reads it.  The four pair checks run in one
+loop over the n^2 pairs, which forms the convolution of each pair once
+and hands it to all four, each with its own comparison and its own
+first failing pair.  On coefficient vectors the two sides of the
+dual-action identity are (E L_c)^T and (l_E(c) E)^T, for L_c the left
+translation by c and l_E(c) the left multiplication by E(delta_c), and
+M^T = N^T exactly when M = N.  So
 eq1_check compares E L_c, read off G's table, with l_E(c) E, read off
 the enveloping product rule by index.  Column a of those maps is
 E(delta_ca) and E(delta_c)E(delta_a), so the dual-action identity and
@@ -229,13 +232,20 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     Every check reads the maps of delta_map, antipode_map and
     e_basis_map, each built once per call: the diagrams compose them.
     The pair checks apply them, and augmentation, to each basis element
-    once per call, and for each of the n^2 pairs apply them to the
-    convolution of the two basis elements and compare that with the
-    product of the two stored images: 3n^2 + 3n applications of a
-    BasisMap, each check with its own scan and first failing pair.
+    once per call.  Then one loop over the n^2 pairs forms the
+    convolution of the two basis elements once per pair, and each of the
+    four identities applies its map to it and compares that with the
+    product of the two stored images: one generic product per pair and
+    one per pair for each of Delta, S and E, 4n^2 in all, and 3n^2 + 3n
+    applications of a BasisMap.  Each identity keeps its own first
+    failing pair in (g, h) order, so one failing identity hides no other.
     Replacing S with another permutation, such as the identity on a
     nonabelian group, fails the antipode checks; replacing Delta or E
-    with a map that is no homomorphism fails its pair check.
+    with a map that is no homomorphism fails its pair check.  A product
+    rule that scales every product by the same constant c != 1 scales
+    both sides of the Delta, S and E identities alike, so only
+    counit_homomorphism catches it: epsilon(delta_g delta_h) = c, where
+    epsilon(delta_g) epsilon(delta_h) = 1.
     """
     alg = GroupAlgebra(group)
     require_within_cap(group.order, "Hopf structure verification")
@@ -271,41 +281,36 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
         report, labels, "antipode_involutive",
         s.compose(s), ident, basis_note)
 
-    pair_note = f"all {n * n} basis pairs"
-
-    def first_pair_failure(predicate):
-        for g in range(n):
-            for h in range(n):
-                if not predicate(g, h):
-                    return f"pair ({labels[g]}, {labels[h]})"
-        return None
-
-    def record_pairs(name, predicate):
-        witness = first_pair_failure(predicate)
-        report.axioms[name] = AxiomResult(witness is None, pair_note, witness)
-
     tensor, env = alg.tensor, alg.enveloping
     basis = [alg.delta(g) for g in range(n)]
     delta_of = [delta.apply(b, tensor) for b in basis]
     eps_of = [augmentation(b) for b in basis]
     s_of = [s.apply(b, alg) for b in basis]
     e_of = [e.apply(b, env) for b in basis]
-    record_pairs(
-        "comultiplication_homomorphism",
-        lambda g, h: delta.apply(convolve(basis[g], basis[h]), tensor)
-        == delta_of[g] * delta_of[h])
-    record_pairs(
-        "counit_homomorphism",
-        lambda g, h: augmentation(convolve(basis[g], basis[h]))
-        == eps_of[g] * eps_of[h])
-    record_pairs(
-        "antipode_antihomomorphism",
-        lambda g, h: s.apply(convolve(basis[g], basis[h]), alg)
-        == convolve(s_of[h], s_of[g]))
-    record_pairs(
-        "e_homomorphism",
-        lambda g, h: e.apply(convolve(basis[g], basis[h]), env)
-        == e_of[g] * e_of[h])
+    # first failing pair of each identity, in (g, h) order
+    first: Dict[str, Tuple[int, int]] = {}
+    for g, b in enumerate(basis):
+        delta_g, eps_g, s_g, e_g = delta_of[g], eps_of[g], s_of[g], e_of[g]
+        for h, c in enumerate(basis):
+            gh = convolve(b, c)
+            if delta.apply(gh, tensor) != delta_g * delta_of[h]:
+                first.setdefault("comultiplication_homomorphism", (g, h))
+            if augmentation(gh) != eps_g * eps_of[h]:
+                first.setdefault("counit_homomorphism", (g, h))
+            if s.apply(gh, alg) != convolve(s_of[h], s_g):
+                first.setdefault("antipode_antihomomorphism", (g, h))
+            if e.apply(gh, env) != e_g * e_of[h]:
+                first.setdefault("e_homomorphism", (g, h))
+
+    pair_note = f"all {n * n} basis pairs"
+    for name in ("comultiplication_homomorphism", "counit_homomorphism",
+                 "antipode_antihomomorphism", "e_homomorphism"):
+        if name in first:
+            g, h = first[name]
+            report.axioms[name] = AxiomResult(
+                False, pair_note, f"pair ({labels[g]}, {labels[h]})")
+        else:
+            report.axioms[name] = AxiomResult(True, pair_note)
     return report
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -587,3 +588,25 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_closed_stdout_gives_one_error_line():
+    # the reader is gone before the document is written, as `| head -c 1`
+    # can leave it: exit 1 and one line of error, never a traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "padicamen", "check", "--group",
+             "symmetric:4", "--prime", "2", "--format", "structured"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1

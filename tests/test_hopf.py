@@ -10,6 +10,7 @@ from oracles import (QuotientRelations, apply, dual_action_verdicts,
                      transpose)
 
 import padicamen.amenability as amenability
+import padicamen.group_algebra as group_algebra
 from padicamen.amenability import certify
 from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
@@ -663,6 +664,73 @@ def test_pair_checks_apply_the_maps_to_each_basis_image_once(monkeypatch):
     n = grp.order
     assert verify_hopf_axioms(grp).all_pass
     assert len(calls) <= 3 * n * n + 3 * n == 126
+
+
+def patch_convolve(monkeypatch, stand_in):
+    # AlgebraElement.__mul__ reads group_algebra's name, the pair checks
+    # hopf's own
+    monkeypatch.setattr(group_algebra, "convolve", stand_in)
+    monkeypatch.setattr(hopf, "convolve", stand_in)
+
+
+def test_pair_checks_make_one_generic_product_per_pair_and_identity(
+        monkeypatch):
+    # per pair one product of the two basis elements, shared by the four
+    # identities, and one product of the two images for each of Delta, S
+    # and E: 4n^2, where one product per identity and pair made 7n^2 = 252
+    calls = []
+
+    def counted(f, h):
+        calls.append((f, h))
+        return convolve(f, h)
+    patch_convolve(monkeypatch, counted)
+    grp = symmetric(3)
+    n = grp.order
+    assert verify_hopf_axioms(grp).all_pass
+    assert len(calls) <= 4 * n * n == 144
+
+
+def test_each_identity_keeps_its_own_first_failing_pair(monkeypatch):
+    # Delta shifted by a generator t fails at every pair, since
+    # t gh != tg th, and the identity antipode only at pairs that do not
+    # commute, never at (g, g); so a loop that stopped at the first
+    # failure of any identity would miss the antipode's witness
+    monkeypatch.setattr(hopf, "delta_map", lambda group: _shifted_delta(
+        group, group.generators[0]))
+    monkeypatch.setattr(hopf, "antipode_map",
+                        lambda group: BasisMap.identity(group.order))
+    both = 0
+    for seed in (0, 1, 2):
+        for grp in relabelled_catalog(12, seed):
+            if grp.order == 1:
+                continue
+            report = verify_hopf_axioms(grp)
+            for name, witness in hopf_pair_witnesses(grp).items():
+                result = report.axioms[name]
+                assert (result.passed, result.witness) == \
+                    (witness is None, witness), (grp.name, name)
+            comult = report.axioms["comultiplication_homomorphism"]
+            anti = report.axioms["antipode_antihomomorphism"]
+            assert not comult.passed, grp.name
+            assert report.axioms["counit_homomorphism"].passed
+            assert report.axioms["e_homomorphism"].passed
+            if not anti.passed:
+                assert anti.witness != comult.witness, grp.name
+                both += 1
+    assert both > 0
+
+
+def test_counit_check_alone_catches_a_scaled_product(monkeypatch):
+    # a product that doubles every result scales both sides of the Delta,
+    # S and E identities alike, but not epsilon(delta_g delta_h) = 1
+    patch_convolve(monkeypatch, lambda f, h: convolve(f, h).scale(2))
+    grp = symmetric(3)
+    report = verify_hopf_axioms(grp)
+    failed = [name for name, r in report.axioms.items() if not r.passed]
+    assert failed == ["counit_homomorphism"]
+    e = grp.labels[grp.identity]
+    assert report.axioms["counit_homomorphism"].witness == \
+        f"pair ({e}, {e})"
 
 
 def test_tensor_norm_and_doc_stability():
