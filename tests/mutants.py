@@ -81,10 +81,6 @@ MUTANTS = (
     Mutant(AMEN, "except ValueError as exc:\n            raise Internal",
            "except ArithmeticError as exc:\n            raise Internal",
            (TESTS + "::test_derivation_certificate_rejects_a_non_action",)),
-    # derivation_spaces
-    _off(AMEN, "left_over",
-         TESTS + "::test_derivation_certificate_rejects_a_non_action",
-         TESTS + "::test_derivation_certificate_rejects_a_wrong_xi"),
     # diagonal_ideal_identity
     _off(AMEN, "not pi0(u).is_zero()",
          CONTROL % "multiplication_kernel_right_identity",

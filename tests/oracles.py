@@ -22,11 +22,12 @@ package checks the bimodule axioms on a generating set too, and
 `bimodule_axiom_failure` checks them at every pair.  The package reads
 each basis image of Delta, epsilon, S and E once for its Hopf pair checks,
 and `hopf_pair_witnesses` applies the maps again to both factors of
-every pair.  The package decides
-part (b) of the derivation certificate by whole families of terms at
-once, and on the generating set, and `johnson_identity_failure` collects
-the linear forms of each identity (g, c) of it one at a time, at every g
-or at the g given.
+every pair.  The package states part (b) of the derivation certificate,
+D = ad(xi_D), by the cancellation of its terms through the bimodule
+axioms, and `johnson_identity_failure` collects the linear forms of each
+identity (g, c) of it one at a time, at every g, for any actions.
+`closed_group` closes permutations or matrices mod p into a table, for
+groups the catalog lacks (`uncatalogued_groups`).
 `valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
 package only ever takes the valuations of nonzero int numerators and
 denominators.
@@ -36,8 +37,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from padicamen.finite_group import (FiniteGroup, Subgroup, catalog,
                                     from_table)
@@ -348,18 +349,18 @@ def _collect(terms: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def johnson_identity_failure(bimodule, elements: Optional[Sequence[int]] = None
+def johnson_identity_failure(group: FiniteGroup, left: Sequence[BasisMap],
+                             right: Sequence[BasisMap]
                              ) -> Optional[Tuple[int, int]]:
-    """First (g, c), g taken in the order of elements (every element by
-    default), at which n.(D - ad_{xi_D})[g, c] = -sum_k l(g, k, L_{k^-1} c)
-    fails as linear forms in the unknowns D[g, c] at g*dim + c, or None,
-    for Johnson's |G|.xi_D[x] = -sum_h D[h, L_{h^-1} x] and the Leibniz
-    rows l(g, h, c) = D[gh, c] - D[h, R_g c] - D[g, L_h c]."""
-    group = bimodule.group
-    n, dim = group.order, bimodule.dimension
+    """First (g, c) at which n.(D - ad_{xi_D})[g, c] = -sum_k l(g, k,
+    L_{k^-1} c) fails as linear forms in the unknowns D[g, c] at
+    g*dim + c, or None, for Johnson's |G|.xi_D[x] = -sum_h D[h, L_{h^-1} x]
+    and the Leibniz rows l(g, h, c) = D[gh, c] - D[h, R_g c] - D[g, L_h c],
+    with L and R the left and right actions, bimodule laws or not."""
+    n, dim = group.order, left[0].ncols
     table, inv = group.table, group.inverses
-    left = [mp.images for mp in bimodule.left]
-    right = [mp.images for mp in bimodule.right]
+    left = [mp.images for mp in left]
+    right = [mp.images for mp in right]
 
     def xi(x: int) -> List[Tuple[int, int]]:
         return [(h * dim + left[hi][x], -1) for h, hi in enumerate(inv)]
@@ -368,7 +369,7 @@ def johnson_identity_failure(bimodule, elements: Optional[Sequence[int]] = None
         return [(table[g][h] * dim + c, 1), (h * dim + right[g][c], -1),
                 (g * dim + left[h][c], -1)]
 
-    for g in range(n) if elements is None else elements:
+    for g in range(n):
         for c in range(dim):
             lhs = _collect([(g * dim + c, n)]
                            + [(k, -v) for k, v in xi(right[g][c])]
@@ -378,3 +379,51 @@ def johnson_identity_failure(bimodule, elements: Optional[Sequence[int]] = None
             if lhs != rhs:
                 return g, c
     return None
+
+
+def closed_group(name: str, generators: Sequence[Hashable],
+                 multiply: Callable[[Hashable, Hashable], Hashable]
+                 ) -> FiniteGroup:
+    """The group the generators generate under multiply, through
+    from_table: its elements are the generators, then each new product of
+    an element by a generator in the order found, labelled by str.  In a
+    finite group every element is such a product, the identity and the
+    inverses too."""
+    elements = list(dict.fromkeys(generators))
+    index = {x: i for i, x in enumerate(elements)}
+    for x in elements:  # the list grows while it is read
+        for s in generators:
+            xs = multiply(x, s)
+            if xs not in index:
+                index[xs] = len(elements)
+                elements.append(xs)
+    table = [[index[multiply(x, y)] for y in elements] for x in elements]
+    return from_table(name, [str(x) for x in elements], table)
+
+
+def compose(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The permutation i -> a[b[i]] of permutations given by their images."""
+    return tuple(a[i] for i in b)
+
+
+def matrix_product(p: int) -> Callable:
+    """The product of 2 x 2 matrices mod p, as tuples of rows."""
+    def multiply(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) % p
+                           for j in range(2)) for i in range(2))
+    return multiply
+
+
+def uncatalogued_groups() -> List[FiniteGroup]:
+    """Groups catalog(24) lacks: the alternating group A4, the dicyclic
+    group of order 12, SL(2, 3) and the elementary abelian group C2^3,
+    built from permutations and matrices mod p."""
+    return [
+        closed_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)], compose),
+        closed_group("Dic12", [((4, 0), (0, 10)), ((0, 12), (1, 0))],
+                     matrix_product(13)),
+        closed_group("SL(2,3)", [((1, 1), (0, 1)), ((0, 2), (1, 0))],
+                     matrix_product(3)),
+        closed_group("C2^3", [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+                              (0, 1, 2, 3, 5, 4)], compose),
+    ]

@@ -10,7 +10,9 @@ import time
 from pathlib import Path
 
 import pytest
-from oracles import relabel, relabelled_catalog
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import permuted, relabel, relabelled_catalog
 
 import padicamen.cli as cli
 import padicamen.finite_group as finite_group
@@ -162,6 +164,11 @@ def _relabelled_file(tmp_path, spec):
     written as a table file."""
     labels, table = relabel(from_spec(spec), random.Random(spec))
     assert table[0] != list(range(len(table)))  # 0 is not the identity
+    return _table_file(tmp_path, labels, table)
+
+
+def _table_file(tmp_path, labels, table):
+    """The path of a table file holding labels and table."""
     path = tmp_path / "relabelled.json"
     path.write_text(json.dumps({"name": "relabelled", "order": len(table),
                                 "labels": labels, "table": table}),
@@ -189,6 +196,21 @@ def test_derivations_are_invariant_under_relabelling(capsys, tmp_path, spec):
         capsys, "derivations", (spec, _relabelled_file(tmp_path, spec)), 2)
     assert moved["bimodules"] == original["bimodules"]
     assert set(moved["bimodules"]) == {"regular", "trivial", "outer_tensor"}
+
+
+# tmp_path and capsys serve every example: each writes its file again and
+# reads its own output
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(catalog(12)).flatmap(lambda grp: st.tuples(
+    st.just(grp), st.permutations(range(grp.order)))))
+def test_derivations_are_invariant_under_a_drawn_relabelling(
+        capsys, tmp_path, case):
+    grp, new = case
+    original, moved = _documents(
+        capsys, "derivations",
+        (grp.name, _table_file(tmp_path, *permuted(grp, new))), 2)
+    assert moved["bimodules"] == original["bimodules"]
 
 
 def _check_fields(doc):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 from oracles import (associativity_failure, closure_subgroups, pair_closure,
-                     relabel)
+                     relabel, uncatalogued_groups)
 
 import padicamen.finite_group as finite_group
 from padicamen.errors import (GroupValidationError, OrderCapError,
@@ -345,12 +345,16 @@ def test_subgroup_lattice_matches_closure_oracle(monkeypatch):
     relabelled = [_relabelled(g, rng) for g in catalog(24) if g.order > 1]
     assert all(g.identity != 0 for g in relabelled)
     monkeypatch.setenv(ORDER_CAP_ENV, "72")
+    uncatalogued = uncatalogued_groups()
     # every subgroup of the catalog is generated by two elements; the
     # Klein group times C2 inside D4 x C2 needs three
-    for g in catalog(24) + relabelled + [
+    for g in catalog(24) + relabelled + uncatalogued + [
             from_spec("product:dihedral:4,cyclic:2"),
             from_spec("product:symmetric:4,cyclic:3")]:
         assert enumerate_subgroups(g) == closure_subgroups(g), g.name
+    # the standard counts of A4, Dic12, SL(2,3) and C2^3
+    assert [len(enumerate_subgroups(g)) for g in uncatalogued] == \
+        [10, 8, 15, 16]
 
 
 def test_subgroup_validation():
