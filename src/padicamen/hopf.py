@@ -27,19 +27,20 @@ of their two images under the target's product rule
 (GroupAlgebra.product_index, whose second leg reads the opposite table in
 the enveloping algebra); each basis image is built once per call, and
 every pair with that factor reads it.  The four pair checks run in one
-loop over the n^2 pairs, which forms the convolution of each pair once
-and hands it to all four, each with its own comparison and its own
-first failing pair.  On coefficient vectors the two sides of the
-dual-action identity are (E L_c)^T and (l_E(c) E)^T, for L_c the left
-translation by c and l_E(c) the left multiplication by E(delta_c), and
-M^T = N^T exactly when M = N.  So
+loop over the rows g in {e} u S (S = group.generators) and every column
+h, which forms the convolution of each pair once and hands it to all
+four, each with its own comparison; every g is a word in S, so those
+rows decide all n^2 pairs, and only a failure reruns the loop over all
+of them to name each identity's first failing pair.  On coefficient
+vectors the two sides of the dual-action identity are (E L_c)^T and
+(l_E(c) E)^T, for L_c the left translation by c and l_E(c) the left
+multiplication by E(delta_c), and M^T = N^T exactly when M = N.  So
 eq1_check compares E L_c, read off G's table, with l_E(c) E, read off
-the enveloping product rule by index.  Column a of those maps is
-E(delta_ca) and E(delta_c)E(delta_a), so the dual-action identity and
-the e_homomorphism pair check decide the same equations
-E(ca) = E(c)E(a), the pair check through convolve and BasisMap.apply.
-Both stay, and each can fail on its own: eq1_check reads the
-translations and the pair check reads convolve.  The action check of the
+the enveloping product rule by index: column a of those maps is
+E(delta_ca) and E(delta_c)E(delta_a), and it reads every entry of the
+opposite table.  The e_homomorphism pair check reads the enveloping
+product rule only on the rows {e} u S, so the two are not one
+comparison, and each can fail on its own.  The action check of the
 quotient isomorphism compares the enveloping product rule with G's
 table, so an index mistake in one path cannot cancel against the same
 mistake in the other.
@@ -232,13 +233,15 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     Every check reads the maps of delta_map, antipode_map and
     e_basis_map, each built once per call: the diagrams compose them.
     The pair checks apply them, and augmentation, to each basis element
-    once per call.  Then one loop over the n^2 pairs forms the
-    convolution of the two basis elements once per pair, and each of the
-    four identities applies its map to it and compares that with the
-    product of the two stored images: one generic product per pair and
-    one per pair for each of Delta, S and E, 4n^2 in all, and 3n^2 + 3n
-    applications of a BasisMap.  Each identity keeps its own first
-    failing pair in (g, h) order, so one failing identity hides no other.
+    once per call.  Then one loop over the pairs (g, h) with g in {e} u S
+    forms the convolution of the two basis elements once per pair, and
+    each of the four identities applies its map to it and compares that
+    with the product of the two stored images: 4n(|S| + 1) generic
+    products and 3n(|S| + 1) + 3n applications of a BasisMap.  Those
+    rows decide all n^2 basis pairs, by the argument beside the loop; if
+    an identity fails on them, the loop reruns over all n^2, and each
+    identity keeps its own first failing pair in (g, h) order, so one
+    failing identity hides no other.
     Replacing S with another permutation, such as the identity on a
     nonabelian group, fails the antipode checks; replacing Delta or E
     with a map that is no homomorphism fails its pair check.  A product
@@ -287,20 +290,34 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     eps_of = [augmentation(b) for b in basis]
     s_of = [s.apply(b, alg) for b in basis]
     e_of = [e.apply(b, env) for b in basis]
-    # first failing pair of each identity, in (g, h) order
-    first: Dict[str, Tuple[int, int]] = {}
-    for g, b in enumerate(basis):
-        delta_g, eps_g, s_g, e_g = delta_of[g], eps_of[g], s_of[g], e_of[g]
-        for h, c in enumerate(basis):
-            gh = convolve(b, c)
-            if delta.apply(gh, tensor) != delta_g * delta_of[h]:
-                first.setdefault("comultiplication_homomorphism", (g, h))
-            if augmentation(gh) != eps_g * eps_of[h]:
-                first.setdefault("counit_homomorphism", (g, h))
-            if s.apply(gh, alg) != convolve(s_of[h], s_g):
-                first.setdefault("antipode_antihomomorphism", (g, h))
-            if e.apply(gh, env) != e_g * e_of[h]:
-                first.setdefault("e_homomorphism", (g, h))
+    def scan(rows: Iterable[int]) -> Dict[str, Tuple[int, int]]:
+        # first failing pair of each identity, in (g, h) order
+        first: Dict[str, Tuple[int, int]] = {}
+        for g in rows:
+            delta_g, eps_g, s_g, e_g = delta_of[g], eps_of[g], s_of[g], e_of[g]
+            for h, c in enumerate(basis):
+                gh = convolve(basis[g], c)
+                if delta.apply(gh, tensor) != delta_g * delta_of[h]:
+                    first.setdefault("comultiplication_homomorphism", (g, h))
+                if augmentation(gh) != eps_g * eps_of[h]:
+                    first.setdefault("counit_homomorphism", (g, h))
+                if s.apply(gh, alg) != convolve(s_of[h], s_g):
+                    first.setdefault("antipode_antihomomorphism", (g, h))
+                if e.apply(gh, env) != e_g * e_of[h]:
+                    first.setdefault("e_homomorphism", (g, h))
+        return first
+
+    # Write P(g, h) for phi(delta_g delta_h) = phi(delta_g) phi(delta_h),
+    # the factors swapped for the antipode.  Every g is a nonempty word in
+    # S, since e = s^(ord s).  If P(s, .) holds for every s in S, then
+    # phi(s g' h) = phi(s) phi(g' h) = phi(s) phi(g') phi(h) = phi(s g') phi(h)
+    # by induction on the word and associativity of the target's product,
+    # so the rows {e} u S decide all n^2 pairs; for cyclic:1, S is empty
+    # and the row e is the whole check.  Only a failure scans every row,
+    # to name each identity's first failing pair in (g, h) order.
+    first = scan(sorted({group.identity, *group.generators}))
+    if first:
+        first = scan(range(n))
 
     pair_note = f"all {n * n} basis pairs"
     for name in ("comultiplication_homomorphism", "counit_homomorphism",
@@ -348,10 +365,9 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     translations of translations(group) read off G's table, with those of
     l_E(c) E, read off the enveloping product rule by index, decides the
     identity for all n^2 basis phi at once: 2n^2 reads in all.  Column a
-    of the two maps is E(delta_ca) and E(delta_c)E(delta_a), so these are
-    the equations E(ca) = E(c)E(a) that the e_homomorphism Hopf check
-    decides through convolve and BasisMap.apply.  Each check can fail on
-    its own: this one reads the translations and the pair check convolve.
+    of the two maps is E(delta_ca) and E(delta_c)E(delta_a): this check
+    reads all n^2 equations E(ca) = E(c)E(a), where the e_homomorphism
+    Hopf check reads them on the rows {e} u S through convolve.
     """
     require_within_cap(group.order, "dual action identity check")
     env = GroupAlgebra(group).enveloping

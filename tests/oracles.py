@@ -416,7 +416,8 @@ def matrix_product(p: int) -> Callable:
 
 def uncatalogued_groups() -> List[FiniteGroup]:
     """Groups catalog(24) lacks: the alternating group A4, the dicyclic
-    group of order 12, SL(2, 3) and the elementary abelian group C2^3,
+    group of order 12, SL(2, 3) and the elementary abelian groups C2^3
+    and C2^4, the last the one whose generating set has four elements,
     built from permutations and matrices mod p."""
     return [
         closed_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)], compose),
@@ -426,4 +427,8 @@ def uncatalogued_groups() -> List[FiniteGroup]:
                      matrix_product(3)),
         closed_group("C2^3", [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
                               (0, 1, 2, 3, 5, 4)], compose),
+        closed_group("C2^4", [(1, 0, 2, 3, 4, 5, 6, 7),
+                              (0, 1, 3, 2, 4, 5, 6, 7),
+                              (0, 1, 2, 3, 5, 4, 6, 7),
+                              (0, 1, 2, 3, 4, 5, 7, 6)], compose),
     ]

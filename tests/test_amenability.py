@@ -389,8 +389,8 @@ def test_generating_set_decides_what_every_element_decides(seed):
 
 
 def test_derivation_dims_match_character_theory():
-    # with A4, Dic12, SL(2,3) and C2^3, dim Der on the regular bimodule
-    # is 8, 6, 17 and 0
+    # with A4, Dic12, SL(2,3), C2^3 and C2^4, dim Der on the regular
+    # bimodule is 8, 6, 17, 0 and 0
     for grp in [cyclic(4), cyclic(6), dihedral(3), dihedral(4),
                 symmetric(3), quaternion8(), *uncatalogued_groups()]:
         n = grp.order

@@ -352,9 +352,9 @@ def test_subgroup_lattice_matches_closure_oracle(monkeypatch):
             from_spec("product:dihedral:4,cyclic:2"),
             from_spec("product:symmetric:4,cyclic:3")]:
         assert enumerate_subgroups(g) == closure_subgroups(g), g.name
-    # the standard counts of A4, Dic12, SL(2,3) and C2^3
+    # the standard counts of A4, Dic12, SL(2,3), C2^3 and C2^4
     assert [len(enumerate_subgroups(g)) for g in uncatalogued] == \
-        [10, 8, 15, 16]
+        [10, 8, 15, 16, 67]
 
 
 def test_subgroup_validation():

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 from exact_linalg import Echelon
 from oracles import (QuotientRelations, apply, dual_action_verdicts,
-                     hopf_pair_witnesses, relabelled_catalog, tensor_of,
-                     transpose)
+                     hopf_pair_witnesses, pair_closure, relabel,
+                     relabelled_catalog, tensor_of, transpose,
+                     uncatalogued_groups)
 
 import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
 from padicamen.amenability import certify
 from padicamen.errors import InternalCheckError
 from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
-                                    quaternion8, symmetric)
+                                    from_table, quaternion8, symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      TensorAlgebra, augmentation,
                                      basis_classes, convolve, norm_exponent)
@@ -634,12 +635,17 @@ def test_pair_checks_match_per_pair_oracle(monkeypatch, seed):
     # the package reads each basis image once, the oracle builds both
     # factors' images again for every pair; with the true maps and with
     # each stand-in they agree on every verdict and witness
+    rng = random.Random(seed)
+    # the five groups the catalog lacks, shared out over the seeds
+    groups = list(relabelled_catalog(12, seed)) + [
+        from_table(grp.name, *relabel(grp, rng))
+        for grp in uncatalogued_groups()[seed::3]]
     for builder, stand_in in [(None, None)] + STAND_INS:
         monkeypatch.undo()
         if builder is not None:
             monkeypatch.setattr(hopf, builder, stand_in)
         failed = set()
-        for grp in relabelled_catalog(12, seed):
+        for grp in groups:
             report = verify_hopf_axioms(grp)
             for name, witness in hopf_pair_witnesses(grp).items():
                 result = report.axioms[name]
@@ -651,8 +657,9 @@ def test_pair_checks_match_per_pair_oracle(monkeypatch, seed):
 
 
 def test_pair_checks_apply_the_maps_to_each_basis_image_once(monkeypatch):
-    # per pair one image of the product under each of Delta, S and E, and
-    # one image of each basis element under each: 3n^2 + 3n applications
+    # per pair (g, h), g in {e} u S, one image of the product under each
+    # of Delta, S and E, and one image of each basis element under each:
+    # 3n(|S| + 1) + 3n applications, where all n^2 pairs made 126
     calls = []
     apply_map = BasisMap.apply
 
@@ -661,9 +668,9 @@ def test_pair_checks_apply_the_maps_to_each_basis_image_once(monkeypatch):
         return apply_map(self, f, target)
     monkeypatch.setattr(BasisMap, "apply", counted)
     grp = symmetric(3)
-    n = grp.order
+    n, rows = grp.order, len(grp.generators) + 1
     assert verify_hopf_axioms(grp).all_pass
-    assert len(calls) <= 3 * n * n + 3 * n == 126
+    assert len(calls) <= 3 * n * rows + 3 * n == 72
 
 
 def patch_convolve(monkeypatch, stand_in):
@@ -673,11 +680,12 @@ def patch_convolve(monkeypatch, stand_in):
     monkeypatch.setattr(hopf, "convolve", stand_in)
 
 
-def test_pair_checks_make_one_generic_product_per_pair_and_identity(
+def test_passing_pair_checks_make_four_products_per_generating_row_pair(
         monkeypatch):
-    # per pair one product of the two basis elements, shared by the four
-    # identities, and one product of the two images for each of Delta, S
-    # and E: 4n^2, where one product per identity and pair made 7n^2 = 252
+    # per pair (g, h), g in {e} u S, one product of the two basis
+    # elements, shared by the four identities, and one product of the two
+    # images for each of Delta, S and E: 4n(|S| + 1), where all n^2 pairs
+    # made 4n^2 = 144
     calls = []
 
     def counted(f, h):
@@ -685,9 +693,9 @@ def test_pair_checks_make_one_generic_product_per_pair_and_identity(
         return convolve(f, h)
     patch_convolve(monkeypatch, counted)
     grp = symmetric(3)
-    n = grp.order
+    n, rows = grp.order, len(grp.generators) + 1
     assert verify_hopf_axioms(grp).all_pass
-    assert len(calls) <= 4 * n * n == 144
+    assert len(calls) <= 4 * n * rows == 72
 
 
 def test_each_identity_keeps_its_own_first_failing_pair(monkeypatch):
@@ -731,6 +739,59 @@ def test_counit_check_alone_catches_a_scaled_product(monkeypatch):
     e = grp.labels[grp.identity]
     assert report.axioms["counit_homomorphism"].witness == \
         f"pair ({e}, {e})"
+
+
+def _off_subgroup(builder, members):
+    # the builder's map on delta_h for h in members, 0 on the other cosets
+    def stand_in(group):
+        true = builder(group)
+        return BasisMap(true.nrows, (i if g in members else None
+                                     for g, i in enumerate(true.images)))
+    return stand_in
+
+
+def test_generating_set_decides_what_every_element_decides(monkeypatch):
+    # For s in S with H = <S minus s> proper, the stand-ins agree with
+    # Delta, epsilon, S and E on H and send every other coset Hr to 0.
+    # Then P(h, x) holds for every h in H and x in G, since hx lies in H
+    # exactly when x does, and P(g, h) fails exactly where gh lies in H
+    # but g and h do not both; so a pair check that skipped the row s
+    # would pass them.  A twist of the cosets within G, f(hr) = h sigma(r),
+    # cannot serve C2^k: there every f with f(hx) = f(h)f(x) for all h in
+    # a subgroup H of index 2 is a homomorphism.
+    checked = 0
+    for grp in catalog(12) + uncatalogued_groups():
+        n, table, labels = grp.order, grp.table, grp.labels
+        for s in grp.generators:
+            members = pair_closure(grp, frozenset(grp.generators) - {s})
+            if len(members) == n:
+                continue
+            monkeypatch.undo()
+            for builder in (delta_map, antipode_map, e_basis_map):
+                monkeypatch.setattr(hopf, builder.__name__,
+                                    _off_subgroup(builder, members))
+            monkeypatch.setattr(hopf, "augmentation", lambda f: sum(
+                v for k, v in f.num.items() if k in members))
+            g, h = next((g, h) for g in range(n) for h in range(n)
+                        if (table[g][h] in members)
+                        != (g in members and h in members))
+            witness = f"pair ({labels[g]}, {labels[h]})"
+            report = verify_hopf_axioms(grp)
+            for name in PAIR_CHECKS:
+                result = report.axioms[name]
+                assert (result.passed, result.witness) == \
+                    (False, witness), (grp.name, s, name)
+            # the oracle reads the builders, and group_algebra's epsilon
+            assert hopf_pair_witnesses(grp) == dict(
+                dict.fromkeys(PAIR_CHECKS, witness),
+                counit_homomorphism=None), (grp.name, s)
+            checked += 1
+    assert checked == 47
+    # cyclic:1: S is empty and the row e is the whole check
+    monkeypatch.undo()
+    patch_convolve(monkeypatch, lambda f, h: convolve(f, h).scale(2))
+    report = verify_hopf_axioms(cyclic(1))
+    assert report.axioms["counit_homomorphism"].witness == "pair (0, 0)"
 
 
 def test_tensor_norm_and_doc_stability():
