@@ -11,9 +11,10 @@ For a finite group G over Q_p the story certified here is:
   agree; p | |G| is the separating case.
 * Amenability of the convolution algebra itself is witnessed by a virtual
   diagonal, constructed here by tracing the proof: lift delta_e through
-  the quotient isomorphism, push the mean through E, and land on the
-  closed form |G|^{-1} sum_g delta_g (x) delta_{g^{-1}}.  Its marginal
-  recovers the mean, closing the round trip.
+  the quotient isomorphism, which certify decides first, to the class of
+  the unit, push the mean through E, and land on the closed form
+  |G|^{-1} sum_g delta_g (x) delta_{g^{-1}}.  Its marginal recovers the
+  mean, closing the round trip.
 * Derivations into dual bimodules are all inner, by Johnson's proof
   rather than by solving: with the virtual diagonal's xi_D, D = ad(xi_D)
   and ad(xi) a derivation are formal consequences of the bimodule axioms,
@@ -28,9 +29,8 @@ to_doc(prime) writers of the mean and the diagonal, and by certify.
 
 A stage takes the results of the stages before it as arguments, in the
 order of the proof: schikhof_check the mean and the subgroup lattice,
-virtual_diagonal_construct the mean and the quotient data of lemma2_data,
-diagonal_ideal_identity the diagonal.  certify computes each once and
-hands it on.
+virtual_diagonal_construct the mean, diagonal_ideal_identity the
+diagonal.  certify computes each once and hands it on.
 
 Every verification is exact; a failed check raises InternalCheckError
 because each identity holds by theorem for valid inputs.  A homomorphism
@@ -51,9 +51,9 @@ from .finite_group import (FiniteGroup, Subgroup, enumerate_subgroups,
 from .group_algebra import (AlgebraElement, GroupAlgebra, augmentation,
                             basis_classes, format_norm_exponent, i0_identity,
                             norm_exponent)
-from .hopf import (BasisMap, Lemma2Data, basis_tensor, counit_map, e_map,
-                   eq1_check, lemma2_data, lemma2_iso_check, mult_map,
-                   pi0, translations, verify_hopf_axioms)
+from .hopf import (BasisMap, basis_tensor, counit_map, e_map, eq1_check,
+                   lemma2_data, lemma2_iso_check, pi0, translations,
+                   verify_hopf_axioms)
 from .valued_field import require_prime
 
 
@@ -75,10 +75,12 @@ def invariant_functional_space(group: FiniteGroup) -> List[AlgebraElement]:
 
 class JohnsonCertificate(NamedTuple):
     """Witness for the existence of a left-invariant mean with m(1) != 0,
-    normalized to m(1) = 1.  Every finite group has one."""
+    normalized to m(1) = 1.  Every finite group has one.  johnson_check
+    raises unless the invariant space has dimension 1, so
+    invariant_space_dim is always 1."""
 
-    invariant_space_dim: int
     mean: AlgebraElement
+    invariant_space_dim = 1
 
     def to_doc(self, prime: int):
         return {
@@ -115,7 +117,7 @@ def johnson_check(group: FiniteGroup) -> JohnsonCertificate:
     if mean != AlgebraElement(alg, dict.fromkeys(range(n), 1), n):
         raise InternalCheckError(
             "invariant-space mean disagrees with the averaging functional")
-    return JohnsonCertificate(1, mean)
+    return JohnsonCertificate(mean)
 
 
 class SchikhofVerdict(NamedTuple):
@@ -227,50 +229,28 @@ class VirtualDiagonal(NamedTuple):
 
 
 def virtual_diagonal_construct(group: FiniteGroup,
-                               johnson: JohnsonCertificate,
-                               lemma2: Lemma2Data) -> VirtualDiagonal:
-    """Build the virtual diagonal by tracing the proof of the equivalence.
-
-    Steps: take the classes of the basis tensors under the relations
-    u.E(a) - epsilon(a).u, which form a basis of the quotient; lift
-    delta_e through the induced isomorphism, with no solve, to the one
-    class whose representative multiplies to e, and confirm it is the
-    class of delta_e (x) delta_e; check that right multiplication by
-    E(mean) kills every relation, which reduces to E(delta_a).E(mean) =
-    E(mean) for a in the generating set S; multiply the lift by E(mean); then
-    verify the closed form and the balance identity (a (x) 1).d = (1 (x)
-    a).d exactly.  The other two identities, pi0(d) = delta_e and d.d = d,
-    are decided once, by diagonal_ideal_identity on this d in the same
-    certify run, as pi0(1 (x) 1 - d) = 0 and d.(1 (x) 1 - d) = 0.
-    johnson is johnson_check(group) and lemma2 is lemma2_data(group), the
-    results of the two earlier stages of the proof.
+                               johnson: JohnsonCertificate) -> VirtualDiagonal:
+    """Build the virtual diagonal by tracing the proof of the equivalence:
+    lift delta_e through the quotient isomorphism of lemma2_iso_check and
+    multiply the lift by E(mean).  The lift is the class of the unit
+    1 (x) 1, so d = E(mean) once the relation check below makes .E(mean) a
+    map on the quotient; then verify the closed form and the balance
+    identity (a (x) 1).d = (1 (x) a).d exactly.  The other two
+    identities, pi0(d) = delta_e and d.d = d, are decided once, by
+    diagonal_ideal_identity on this d in the same certify run, as
+    pi0(1 (x) 1 - d) = 0 and d.(1 (x) 1 - d) = 0.  johnson is
+    johnson_check(group), the result of the earlier stage of the proof.
     """
     require_within_cap(group.order, "virtual diagonal construction")
     alg = GroupAlgebra(group)
-    grp = group
-    n = grp.order
-    _, classes = lemma2
-    reps = sorted(set(classes))
-    if len(reps) != n:
-        raise InternalCheckError(
-            "quotient dimension %d differs from group order %d"
-            % (len(reps), n)
-        )
+    n = group.order
 
-    # lift delta_e through the induced isomorphism class(e_r) -> pi0(e_r):
-    # it sends each class to one basis element, so the lift is the one
-    # class whose representative multiplies to e
-    products = mult_map(grp).images
-    over_e = [r for r in reps if products[r] == grp.identity]
-    if not over_e:
-        raise InternalCheckError(
-            "delta_e is not in the image of the induced map")
-    if over_e != [classes[grp.identity * n + grp.identity]]:
-        raise InternalCheckError(
-            "lift of delta_e is not the class of delta_e (x) delta_e")
-    u0 = alg.enveloping.delta(over_e[0])
-
-    # push the mean through E; relations must die, making the step a map
+    # the lift reads no class: certify runs this after lemma2_iso_check
+    # passed on lemma2_data(group), whose classes are the basis_classes of
+    # the relations that well_defined reads, so pi0 is constant on each
+    # class; bijective makes the class over delta_e unique, and pi0(1 (x)
+    # 1) = delta_e, so the lift is the class of the unit 1 (x) 1 and
+    # lift.E(m) = E(m).  The relation check stays: it makes .E(m) a map
     # on the quotient rather than on representatives.  Each relation is
     # u.(E(delta_a) - 1 (x) 1) for a basis tensor u, and left
     # multiplication by delta_g (x) delta_h sends delta_x (x) delta_y to
@@ -278,24 +258,23 @@ def virtual_diagonal_construct(group: FiniteGroup,
     # every relation dies under .E(m) exactly when E(delta_a).E(m) = E(m)
     # for every a in S.  These extend to G through E(st) = E(s)E(t), which
     # e_homomorphism and eq1_check decide in the same certify run.
-    em = e_map(johnson.mean)
-    for a in grp.generators:
-        if e_map(alg.delta(a)) * em != em:
+    d = e_map(johnson.mean)
+    for a in group.generators:
+        if e_map(alg.delta(a)) * d != d:
             raise InternalCheckError(
                 "a quotient relation survives multiplication by E(mean) "
-                "at %s" % grp.labels[a])
-    d = u0 * em
+                "at %s" % group.labels[a])
 
     closed = AlgebraElement(alg.enveloping, {
-        g * n + grp.inverses[g]: 1 for g in range(n)}, n)
+        g * n + group.inverses[g]: 1 for g in range(n)}, n)
     if d != closed:
         raise InternalCheckError(
             "constructed diagonal differs from the closed form")
-    env, e = alg.enveloping, grp.identity
-    for a in grp.elements():
+    env, e = alg.enveloping, group.identity
+    for a in group.elements():
         if basis_tensor(env, a, e) * d != basis_tensor(env, e, a) * d:
             raise InternalCheckError(
-                "balance identity fails at %s" % grp.labels[a])
+                "balance identity fails at %s" % group.labels[a])
     return VirtualDiagonal(d)
 
 
@@ -562,15 +541,14 @@ def certify(group: FiniteGroup, prime: int) -> dict:
     eq1 = eq1_check(group)
     if not eq1.all_pass:
         raise InternalCheckError("dual action identity failed")
-    lemma2 = lemma2_data(group)
-    l2 = lemma2_iso_check(group, lemma2)
+    l2 = lemma2_iso_check(group, lemma2_data(group))
     if not l2.all_pass:
         raise InternalCheckError("quotient isomorphism check failed")
     jc = johnson_check(group)
     subgroups = enumerate_subgroups(group)
     sv = schikhof_check(group, prime, subgroups, jc)
     i0_identity(GroupAlgebra(group))
-    vd = virtual_diagonal_construct(group, jc, lemma2)
+    vd = virtual_diagonal_construct(group, jc)
     m2 = mean_from_diagonal(vd)
     if m2 != jc.mean:
         raise InternalCheckError("mean/diagonal round trip failed")

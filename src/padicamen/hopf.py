@@ -456,7 +456,8 @@ def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:
     For each, w.e_r is read off the enveloping product rule by index,
     whose second leg reads the opposite table, and compared with delta_wg
     * pi0(e_r) * delta_wh read from G's table: 2n^2 products.  lemma2 is
-    lemma2_data(group), which certify also hands to the virtual diagonal.
+    lemma2_data(group).  Once this passes, the lift of delta_e is the
+    class of the unit, so virtual_diagonal_construct reads no class.
     """
     require_within_cap(group.order, "quotient isomorphism check")
     env = GroupAlgebra(group).enveloping

@@ -126,8 +126,7 @@ def test_acceptance_3_virtual_diagonal_round_trip():
         }
         t0 = time.monotonic()
         alg = GroupAlgebra(grp)
-        vd = virtual_diagonal_construct(grp, johnson_check(grp),
-                                        lemma2_data(grp))
+        vd = virtual_diagonal_construct(grp, johnson_check(grp))
         d = vd.tensor
         one = alg.one()
         balanced = all(

@@ -68,8 +68,7 @@ def conjugacy_class_count(grp):
 
 def construct_diagonal(grp):
     """The virtual diagonal of grp from freshly computed inputs."""
-    return virtual_diagonal_construct(grp, johnson_check(grp),
-                                      lemma2_data(grp))
+    return virtual_diagonal_construct(grp, johnson_check(grp))
 
 
 def test_invariant_space_is_one_dimensional_and_uniform():
@@ -187,7 +186,7 @@ def test_mean_from_diagonal_round_trip():
 def test_round_trip_rejects_tampered_diagonal(monkeypatch):
     # the marginal of delta_e (x) delta_e is delta_e, not the mean, and
     # mean_from_diagonal leaves that to certify's round trip
-    def tampered(group, johnson, lemma2):
+    def tampered(group, johnson):
         env, e = GroupAlgebra(group).enveloping, group.identity
         return VirtualDiagonal(basis_tensor(env, e, e))
     monkeypatch.setattr(amenability, "virtual_diagonal_construct", tampered)
@@ -228,43 +227,21 @@ def test_diagonal_ideal_identity_trivial_group():
 
 
 def test_virtual_diagonal_construct_rejects_each_corruption():
+    # a wrong lift of delta_e is refused earlier, by the quotient check:
+    # test_hopf.py::test_quotient_check_pins_the_lift_of_delta_e
     grp = symmetric(3)
-    n, e, inv = grp.order, grp.identity, grp.inverses
     alg = GroupAlgebra(grp)
     jc = johnson_check(grp)
 
-    def build(johnson=jc, lemma2=lemma2_data(grp)):
-        return virtual_diagonal_construct(grp, johnson, lemma2)
-
-    def certificate(mean):
-        return JohnsonCertificate(1, mean)
+    def build(mean):
+        return virtual_diagonal_construct(grp, JohnsonCertificate(mean))
 
     # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
     with pytest.raises(InternalCheckError, match="quotient relation"):
-        build(certificate(alg.one()))
+        build(alg.one())
     # twice the mean is invariant too, so only the closed form catches it
     with pytest.raises(InternalCheckError, match="closed form"):
-        build(certificate(jc.mean.scale(2)))
-
-    def classes_with(reps, rest):
-        """Class map whose classes are reps, every other index in rest's."""
-        return (), tuple(k if k in reps else rest for k in range(n * n))
-
-    # every basis tensor its own class: dimension n^2
-    with pytest.raises(InternalCheckError, match="quotient dimension 36"):
-        build(lemma2=classes_with(set(range(n * n)), None))
-    others = {e * n + a for a in range(n) if a != e}
-    t = 1
-    # no representative multiplies to e
-    with pytest.raises(InternalCheckError, match="not in the image"):
-        build(lemma2=classes_with(others | {t * n + e}, t * n + e))
-    # the one class over e is delta_t (x) delta_{t^-1}'s, not e (x) e's
-    with pytest.raises(InternalCheckError, match="not the class of"):
-        build(lemma2=classes_with(others | {t * n + inv[t]}, min(others)))
-    # two classes over e, so the lift is not pinned to the class of e (x) e
-    with pytest.raises(InternalCheckError, match="not the class of"):
-        build(lemma2=classes_with(
-            (others - {e * n + t}) | {e * n + e, t * n + inv[t]}, e * n + e))
+        build(jc.mean.scale(2))
 
 
 def _ideal_identity_with(grp, coeffs):
@@ -330,9 +307,8 @@ def test_generating_set_decides_what_every_element_decides(seed):
     rng = random.Random(seed)
     for grp in relabelled_catalog(12, seed):
         n, table, alg = grp.order, grp.table, GroupAlgebra(grp)
-        jc, lemma2 = johnson_check(grp), lemma2_data(grp)
-        u = diagonal_ideal_identity(grp, virtual_diagonal_construct(
-            grp, jc, lemma2))
+        jc = johnson_check(grp)
+        u = diagonal_ideal_identity(grp, virtual_diagonal_construct(grp, jc))
         env = u.algebra
         # x_g.w = 0 for every g when w is a function of the product yx of
         # the legs of its basis tensors x (x) y: two such w keep u.  The
@@ -377,8 +353,7 @@ def test_generating_set_decides_what_every_element_decides(seed):
             invariant = all(e_map(alg.delta(a)) * ef == ef
                             for a in grp.elements())
             try:
-                virtual_diagonal_construct(grp, JohnsonCertificate(1, f),
-                                           lemma2)
+                virtual_diagonal_construct(grp, JohnsonCertificate(f))
             except InternalCheckError as exc:
                 survives = "quotient relation" in str(exc)
             else:
@@ -723,6 +698,9 @@ def test_certify_runs_johnson_check_once(monkeypatch):
 
 
 def test_certify_builds_lemma2_data_once(monkeypatch):
+    # certify builds the quotient data once, for the quotient check, which
+    # is its only reader: the virtual diagonal takes the lift of delta_e
+    # to be the class of the unit once that check has passed
     calls = []
     real = amenability.lemma2_data
 
@@ -857,9 +835,9 @@ def _nonconstant_functional(group):
                            {g: g + 1 for g in group.elements()})]
 
 
-def _twice_the_mean(group, johnson, lemma2):
+def _twice_the_mean(group, johnson):
     return virtual_diagonal_construct(
-        group, JohnsonCertificate(1, johnson.mean.scale(2)), lemma2)
+        group, JohnsonCertificate(johnson.mean.scale(2)))
 
 
 # one corrupted input per named check, in the order certify runs them:

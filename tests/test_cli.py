@@ -272,6 +272,28 @@ def test_check_and_verify_are_invariant_under_relabelling(capsys, tmp_path,
         [p for p in (2, 3, 5, 7) if n % p == 0]
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(catalog(12)).flatmap(lambda grp: st.tuples(
+    st.just(grp), st.permutations(range(grp.order)))),
+    st.sampled_from((2, 3, 5, 7)))
+def test_check_and_verify_are_invariant_under_a_drawn_relabelling(
+        capsys, tmp_path, case, prime):
+    # permuted keeps the labels and moves the indices, the identity's too,
+    # so what the documents key by label must not move either: the mean,
+    # the diagonal and the dual-action verdict of each c
+    grp, new = case
+    groups = (grp.name, _table_file(tmp_path, *permuted(grp, new)))
+    original, moved = _documents(capsys, "check", groups, prime)
+    assert _check_fields(moved) == _check_fields(original)
+    assert moved["johnson"]["mean"] == original["johnson"]["mean"]
+    assert moved["diagonal"] == original["diagonal"]
+    original, moved = _documents(capsys, "verify", groups, prime)
+    assert _verify_fields(moved) == _verify_fields(original)
+    assert moved["dual_action_identity"]["per_c"] == \
+        original["dual_action_identity"]["per_c"]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sweep_is_invariant_under_relabelling(capsys, monkeypatch, seed):
     # sweep reads only the built-in catalog, so the catalog is replaced in

@@ -363,6 +363,58 @@ def test_quotient_isomorphism_fails_with_diagonal_e(monkeypatch):
         certify(grp, 2)
 
 
+def _s3_class_maps():
+    """Class maps of S3 that get the lift of delta_e wrong, each with the
+    flags of lemma2_iso_check that fail on it, under either relation set."""
+    grp = symmetric(3)
+    n, e, t = grp.order, grp.identity, 1
+    others = {e * n + a for a in range(n) if a != e}
+
+    def classes_with(reps, rest):
+        """Class map whose classes are reps, every other index in rest's."""
+        return tuple(k if k in reps else rest for k in range(n * n))
+    return {
+        # every basis tensor its own class: dimension n^2
+        "dimension_36": (classes_with(set(range(n * n)), None),
+                         {"dim_ok", "bijective"}),
+        # no representative multiplies to e, and two multiply to t
+        "no_class_over_e": (classes_with(others | {t * n + e}, t * n + e),
+                            {"bijective", "action_commutes"}),
+        # the one class over e is delta_t (x) delta_{t^-1}'s, and e (x) e
+        # sits in the class of e (x) 1: the representatives still have n
+        # distinct products, so only the action check sees it
+        "class_over_e_is_t_t_inverse": (
+            classes_with(others | {t * n + grp.inverses[t]}, min(others)),
+            {"action_commutes"}),
+        # two classes over e, and none over t
+        "two_classes_over_e": (classes_with(
+            (others - {e * n + t}) | {e * n + e, t * n + grp.inverses[t]},
+            e * n + e), {"bijective", "action_commutes"}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_s3_class_maps()))
+def test_quotient_check_pins_the_lift_of_delta_e(monkeypatch, case):
+    # the virtual diagonal takes the lift of delta_e to be the class of
+    # 1 (x) 1 because this check passed: each class map here gets that
+    # class wrong, and the check fails with the true relations and with
+    # none (well_defined reads only the relations, so it passes on both)
+    grp = symmetric(3)
+    classes, failing = _s3_class_maps()[case]
+    for relations in (lemma2_data(grp)[0], ()):
+        report = lemma2_iso_check(grp, (relations, classes))
+        assert not report.all_pass
+        assert report.well_defined
+        flags = {"dim_ok": report.dim_ok, "bijective": report.bijective,
+                 "action_commutes": report.action_commutes}
+        assert {name for name, ok in flags.items() if not ok} == failing
+        monkeypatch.setattr(amenability, "lemma2_data",
+                            lambda group: (relations, classes))
+        with pytest.raises(InternalCheckError,
+                           match="^quotient isomorphism check failed$"):
+            certify(grp, 2)
+
+
 def test_diagonal_e_is_refused_at_the_hopf_axioms():
     # the generator relations rest on E(st) = E(s)E(t): with the diagonal
     # E they alone pass, so certify must refuse the group at the Hopf

@@ -88,7 +88,7 @@ def test_prime_readers_reject_non_primes(monkeypatch):
     # p = 1 would make int_valuation loop forever, and p = 0 divide by 0
     grp = cyclic(4)
     mean = johnson_check(grp).mean
-    jc = amenability.JohnsonCertificate(1, mean)
+    jc = amenability.JohnsonCertificate(mean)
     subgroups = enumerate_subgroups(grp)
 
     def refuse(*args, **kwargs):
