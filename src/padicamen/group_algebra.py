@@ -308,18 +308,20 @@ def i0_identity(algebra: GroupAlgebra) -> AlgebraElement:
     """The exact identity element of I_0: e_0 = delta_e - |G|^{-1} * ones.
 
     Verified before returning; failure here is an implementation bug,
-    never a data condition.  epsilon(e_0) = 0 puts e_0 in I_0, and f.e_0 =
-    f on the basis f = delta_g - delta_e makes X = delta_e - e_0 left
-    invariant, so X = c.1 and e_0.f = f - c.epsilon(f).1 = f: e_0 is a
-    two-sided identity.  f.e_0 = f holds for every c, so only the first
-    check pins c = 1/|G|.  The norm exponent of e_0 is v_p(|G|), the
+    never a data condition.  epsilon(e_0) = 0 puts e_0 in I_0.  For s in
+    S = group.generators, (delta_s - delta_e).e_0 = delta_s - delta_e
+    says delta_s.X = X for X = delta_e - e_0, so X is left invariant
+    under every g, a word in S: X = c.1, and e_0.f = f - c.epsilon(f).1 =
+    f = f.e_0 for f in I_0.  The |S| checks hold for every c, so only the
+    first pins c = 1/|G|.  The norm exponent of e_0 is v_p(|G|), the
     quantity that separates the two amenability notions.
     """
     n = algebra.group.order
     e0 = algebra.one() - algebra.ones().scale(Fraction(1, n))
     if augmentation(e0) != 0:
         raise InternalCheckError("candidate I_0 identity has nonzero augmentation")
-    for f in i0_basis(algebra):
+    for s in algebra.group.generators:
+        f = algebra.delta(s) - algebra.one()
         if convolve(f, e0) != f:
             raise InternalCheckError(
                 "I_0 identity fails on basis element %r" % (f,))
@@ -335,16 +337,19 @@ def basis_classes(size: int,
     exactly over any field.  Entry k of the result is the smallest index
     in the class of k.
     """
+    # path halving, the smaller root winning each union: parent[k] <= k
+    # throughout, so each root is its class minimum, and one ascending
+    # pass sends k to its root, as it has sent parent[k] to its own
     parent = list(range(size))
-
-    def root(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
     for i, j in pairs:
-        ri, rj = root(i), root(j)
-        # the smaller root wins, so every root is its class minimum
-        parent[max(ri, rj)] = min(ri, rj)
-    return tuple(root(k) for k in range(size))
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        lo, hi = (i, j) if i < j else (j, i)
+        parent[hi] = lo
+    for k in range(size):
+        parent[k] = parent[parent[k]]
+    return tuple(parent)

@@ -27,9 +27,9 @@ of their two images under the target's product rule
 (GroupAlgebra.product_index, whose second leg reads the opposite table in
 the enveloping algebra); each basis image is built once per call, and
 every pair with that factor reads it.  The four pair checks run in one
-loop over the rows g in {e} u S (S = group.generators) and every column
-h, which forms the convolution of each pair once and hands it to all
-four, each with its own comparison; every g is a word in S, so those
+loop over the rows g in S (S = group.generators) and every column h,
+which forms the convolution of each pair once and hands it to all four,
+each with its own comparison; every g is a nonempty word in S, so those
 rows decide all n^2 pairs, and only a failure reruns the loop over all
 of them to name each identity's first failing pair.  On coefficient
 vectors the two sides of the dual-action identity are (E L_c)^T and
@@ -39,7 +39,7 @@ eq1_check compares E L_c, read off G's table, with l_E(c) E, read off
 the enveloping product rule by index: column a of those maps is
 E(delta_ca) and E(delta_c)E(delta_a), and it reads every entry of the
 opposite table.  The e_homomorphism pair check reads the enveloping
-product rule only on the rows {e} u S, so the two are not one
+product rule only on the rows S, so the two are not one
 comparison, and each can fail on its own.  The action check of the
 quotient isomorphism compares the enveloping product rule with G's
 table, so an index mistake in one path cannot cancel against the same
@@ -48,7 +48,7 @@ mistake in the other.
 
 from __future__ import annotations
 
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
 from .finite_group import FiniteGroup, require_within_cap
@@ -230,18 +230,17 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     """Check the five Hopf diagrams plus the structural homomorphism and
     involution properties, exactly, on the full delta basis.
 
-    Every check reads the maps of delta_map, antipode_map and
-    e_basis_map, each built once per call: the diagrams compose them.
-    The pair checks apply them, and augmentation, to each basis element
-    once per call.  Then one loop over the pairs (g, h) with g in {e} u S
-    forms the convolution of the two basis elements once per pair, and
-    each of the four identities applies its map to it and compares that
-    with the product of the two stored images: 4n(|S| + 1) generic
-    products and 3n(|S| + 1) + 3n applications of a BasisMap.  Those
-    rows decide all n^2 basis pairs, by the argument beside the loop; if
-    an identity fails on them, the loop reruns over all n^2, and each
-    identity keeps its own first failing pair in (g, h) order, so one
-    failing identity hides no other.
+    Every check reads the maps of delta_map, antipode_map and e_basis_map,
+    each built once per call: the diagrams compose them.  The pair checks
+    apply them, and augmentation, to each basis element once per call.
+    Then one loop over the pairs (g, h) with g in S forms the convolution
+    of the two basis elements once per pair, and each of the four
+    identities applies its map to it and compares that with the product of
+    the two stored images: 4n|S| generic products and 3n|S| + 3n
+    applications of a BasisMap.  Those rows decide all n^2 basis pairs, by
+    the argument beside the loop; if an identity fails on them, the loop
+    reruns over all n^2, and each identity keeps its own first failing
+    pair in (g, h) order, so one failing identity hides no other.
     Replacing S with another permutation, such as the identity on a
     nonabelian group, fails the antipode checks; replacing Delta or E
     with a map that is no homomorphism fails its pair check.  A product
@@ -312,10 +311,10 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     # S, since e = s^(ord s).  If P(s, .) holds for every s in S, then
     # phi(s g' h) = phi(s) phi(g' h) = phi(s) phi(g') phi(h) = phi(s g') phi(h)
     # by induction on the word and associativity of the target's product,
-    # so the rows {e} u S decide all n^2 pairs; for cyclic:1, S is empty
-    # and the row e is the whole check.  Only a failure scans every row,
-    # to name each identity's first failing pair in (g, h) order.
-    first = scan(sorted({group.identity, *group.generators}))
+    # so the rows S decide all n^2 pairs; the row e is read only when S is
+    # empty (cyclic:1).  Only a failure scans every row, to name each
+    # identity's first failing pair in (g, h) order.
+    first = scan(group.generators or (group.identity,))
     if first:
         first = scan(range(n))
 
@@ -367,7 +366,7 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     identity for all n^2 basis phi at once: 2n^2 reads in all.  Column a
     of the two maps is E(delta_ca) and E(delta_c)E(delta_a): this check
     reads all n^2 equations E(ca) = E(c)E(a), where the e_homomorphism
-    Hopf check reads them on the rows {e} u S through convolve.
+    Hopf check reads them on the rows S through convolve.
     """
     require_within_cap(group.order, "dual action identity check")
     env = GroupAlgebra(group).enveloping
@@ -412,7 +411,30 @@ class Lemma2Report(NamedTuple):
         }
 
 
-Lemma2Data = Tuple[Sequence[Tuple[int, int]], Tuple[int, ...]]
+class GeneratorRelations:
+    """The relations of lemma2_data in the order g, h, a, read off G's
+    table on every iteration, never held and never through the enveloping
+    product rule: the independent side of lemma2_iso_check's action check."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+
+    def __len__(self) -> int:
+        return self.group.order ** 2 * len(self.group.generators)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        group = self.group
+        n, table = group.order, group.table
+        # (a, row of a^-1) for a in S
+        moves = [(a, table[group.inverses[a]]) for a in group.generators]
+        for g, row in enumerate(table):
+            for h in range(n):
+                j = g * n + h
+                for a, back in moves:
+                    yield row[a] * n + back[h], j
+
+
+Lemma2Data = Tuple[Iterable[Tuple[int, int]], Tuple[int, ...]]
 
 
 def lemma2_data(group: FiniteGroup) -> Lemma2Data:
@@ -426,19 +448,13 @@ def lemma2_data(group: FiniteGroup) -> Lemma2Data:
     since E(st) = E(s)E(t), and u.E(s) is a basis tensor, so the n^2 |S|
     relations of a in S span those of every a in G.  The e_homomorphism
     Hopf check, which certify and the verify command run first, certifies
-    E(st) = E(s)E(t).  relations holds the pairs (i, j) in the order
-    g, h, a, and classes is their partition of the basis from
-    basis_classes: entry k is the smallest flat index in the class of k.
+    E(st) = E(s)E(t).  The relations are GeneratorRelations(group), and
+    classes is their partition from basis_classes: entry k is the
+    smallest flat index in the class of k.
     """
     require_within_cap(group.order, "quotient isomorphism check")
-    n, table = group.order, group.table
-    # (a, row of a^-1) for a in S
-    moves = [(a, table[group.inverses[a]]) for a in group.generators]
-    relations = tuple(
-        (row[a] * n + back[h], g * n + h)
-        for g, row in enumerate(table) for h in range(n)
-        for a, back in moves)
-    return relations, basis_classes(n * n, relations)
+    relations = GeneratorRelations(group)
+    return relations, basis_classes(group.order ** 2, relations)
 
 
 def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:

@@ -1,5 +1,7 @@
-"""Mutants of src/: one for each `raise InternalCheckError` check, each
-disabling that check, with the tests that must fail on it.
+"""Mutants of src/, each with the tests that must fail on it, of two kinds:
+one for each `raise InternalCheckError` check, disabling that check, and
+one for each loop that reads only the generating set S of a group where
+a proof says S suffices, replacing S with S[:-1].
 
 Run from the repository root:
 
@@ -12,8 +14,8 @@ a node id) has a failing case.  The exit status is 1 if any mutant
 survives or any anchor (its old text) is missing or not unique, else 0.
 
 tests/test_mutants.py keeps the anchors in step with src/ in tier-1: each
-old text occurs exactly once in its file, and there is one mutant per
-check.
+old text occurs exactly once in its file, and there is one check mutant
+per check.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ TIMEOUT_S = 300
 
 AMEN = "src/padicamen/amenability.py"
 ALGEBRA = "src/padicamen/group_algebra.py"
+HOPF = "src/padicamen/hopf.py"
 TESTS = "tests/test_amenability.py"
 CONTROL = TESTS + "::test_named_check_fails_on_corrupted_input[%s]"
 
@@ -52,7 +55,7 @@ def _off(file: str, condition: str, *tests: str) -> Mutant:
     return Mutant(file, old, "if False and (%s):" % condition, tests)
 
 
-MUTANTS = (
+CHECK_MUTANTS = (
     # johnson_check
     _off(AMEN, "len(basis) != 1",
          CONTROL % "invariant_space_dimension_one"),
@@ -98,6 +101,28 @@ MUTANTS = (
     _off(ALGEBRA, "convolve(f, e0) != f",
          CONTROL % "augmentation_ideal_identity"),
 )
+
+
+def _short(file: str, old: str, *tests: str) -> Mutant:
+    """The mutant that reads generators[:-1] where old reads generators."""
+    return Mutant(file, old, old.replace("generators", "generators[:-1]", 1),
+                  tests)
+
+
+REDUCTION_MUTANTS = (
+    # verify_hopf_axioms: the pair checks on the rows S
+    _short(HOPF, "scan(group.generators or (group.identity,))",
+           "tests/test_hopf.py"
+           "::test_generating_set_decides_what_every_element_decides"),
+    # i0_identity: (delta_s - delta_e).e_0 = delta_s - delta_e on S
+    _short(ALGEBRA, "for s in algebra.group.generators:",
+           CONTROL % "augmentation_ideal_identity"),
+    # virtual_diagonal_construct: the balance identity on S
+    _short(AMEN, "for a in group.generators:\n        if basis_tensor(",
+           CONTROL % "virtual_diagonal_identities"),
+)
+
+MUTANTS = CHECK_MUTANTS + REDUCTION_MUTANTS
 
 
 def anchor_count(mutant: Mutant) -> int:

@@ -31,7 +31,6 @@ from oracles import (apply, bimodule_axiom_failure, johnson_identity_failure,
                      uncatalogued_groups, valuation)
 
 import padicamen.amenability as amenability
-import padicamen.group_algebra as group_algebra
 import padicamen.hopf as hopf
 from padicamen import cli
 from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
@@ -840,8 +839,33 @@ def _twice_the_mean(group, johnson):
         group, JohnsonCertificate(johnson.mean.scale(2)))
 
 
-# one corrupted input per named check, in the order certify runs them:
-# (module, name, stand-in, message)
+def _off_subgroups(stand_in_on):
+    """stand_in_on(H) for H = <S minus s>, s in S of symmetric:3: each H is
+    proper, and a stand-in right on H and wrong off it fails a check on S
+    only at the generator outside H."""
+    grp = symmetric(3)
+    subgroups = [pair_closure(grp, frozenset(grp.generators) - {s})
+                 for s in grp.generators]
+    assert all(len(h) < grp.order for h in subgroups)
+    return tuple(stand_in_on(h) for h in subgroups)
+
+
+def _ones_on(members):
+    # (n/|H|).1_H for the all-ones vector: e_0 = delta_e - 1_H/|H| has
+    # augmentation 0, and X = delta_e - e_0 is left invariant under H only
+    return lambda algebra: AlgebraElement(
+        algebra, dict.fromkeys(members, algebra.dim), len(members))
+
+
+def _first_leg_in(members):
+    # 1 (x) 1 for delta_a (x) delta_b with a outside H: (a (x) 1).d =
+    # (1 (x) a).d holds at every a in H and at no other a
+    return lambda alg, g, h: (basis_tensor(alg, g, h) if g in members
+                              else alg.one())
+
+
+# the corrupted inputs of each named check, in the order certify runs
+# them: (module, name, stand-in or tuple of stand-ins, message)
 NEGATIVE_CONTROLS = {
     # S = identity, not inversion, in the map every antipode check reads
     "hopf_axioms": (
@@ -869,18 +893,18 @@ NEGATIVE_CONTROLS = {
     "schikhof_methods_agree": (
         amenability, "subgroup_index", lambda s1, s2: 1,
         "norm and lattice methods disagree"),
-    # delta_e is not in I_0, and e_0 is no identity for it
+    # e_0 = delta_e - 1_H/|H| is in I_0 and a right identity on
+    # delta_s - delta_e for s in H only
     "augmentation_ideal_identity": (
-        group_algebra, "i0_basis", lambda algebra: [algebra.one()],
+        GroupAlgebra, "ones", _off_subgroups(_ones_on),
         "I_0 identity fails on basis element"),
     # twice the mean is invariant too, so only the closed form catches it
     "virtual_diagonal_closed_form": (
         amenability, "virtual_diagonal_construct", _twice_the_mean,
         "constructed diagonal differs from the closed form"),
-    # the balance identity read as (a (x) a) d = d: a 3-cycle breaks it
+    # the balance identity read with a (x) 1 replaced by 1 (x) 1 off H
     "virtual_diagonal_identities": (
-        amenability, "basis_tensor",
-        lambda alg, g, h: basis_tensor(alg, g, g),
+        amenability, "basis_tensor", _off_subgroups(_first_leg_in),
         "balance identity fails at"),
     "mean_diagonal_round_trip": (
         amenability, "mean_from_diagonal",
@@ -901,11 +925,14 @@ def test_every_named_check_has_a_negative_control():
 
 @pytest.mark.parametrize("check", sorted(NEGATIVE_CONTROLS))
 def test_named_check_fails_on_corrupted_input(capsys, monkeypatch, check):
-    module, name, stand_in, message = NEGATIVE_CONTROLS[check]
+    module, name, stand_ins, message = NEGATIVE_CONTROLS[check]
     grp = symmetric(3)
     assert check in certify(grp, 3)["checks"]
-    monkeypatch.setattr(module, name, stand_in)
-    _fails_internally(capsys, grp, 3, message)
+    if not isinstance(stand_ins, tuple):
+        stand_ins = (stand_ins,)
+    for stand_in in stand_ins:
+        monkeypatch.setattr(module, name, stand_in)
+        _fails_internally(capsys, grp, 3, message)
 
 
 def test_certify_trivial_group():
