@@ -17,7 +17,7 @@ from .finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV, FiniteGroup,
                            product, quaternion8, subgroup_index, symmetric)
 from .group_algebra import (AlgebraElement, GroupAlgebra, TensorAlgebra,
                             augmentation, convolve, format_norm_exponent,
-                            i0_basis, i0_identity, norm_exponent)
+                            i0_identity, norm_exponent)
 from .hopf import (BasisMap, basis_tensor, e_map, eq1_check, lemma2_data,
                    lemma2_iso_check, pi0, verify_hopf_axioms)
 from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,

@@ -297,56 +297,53 @@ def mean_from_diagonal(diagonal: VirtualDiagonal) -> AlgebraElement:
 
 
 class Bimodule:
-    """Two-sided module over l(G) whose group elements permute a basis:
-    one BasisMap per group element and side.
+    """Two-sided module over l(G) whose group elements permute a basis,
+    held by the actions of S = group.generators: left[i] and right[i] are
+    the BasisMaps of S[i], which are all that derivation_spaces reads.
 
-    Construction checks the bimodule axioms: the left action is a unital
-    representation, the right action a unital antirepresentation, and the
-    two commute.  Each action map then has an inverse, so it is a
-    permutation.  The laws are read on the generating set S =
-    group.generators: 2n|S| + |S|^2 checks in place of 3n^2.
+    The constructor takes one map per group element and side and checks
+    the bimodule axioms: the left action is a unital representation, the
+    right action a unital antirepresentation, and the two commute.  Each
+    action map then has an inverse, so it is a permutation.  The laws are
+    read on S: 2n|S| + |S|^2 checks in place of 3n^2.  The one other
+    Bimodule is outer_tensor_bimodule's, built from a constructed one.
     """
 
     def __init__(self, name: str, group: FiniteGroup, dimension: int,
                  left: Sequence[BasisMap], right: Sequence[BasisMap]):
-        self.name = name
-        self.group = group
-        self.dimension = dimension
-        self.left = list(left)
-        self.right = list(right)
-        self._validate()
-
-    def _validate(self):
-        grp, dim, name = self.group, self.dimension, self.name
-        left, right, gens = self.left, self.right, grp.generators
-        if len(left) != grp.order or len(right) != grp.order:
+        left, right = list(left), list(right)
+        if len(left) != group.order or len(right) != group.order:
             raise ValueError(
                 "bimodule %s: need one matrix per group element" % name)
-        if any((mp.nrows, mp.ncols) != (dim, dim) for mp in left + right):
-            raise ValueError(
-                "bimodule %s: matrix is not %d x %d" % (name, dim, dim))
-        ident, e = BasisMap.identity(dim), grp.identity
+        if any((mp.nrows, mp.ncols) != (dimension, dimension)
+               for mp in left + right):
+            raise ValueError("bimodule %s: matrix is not %d x %d"
+                             % (name, dimension, dimension))
+        ident, e = BasisMap.identity(dimension), group.identity
         if left[e] != ident or right[e] != ident:
             raise ValueError("bimodule %s: actions are not unital" % name)
 
         def fail(what: str, g: int, h: int) -> ValueError:
             return ValueError("bimodule %s: %s at (%s, %s)" % (
-                name, what, grp.labels[g], grp.labels[h]))
+                name, what, group.labels[g], group.labels[h]))
 
         # The set A of g with L_gh = L_g L_h for every h contains e and is
         # closed under the product (L_abh = L_a L_b L_h = L_ab L_h), so
         # once every generator is in A, A is the whole group; likewise for
         # R_gh = R_h R_g.  L_g and R_h are then products of L_s and R_t
         # for s, t in S, and they commute once those do.
-        for g, h in itertools.product(gens, grp.elements()):
-            gh = grp.table[g][h]
+        for g, h in itertools.product(group.generators, group.elements()):
+            gh = group.table[g][h]
             if left[gh] != left[g].compose(left[h]):
                 raise fail("left action is not a homomorphism", g, h)
             if right[gh] != right[h].compose(right[g]):
                 raise fail("right action is not an antihomomorphism", g, h)
-            if h in gens and \
+            if h in group.generators and \
                     left[g].compose(right[h]) != right[h].compose(left[g]):
                 raise fail("actions do not commute", g, h)
+        self.name, self.group, self.dimension = name, group, dimension
+        self.left = [left[a] for a in group.generators]
+        self.right = [right[a] for a in group.generators]
 
     def __repr__(self):
         return f"Bimodule({self.name!r}, dim={self.dimension})"
@@ -367,13 +364,22 @@ def trivial_bimodule(group: FiniteGroup) -> Bimodule:
 
 def outer_tensor_bimodule(group: FiniteGroup) -> Bimodule:
     """X = l(G) (x) l(G) with the left action on the left leg and the
-    right action on the right leg."""
+    right action on the right leg: L_a (x) 1 and 1 (x) R_a for a in S,
+    read off regular_bimodule(group).  Nothing is decided again."""
+    leg = regular_bimodule(group)
     n = group.order
     ident = BasisMap.identity(n)
-    left, right = translations(group)
-    return Bimodule("outer_tensor", group, n * n,
-                    [lg.kron(ident) for lg in left],
-                    [ident.kron(rg) for rg in right])
+    # The laws of X are the laws of its legs, which the constructor of leg
+    # has just decided.  M -> M (x) 1 and M -> 1 (x) M are injective and
+    # multiplicative, so L_gh (x) 1 = (L_g (x) 1)(L_h (x) 1) exactly when
+    # L_gh = L_g L_h, 1 (x) R_gh = (1 (x) R_h)(1 (x) R_g) exactly when
+    # R_gh = R_h R_g, and L_e (x) 1 = 1 = 1 (x) R_e; the legs commute,
+    # (L_g (x) 1)(1 (x) R_h) = L_g (x) R_h = (1 (x) R_h)(L_g (x) 1).
+    bim = Bimodule.__new__(Bimodule)
+    bim.name, bim.group, bim.dimension = "outer_tensor", group, n * n
+    bim.left = [lg.kron(ident) for lg in leg.left]
+    bim.right = [ident.kron(rg) for rg in leg.right]
+    return bim
 
 
 STOCK_BIMODULES = ("regular", "trivial", "outer_tensor")
@@ -439,11 +445,12 @@ def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
     which only (c) computes anything here:
 
     (a) Inn in Der is the bimodule axioms, checked on a generating set
-        when the Bimodule is built: on ad_xi the row l(g, h, c) is
-        xi[R_gh c] - xi[L_gh c] - xi[R_h R_g c] + xi[L_h R_g c] -
-        xi[R_g L_h c] + xi[L_g L_h c], whose terms cancel pair by pair,
-        the 1st and 3rd through R_gh = R_h R_g, the 2nd and 6th through
-        L_gh = L_g L_h, the 4th and 5th through L_h R_g = R_g L_h.
+        when the Bimodule, or the outer tensor's leg, is built: on ad_xi
+        the row l(g, h, c) is xi[R_gh c] - xi[L_gh c] - xi[R_h R_g c] +
+        xi[L_h R_g c] - xi[R_g L_h c] + xi[L_g L_h c], whose terms
+        cancel pair by pair, the 1st and 3rd through R_gh = R_h R_g, the
+        2nd and 6th through L_gh = L_g L_h, the 4th and 5th through
+        L_h R_g = R_g L_h.
     (b) Der in Inn is the bimodule axioms too: the virtual diagonal
         |G|^{-1} sum_h delta_h (x) delta_{h^-1} gives Johnson's xi_D =
         -|G|^{-1} sum_h D(delta_h).delta_{h^-1}, that is n.xi_D[x] =
@@ -468,8 +475,8 @@ def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
     require_within_cap(group.order, "derivation certificate")
     n, dim = group.order, bimodule.dimension
     classes = basis_classes(dim, (
-        pair for a in group.generators
-        for pair in zip(bimodule.right[a].images, bimodule.left[a].images)))
+        pair for ra, la in zip(bimodule.right, bimodule.left)
+        for pair in zip(ra.images, la.images)))
     inner_dim = dim - len(set(classes))
     return DerivationReport(group.name, n, bimodule.name, dim,
                             n * dim, inner_dim, inner_dim)

@@ -6,11 +6,11 @@ two-sided identity, inverses, and associativity by Light's test on a
 generating set, kept as FiniteGroup.generators: O(n**2 log n) reads in
 all.  The order cap (default 24, environment-overridable) guards the
 downstream computations that grow faster than n: the n**2 |S| quotient
-relations, the n**3 outer tensor bimodule and the subgroup lattice, not
-polynomial in n; spec_order reads the order of a built-in spec off its
-parameters, so the command line applies the cap before the n**2 table is
-built, and read_table_file parses a table file without validating the
-table, so a file is capped by its declared order first.
+relations, the outer tensor bimodule of dimension n**2 and the subgroup
+lattice, not polynomial in n; spec_order reads the order of a built-in
+spec off its parameters, so the command line applies the cap before the
+n**2 table is built, and read_table_file parses a table file without
+validating the table, so a file is capped by its declared order first.
 
 Subgroup enumeration is by cyclic extension (J. Neubuser, Numer. Math. 2
 (1960) 280-292): seed with the distinct cyclic subgroups, then join each

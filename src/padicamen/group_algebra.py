@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import InternalCheckError
 from .finite_group import FiniteGroup
@@ -292,16 +292,6 @@ def augmentation(f: AlgebraElement) -> ScalarLike:
     as it is on every basis element, and a Fraction otherwise."""
     total = sum(f.num.values())
     return total if f.den == 1 else Fraction(total, f.den)
-
-
-def i0_basis(algebra: GroupAlgebra) -> List[AlgebraElement]:
-    """Basis of I_0: delta_g - delta_e for g != e (empty for order 1)."""
-    e = algebra.group.identity
-    one = algebra.delta(e)
-    return [
-        algebra.delta(g) - one
-        for g in algebra.group.elements() if g != e
-    ]
 
 
 def i0_identity(algebra: GroupAlgebra) -> AlgebraElement:

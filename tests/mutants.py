@@ -103,10 +103,11 @@ CHECK_MUTANTS = (
 )
 
 
-def _short(file: str, old: str, *tests: str) -> Mutant:
-    """The mutant that reads generators[:-1] where old reads generators."""
-    return Mutant(file, old, old.replace("generators", "generators[:-1]", 1),
-                  tests)
+def _short(file: str, old: str, *tests: str,
+           reads: str = "generators") -> Mutant:
+    """The mutant that reads reads[:-1] where old first reads reads, a
+    sequence over S = group.generators, so S loses its last element."""
+    return Mutant(file, old, old.replace(reads, reads + "[:-1]", 1), tests)
 
 
 REDUCTION_MUTANTS = (
@@ -120,6 +121,16 @@ REDUCTION_MUTANTS = (
     # virtual_diagonal_construct: the balance identity on S
     _short(AMEN, "for a in group.generators:\n        if basis_tensor(",
            CONTROL % "virtual_diagonal_identities"),
+    # Bimodule: the bimodule laws on S
+    _short(AMEN, "itertools.product(group.generators, group.elements())",
+           TESTS + "::test_bimodule_axioms_imply_the_johnson_identities"
+           "[cyclic:2@0]",
+           TESTS + "::test_bimodule_axioms_on_generators_match_every_pair"),
+    # derivation_spaces: ad_xi = 0 on S, the classes of dim Inn
+    _short(AMEN, "zip(bimodule.right, bimodule.left)",
+           TESTS + "::test_derivation_dims_match_character_theory",
+           TESTS + "::test_derivation_certificate_matches_elimination_oracle",
+           reads="bimodule.right"),
 )
 
 MUTANTS = CHECK_MUTANTS + REDUCTION_MUTANTS

@@ -19,7 +19,9 @@ elements to other indices (by `permuted`, given the new index of each),
 for checks that relabelling changes no verdict;
 `relabelled_catalog` pairs each catalog group with such a copy.  The
 package checks the bimodule axioms on a generating set too, and
-`bimodule_axiom_failure` checks them at every pair.  The package reads
+`bimodule_axiom_failure` checks them at every pair.  A Bimodule holds
+only the actions of that set, and `stock_actions` gives the actions of
+every element of the stock bimodules, from their definitions.  The package reads
 each basis image of Delta, epsilon, S and E once for its Hopf pair checks,
 and `hopf_pair_witnesses` applies the maps again to both factors of
 every pair.  The package states part (b) of the derivation certificate,
@@ -263,6 +265,29 @@ def bimodule_axiom_failure(group: FiniteGroup, left: Sequence[BasisMap],
             if left[g].compose(right[h]) != right[h].compose(left[g]):
                 return "commute", g, h
     return None
+
+
+def stock_actions(group: FiniteGroup, name: str
+                  ) -> Tuple[int, List[BasisMap], List[BasisMap]]:
+    """(dimension, left, right) of the stock bimodule name, one action per
+    element and side, read off the table: on l(G) (regular) x -> gx and
+    x -> xg; on the trivial module the identity of dimension 1; on l(G)
+    (x) l(G) (outer_tensor) x (x) y -> gx (x) y and x (x) y -> x (x) yg,
+    n maps n^2 long per side."""
+    table, n = group.table, group.order
+    if name == "regular":
+        return (n, [BasisMap(n, table[g]) for g in range(n)],
+                [BasisMap(n, (table[x][g] for x in range(n)))
+                 for g in range(n)])
+    if name == "trivial":
+        return 1, [BasisMap.identity(1)] * n, [BasisMap.identity(1)] * n
+    if name == "outer_tensor":
+        return (n * n,
+                [BasisMap(n * n, (table[g][x] * n + y for x in range(n)
+                                  for y in range(n))) for g in range(n)],
+                [BasisMap(n * n, (x * n + table[y][g] for x in range(n)
+                                  for y in range(n))) for g in range(n)])
+    raise ValueError("no stock bimodule %r" % name)
 
 
 def hopf_pair_witnesses(group: FiniteGroup) -> Dict[str, Optional[str]]:

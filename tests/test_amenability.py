@@ -27,13 +27,14 @@ from hypothesis import strategies as st
 from exact_linalg import Echelon, kernel_basis_sparse, spans_equal
 from oracles import (apply, bimodule_axiom_failure, johnson_identity_failure,
                      kernel_basis_failure, pair_closure, permuted, relabel,
-                     relabelled_catalog, tensor_of, transpose,
+                     relabelled_catalog, stock_actions, tensor_of, transpose,
                      uncatalogued_groups, valuation)
 
 import padicamen.amenability as amenability
 import padicamen.hopf as hopf
 from padicamen import cli
-from padicamen.amenability import (Bimodule, JohnsonCertificate, certify,
+from padicamen.amenability import (STOCK_BIMODULES, Bimodule,
+                                   JohnsonCertificate, certify,
                                    derivation_spaces, diagonal_ideal_identity,
                                    invariant_functional_space, johnson_check,
                                    mean_from_diagonal, outer_tensor_bimodule,
@@ -389,22 +390,23 @@ def _sparse_sum(terms):
     return {k: v for k, v in out.items() if v}
 
 
-def oracle_derivations(grp, bim):
+def oracle_derivations(grp, dim, left, right):
     """Derivation basis by elimination of every Leibniz row, and the inner
-    generators ad_{e_c}, over the flat index g*dim + c of D[g, c]."""
-    n, dim = grp.order, bim.dimension
+    generators ad_{e_c}, over the flat index g*dim + c of D[g, c], for
+    the actions left and right of every element."""
+    n = grp.order
     rows = []
     for g in range(n):
-        rg = bim.right[g].images
+        rg = right[g].images
         for h in range(n):
-            lh = bim.left[h].images
+            lh = left[h].images
             for c in range(dim):
                 rows.append(_sparse_sum([
                     (grp.table[g][h] * dim + c, Fraction(1)),
                     (h * dim + rg[c], Fraction(-1)),
                     (g * dim + lh[c], Fraction(-1))]))
-    right_t = [transpose(mp).images for mp in bim.right]
-    left_t = [transpose(mp).images for mp in bim.left]
+    right_t = [transpose(mp).images for mp in right]
+    left_t = [transpose(mp).images for mp in left]
     inner = [_sparse_sum(
         term for g in range(n) for term in (
             (g * dim + right_t[g][c], Fraction(1)),
@@ -427,13 +429,13 @@ def test_derivation_vectors_satisfy_leibniz():
     # as a map and check D(delta_g delta_h) = g.D(delta_h) + D(delta_g).h
     # with the dual actions applied directly
     grp = symmetric(3)
-    bim = regular_bimodule(grp)
-    rep = derivation_spaces(bim)
-    basis, _ = oracle_derivations(grp, bim)
+    rep = derivation_spaces(regular_bimodule(grp))
+    dim, left, right = stock_actions(grp, "regular")
+    basis, _ = oracle_derivations(grp, dim, left, right)
     assert len(basis) == rep.derivation_dim
-    n, dim = grp.order, bim.dimension
-    right_t = [transpose(mp) for mp in bim.right]
-    left_t = [transpose(mp) for mp in bim.left]
+    n = grp.order
+    right_t = [transpose(mp) for mp in right]
+    left_t = [transpose(mp) for mp in left]
     for vec in basis:
         cols = _columns(vec, dim)
         for g in range(n):
@@ -476,19 +478,20 @@ def _match_elimination_oracle(grp):
     n = grp.order
     for name, bim in stock_bimodules(grp).items():
         rep = derivation_spaces(bim)
-        basis, inner = oracle_derivations(grp, bim)
-        ech = Echelon(n * bim.dimension)
+        dim, left, right = stock_actions(grp, name)
+        basis, inner = oracle_derivations(grp, dim, left, right)
+        ech = Echelon(n * dim)
         ech.add_rows(inner)
         case = (grp.name, grp.identity, name)
         assert rep.derivation_dim == len(basis), case
         assert rep.inner_dim == ech.rank, case
-        assert spans_equal(basis, inner, n * bim.dimension), case
+        assert spans_equal(basis, inner, n * dim), case
         # Johnson's xi_D = -|G|^{-1} sum_h D(delta_h).delta_{h^-1}
         # recovers every basis derivation as ad_{xi_D}
-        right_t = [transpose(mp) for mp in bim.right]
-        left_t = [transpose(mp) for mp in bim.left]
+        right_t = [transpose(mp) for mp in right]
+        left_t = [transpose(mp) for mp in left]
         for vec in basis:
-            cols = _columns(vec, bim.dimension)
+            cols = _columns(vec, dim)
             xi = _sparse_sum(
                 (c, -v / n) for h in range(n)
                 for c, v in apply(left_t[grp.inverses[h]],
@@ -504,12 +507,12 @@ def _corrupted_bimodule_args(name, side):
     """Constructor arguments of the stock bimodule over symmetric:3 with
     one transposition swapped in the action of one element on one side."""
     grp = symmetric(3)
-    good = stock_bimodules(grp, (name,))[name]
-    actions = {"left": list(good.left), "right": list(good.right)}
+    dim, left, right = stock_actions(grp, name)
+    actions = {"left": left, "right": right}
     images = list(actions[side][1].images)
     images[0], images[1] = images[1], images[0]
-    actions[side][1] = BasisMap(good.dimension, images)
-    return name, grp, good.dimension, actions["left"], actions["right"]
+    actions[side][1] = BasisMap(dim, images)
+    return name, grp, dim, actions["left"], actions["right"]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -531,6 +534,37 @@ def test_derivation_certificate_rejects_a_non_action(capsys, monkeypatch,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grp", list(relabelled_catalog(8, 13))
+                         + uncatalogued_groups(),
+                         ids=lambda g: "%s@%d" % (g.name, g.identity))
+def test_outer_tensor_legs_match_the_definition(grp):
+    # the outer tensor is built from the regular bimodule's maps of S, not
+    # by its constructor: it holds the maps of S of the definition, and
+    # its report is that of the bimodule the constructor builds from them
+    bim = outer_tensor_bimodule(grp)
+    dim, left, right = stock_actions(grp, "outer_tensor")
+    assert len(bim.left) == len(bim.right) == len(grp.generators)
+    assert bim.left == [left[a] for a in grp.generators]
+    assert bim.right == [right[a] for a in grp.generators]
+    built = Bimodule("outer_tensor", grp, dim, left, right)
+    assert derivation_spaces(bim) == derivation_spaces(built)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_outer_tensor_fails_part_a_on_a_broken_leg(capsys, monkeypatch,
+                                                   side):
+    args = _corrupted_bimodule_args("regular", side)
+    monkeypatch.setattr(amenability, "regular_bimodule",
+                        lambda group: Bimodule(*args))
+    argv = ["derivations", "--group", "symmetric:3", "--prime", "2",
+            "--bimodule", "outer_tensor"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: derivation certificate "
+                          "part (a) fails on outer_tensor: bimodule regular")
+    assert err.count("\n") == 1
+
+
 def _unvalidated_actions(grp, rng):
     """(name, dim, left, right) of the stock bimodules, and of actions
     that break their axioms: random permutations at dim 1, 2, 3 and n,
@@ -540,18 +574,19 @@ def _unvalidated_actions(grp, rng):
     for dim in (1, 2, 3, n):
         yield "random", dim, *([BasisMap(dim, rng.sample(range(dim), dim))
                                 for _ in range(n)] for _ in range(2))
-    for name, good in stock_bimodules(grp).items():
-        yield name, good.dimension, good.left, good.right
-        if good.dimension == 1:
+    for name in STOCK_BIMODULES:
+        dim, left, right = stock_actions(grp, name)
+        yield name, dim, left, right
+        if dim == 1:
             continue
         for k, side in itertools.product(grp.elements(), range(2)):
-            actions = [list(good.left), list(good.right)]
+            actions = [list(left), list(right)]
             images = list(actions[side][k].images)
             images[0], images[1] = images[1], images[0]
-            actions[side][k] = BasisMap(good.dimension, images)
-            yield name, good.dimension, *actions
-        yield name, good.dimension, good.right, good.left
-        yield name, good.dimension, good.left, good.left
+            actions[side][k] = BasisMap(dim, images)
+            yield name, dim, *actions
+        yield name, dim, right, left
+        yield name, dim, left, left
 
 
 @pytest.mark.parametrize("grp", list(relabelled_catalog(8, 11)) + [
@@ -577,15 +612,15 @@ def test_bimodule_axioms_imply_the_johnson_identities(grp):
 
 def test_bimodule_validation_rejects_bad_actions():
     grp = symmetric(3)
-    good = regular_bimodule(grp)
+    _, left, right = stock_actions(grp, "regular")
     # swapping the sides breaks the homomorphism laws on a nonabelian group
     with pytest.raises(ValueError):
-        Bimodule("swapped", grp, grp.order, good.right, good.left)
+        Bimodule("swapped", grp, grp.order, right, left)
     with pytest.raises(ValueError):
-        Bimodule("short", grp, grp.order, good.left[:-1], good.right)
-    shifted = [good.left[grp.table[1][g]] for g in range(grp.order)]
+        Bimodule("short", grp, grp.order, left[:-1], right)
+    shifted = [left[grp.table[1][g]] for g in range(grp.order)]
     with pytest.raises(ValueError):
-        Bimodule("nonunital", grp, grp.order, shifted, good.right)
+        Bimodule("nonunital", grp, grp.order, shifted, right)
 
 
 def _refused_exactly_when_broken(name, grp, dim, left, right):
@@ -608,17 +643,16 @@ def test_bimodule_axioms_on_generators_match_every_pair(grp):
     # element on each side: the check on the generating set refuses
     # exactly what the check at every pair refuses
     for name in ("regular", "outer_tensor"):
-        good = stock_bimodules(grp, (name,))[name]
-        cases = [(good.right, good.left)]
+        dim, good_left, good_right = stock_actions(grp, name)
+        cases = [(good_right, good_left)]
         for k, side in itertools.product(grp.elements(), range(2)):
-            actions = [list(good.left), list(good.right)]
+            actions = [list(good_left), list(good_right)]
             images = list(actions[side][k].images)
             images[0], images[-1] = images[-1], images[0]
-            actions[side][k] = BasisMap(good.dimension, images)
+            actions[side][k] = BasisMap(dim, images)
             cases.append(actions)
         for left, right in cases:
-            _refused_exactly_when_broken(name, grp, good.dimension, left,
-                                         right)
+            _refused_exactly_when_broken(name, grp, dim, left, right)
 
 
 @pytest.mark.parametrize("spec", ["cyclic:4", "symmetric:3"])
@@ -626,13 +660,13 @@ def test_commutation_on_generators_matches_every_pair(spec):
     # the right regular action moved by a permutation p of the basis is an
     # antirepresentation, which commutes with the left one for some p only
     grp = from_spec(spec)
-    good = regular_bimodule(grp)
+    _, left, good_right = stock_actions(grp, "regular")
     verdicts = set()
     for images in itertools.permutations(grp.elements()):
         p = BasisMap(grp.order, images)
-        right = [p.compose(r).compose(transpose(p)) for r in good.right]
+        right = [p.compose(r).compose(transpose(p)) for r in good_right]
         broken = _refused_exactly_when_broken("moved", grp, grp.order,
-                                              good.left, right)
+                                              left, right)
         assert broken is None or broken[0] == "commute"
         verdicts.add(broken is None)
     assert verdicts == {True, False}
@@ -647,8 +681,9 @@ def test_stock_bimodules_names():
 
 
 def test_n_squared_builders_refuse_above_the_cap(monkeypatch):
-    # lemma2_data would hold n^2 |S| relation pairs and the outer_tensor
-    # bimodule has dimension n^2: the cap refuses both before building
+    # lemma2_data partitions n^2 basis tensors and the outer_tensor
+    # bimodule has dimension n^2, each of its 2|S| maps n^2 long: the cap
+    # refuses both before building
     monkeypatch.delenv(ORDER_CAP_ENV, raising=False)
     grp = cyclic(30)
     with pytest.raises(OrderCapError,

@@ -399,7 +399,7 @@ def test_large_prime_is_decided_fast(capsys, command):
 def test_over_cap_group_exits_1(capsys, monkeypatch, tmp_path):
     # validation reads O(n^2 log n) entries, so even order 400 is read and
     # refused by the cap, also with the identity off index 0, and before
-    # the bimodules, whose validation is cubic, are built
+    # the bimodules, the outer tensor's maps n^2 long, are built
     labels, table = relabel(cyclic(400), random.Random(4))
     assert labels.index("0") != 0
     path = tmp_path / "relabelled400.json"
