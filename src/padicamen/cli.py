@@ -28,8 +28,7 @@ from .amenability import (STOCK_BIMODULES, certify, derivation_spaces,
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      OutputError, SpecParseError)
 from .finite_group import (FiniteGroup, catalog, enumerate_subgroups,
-                           from_spec, from_table, read_table_file,
-                           require_within_cap, spec_order)
+                           parse_spec, require_within_cap)
 from .hopf import eq1_check, lemma2_data, lemma2_iso_check, verify_hopf_axioms
 from .valued_field import is_prime
 
@@ -92,13 +91,9 @@ def _load_group(spec: str, stage: str) -> FiniteGroup:
     command's first capped stage: a built-in spec by its declared order,
     before its n^2-entry table is built, and a table file by its declared
     order, once parsed and before its table is validated."""
-    order = spec_order(spec)
-    if order is not None:
-        require_within_cap(order, stage)
-        return from_spec(spec)
-    name, labels, table = read_table_file(spec.strip())
-    require_within_cap(len(table), stage)
-    return from_table(name, labels, table)
+    order, build = parse_spec(spec)
+    require_within_cap(order, stage)
+    return build()
 
 
 def _label_set(labels) -> str:

@@ -7,10 +7,9 @@ generating set, kept as FiniteGroup.generators: O(n**2 log n) reads in
 all.  The order cap (default 24, environment-overridable) guards the
 downstream computations that grow faster than n: the n**2 |S| quotient
 relations, the outer tensor bimodule of dimension n**2 and the subgroup
-lattice, not polynomial in n; spec_order reads the order of a built-in
-spec off its parameters, so the command line applies the cap before the
-n**2 table is built, and read_table_file parses a table file without
-validating the table, so a file is capped by its declared order first.
+lattice, not polynomial in n.  parse_spec reads the order a spec
+declares, off a built-in spec's parameters or from a parsed table file,
+so the command line applies the cap before a table is built or validated.
 
 Subgroup enumeration is by cyclic extension (J. Neubuser, Numer. Math. 2
 (1960) 280-292): seed with the distinct cyclic subgroups, then join each
@@ -25,7 +24,7 @@ import itertools
 import json
 import math
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import GroupValidationError, OrderCapError, SpecParseError
 
@@ -58,9 +57,8 @@ def require_within_cap(order: int, what: str) -> None:
 
 
 class FiniteGroup:
-    """Validated finite group presented by its Cayley table.  A group is
-    never changed once built; two compare and hash alike when every
-    field is equal."""
+    """Validated finite group presented by its Cayley table; a group is
+    never changed once built."""
 
     def __init__(self, name: str, order: int,
                  table: Tuple[Tuple[int, ...], ...], identity: int,
@@ -69,18 +67,6 @@ class FiniteGroup:
         self.name, self.order, self.table = name, order, table
         self.identity, self.inverses = identity, inverses
         self.labels, self.generators = labels, generators
-
-    def _fields(self) -> tuple:
-        return (self.name, self.order, self.table, self.identity,
-                self.inverses, self.labels, self.generators)
-
-    def __eq__(self, other):
-        if type(other) is not FiniteGroup:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @functools.cached_property
     def opposite_table(self) -> Tuple[Tuple[int, ...], ...]:
@@ -312,11 +298,6 @@ def read_table_file(path: str) -> Tuple[str, list, list]:
     return name, labels, table
 
 
-def from_file(path: str) -> FiniteGroup:
-    """Load a Cayley-table document (see read_table_file)."""
-    return from_table(*read_table_file(path))
-
-
 _BUILDERS = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric,
              "quaternion": lambda n: quaternion8()}
 
@@ -359,31 +340,28 @@ def _factors(spec: str) -> List[Tuple[str, int, int]]:
     return [(kind, n, _declared_order(kind, n))]
 
 
-def spec_order(spec: str) -> Optional[int]:
-    """The order a built-in group spec declares, read off its parameters
-    without building a table: for "product:a,b" the product of the two
-    orders.  None for a Cayley-table file, whose order is known only once
-    it is read.  A spec from_spec refuses raises the same error here."""
+def parse_spec(spec: str) -> Tuple[int, Callable[[], FiniteGroup]]:
+    """The order a group spec declares and the function that builds its
+    group.  A spec is "cyclic:n", "dihedral:n", "symmetric:n",
+    "quaternion:8", "product:a,b" (a and b non-product specs), whose order
+    is read off its parameters, or a path to a Cayley-table file, whose
+    order is the declared one once read_table_file has read the file;
+    neither builds or validates a table before build() is called."""
     spec = spec.strip()
     if _names_a_file(spec):
-        return None
-    return math.prod(order for _, _, order in _factors(spec))
+        name, labels, table = read_table_file(spec)
+        return len(table), lambda: from_table(name, labels, table)
+    factors = _factors(spec)
+
+    def build() -> FiniteGroup:
+        groups = [_BUILDERS[kind](n) for kind, n, _ in factors]
+        return groups[0] if len(groups) == 1 else product(*groups)
+    return math.prod(order for _, _, order in factors), build
 
 
 def from_spec(spec: str) -> FiniteGroup:
-    """Parse a group spec string: "cyclic:n", "dihedral:n", "symmetric:n",
-    "quaternion:8", "product:a,b" (a and b non-product specs), or a path
-    to a Cayley-table file."""
-    spec = spec.strip()
-    if _names_a_file(spec):
-        return from_file(spec)
-    return _build(_factors(spec))
-
-
-def _build(factors: List[Tuple[str, int, int]]) -> FiniteGroup:
-    """The group of a built-in spec from its _factors."""
-    groups = [_BUILDERS[kind](n) for kind, n, _ in factors]
-    return groups[0] if len(groups) == 1 else product(*groups)
+    """The group of a spec (see parse_spec), built past the order cap."""
+    return parse_spec(spec)[1]()
 
 
 class Subgroup:
@@ -422,14 +400,6 @@ class Subgroup:
 
     def contains(self, other: "Subgroup") -> bool:
         return other.member_set <= self.member_set
-
-    def __eq__(self, other):
-        if type(other) is not Subgroup:
-            return NotImplemented
-        return (self.group, self.members) == (other.group, other.members)
-
-    def __hash__(self):
-        return hash((self.group, self.members))
 
     def __repr__(self):
         return f"Subgroup(members={self.members!r})"
@@ -511,5 +481,5 @@ def catalog(max_order: int) -> List[FiniteGroup]:
     spec, so any row of a report can be replayed through the CLI, and
     never read from a file of the same name.
     """
-    return [_build(f) for f in map(_factors, _CATALOG_SPECS)
-            if math.prod(order for _, _, order in f) <= max_order]
+    return [build() for order, build in map(parse_spec, _CATALOG_SPECS)
+            if order <= max_order]

@@ -1,17 +1,20 @@
-"""Mutants of src/, each with the tests that must fail on it, of two kinds:
-one for each `raise InternalCheckError` check, disabling that check, and
-one for each loop that reads only the generating set S of a group where
-a proof says S suffices, replacing S with S[:-1].
+"""Mutants of src/, each with the tests that must fail on it, of three
+kinds: one for each `raise InternalCheckError` check, disabling that
+check; one for each loop that reads only the generating set S of a group
+where a proof says S suffices, replacing S with S[:-1]; and one for the
+subgroup enumeration, extending a subgroup only by the elements that
+normalize it, which is complete for solvable groups only.
 
 Run from the repository root:
 
     python tests/mutants.py
 
 Each mutant is applied alone to a temporary copy of src/, tests/,
-pyproject.toml and README.md, and its tests run there under pytest, two
-mutants at a time.  A mutant is killed when every test it lists (a file or
-a node id) has a failing case.  The exit status is 1 if any mutant
-survives or any anchor (its old text) is missing or not unique, else 0.
+pyproject.toml, README.md and perfbench/golden.json, which the golden
+tests read, and its tests run there under pytest, two mutants at a time.
+A mutant is killed when every test it lists (a file or a node id) has a
+failing case.  The exit status is 1 if any mutant survives or any anchor
+(its old text) is missing or not unique, else 0.
 
 tests/test_mutants.py keeps the anchors in step with src/ in tier-1: each
 old text occurs exactly once in its file, and there is one check mutant
@@ -31,12 +34,14 @@ from pathlib import Path
 from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "pyproject.toml", "README.md",
+          "perfbench/golden.json")
 WORKERS = 2
 TIMEOUT_S = 300
 
 AMEN = "src/padicamen/amenability.py"
 ALGEBRA = "src/padicamen/group_algebra.py"
+GROUP = "src/padicamen/finite_group.py"
 HOPF = "src/padicamen/hopf.py"
 TESTS = "tests/test_amenability.py"
 CONTROL = TESTS + "::test_named_check_fails_on_corrupted_input[%s]"
@@ -131,9 +136,35 @@ REDUCTION_MUTANTS = (
            TESTS + "::test_derivation_dims_match_character_theory",
            TESTS + "::test_derivation_certificate_matches_elimination_oracle",
            reads="bimodule.right"),
+    # invariant_functional_space: the classes of (sh, h) for s in S
+    _short(AMEN, "(group.table[s][h], h) for s in group.generators",
+           TESTS + "::test_invariant_space_is_one_dimensional_and_uniform",
+           TESTS + "::test_generating_set_decides_what_every_element_decides"),
+    # virtual_diagonal_construct: the quotient relations die on S
+    _short(AMEN, "for a in group.generators:\n        if e_map(",
+           TESTS + "::test_generating_set_decides_what_every_element_decides"),
+    # _kernel_generator_failure: the kernel generators x_s for s in S
+    _short(AMEN, "for g in alg.group.generators:",
+           TESTS + "::test_kernel_generators_agree_with_the_kernel_basis_scan",
+           TESTS + "::test_generating_set_decides_what_every_element_decides"),
+    # lemma2_data: the relations of a in S
+    _short(HOPF, "table[group.inverses[a]]) for a in group.generators]",
+           "tests/test_hopf.py::test_lemma2_classes_match_echelon_oracle",
+           "tests/test_hopf.py::test_lemma2_iso_check_on_catalog_groups"),
 )
 
-MUTANTS = CHECK_MUTANTS + REDUCTION_MUTANTS
+# enumerate_subgroups: cyclic extension by the normalizing elements alone
+# misses A5 itself among A5's 59 subgroups
+NORMALIZER_MUTANT = Mutant(
+    GROUP, "if x in base:",
+    "if x in base or {g.table[g.table[g.inverses[x]][k]][x] "
+    "for k in base} != base:",
+    ("tests/test_finite_group.py"
+     "::test_subgroup_lattice_matches_closure_oracle",
+     "tests/test_finite_group.py"
+     "::test_symmetric_group_on_five_letters_has_156_subgroups"))
+
+MUTANTS = CHECK_MUTANTS + REDUCTION_MUTANTS + (NORMALIZER_MUTANT,)
 
 
 def anchor_count(mutant: Mutant) -> int:
@@ -159,6 +190,7 @@ def run_mutant(mutant: Mutant) -> Tuple[str, str]:
                 shutil.copytree(src, work / name, ignore=shutil.ignore_patterns(
                     "__pycache__", ".hypothesis", ".pytest_cache"))
             else:
+                (work / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(src, work / name)
         target = work / mutant.file
         text = target.read_text(encoding="utf-8")

@@ -440,10 +440,11 @@ def matrix_product(p: int) -> Callable:
 
 
 def uncatalogued_groups() -> List[FiniteGroup]:
-    """Groups catalog(24) lacks: the alternating group A4, the dicyclic
-    group of order 12, SL(2, 3) and the elementary abelian groups C2^3
-    and C2^4, the last the one whose generating set has four elements,
-    built from permutations and matrices mod p."""
+    """Groups catalog(24) lacks, built from permutations and matrices
+    mod p: the alternating group A4, the dicyclic group of order 12,
+    SL(2, 3), the elementary abelian groups C2^3 and C2^4, the last the
+    one whose generating set has four elements, and A5, the smallest
+    group that is not solvable."""
     return [
         closed_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)], compose),
         closed_group("Dic12", [((4, 0), (0, 10)), ((0, 12), (1, 0))],
@@ -456,4 +457,6 @@ def uncatalogued_groups() -> List[FiniteGroup]:
                               (0, 1, 3, 2, 4, 5, 6, 7),
                               (0, 1, 2, 3, 5, 4, 6, 7),
                               (0, 1, 2, 3, 4, 5, 7, 6)], compose),
+        # the 3-cycles (0 1 2) and (2 3 4)
+        closed_group("A5", [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], compose),
     ]

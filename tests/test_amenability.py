@@ -363,9 +363,10 @@ def test_generating_set_decides_what_every_element_decides(seed):
         assert verdicts == ({True, False} if n > 1 else {True})
 
 
-def test_derivation_dims_match_character_theory():
-    # with A4, Dic12, SL(2,3), C2^3 and C2^4, dim Der on the regular
-    # bimodule is 8, 6, 17, 0 and 0
+def test_derivation_dims_match_character_theory(monkeypatch):
+    # with A4, Dic12, SL(2,3), C2^3, C2^4 and A5, dim Der on the regular
+    # bimodule is 8, 6, 17, 0, 0 and 55
+    monkeypatch.setenv(ORDER_CAP_ENV, "60")
     for grp in [cyclic(4), cyclic(6), dihedral(3), dihedral(4),
                 symmetric(3), quaternion8(), *uncatalogued_groups()]:
         n = grp.order
@@ -537,10 +538,11 @@ def test_derivation_certificate_rejects_a_non_action(capsys, monkeypatch,
 @pytest.mark.parametrize("grp", list(relabelled_catalog(8, 13))
                          + uncatalogued_groups(),
                          ids=lambda g: "%s@%d" % (g.name, g.identity))
-def test_outer_tensor_legs_match_the_definition(grp):
+def test_outer_tensor_legs_match_the_definition(monkeypatch, grp):
     # the outer tensor is built from the regular bimodule's maps of S, not
     # by its constructor: it holds the maps of S of the definition, and
     # its report is that of the bimodule the constructor builds from them
+    monkeypatch.setenv(ORDER_CAP_ENV, "60")
     bim = outer_tensor_bimodule(grp)
     dim, left, right = stock_actions(grp, "outer_tensor")
     assert len(bim.left) == len(bim.right) == len(grp.generators)
@@ -1018,14 +1020,16 @@ def test_uncatalogued_groups_are_invariant_under_drawn_relabelling(case):
     # groups built from permutations and matrices mod p, not from a spec
     grp, new = case
     moved = from_table(grp.name, *permuted(grp, new))
-    for p in (2, 3, 5, 7):
-        doc = certify(moved, p)
-        assert doc["schikhof"]["amenable"] == (grp.order % p != 0)
-        assert _label_free(doc) == _label_free(certify(grp, p))
-    stock = stock_bimodules(moved)
-    for name, bim in stock_bimodules(grp).items():
-        assert derivation_spaces(bim).to_doc() == \
-            derivation_spaces(stock[name]).to_doc()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(ORDER_CAP_ENV, "60")
+        for p in (2, 3, 5, 7):
+            doc = certify(moved, p)
+            assert doc["schikhof"]["amenable"] == (grp.order % p != 0)
+            assert _label_free(doc) == _label_free(certify(grp, p))
+        stock = stock_bimodules(moved)
+        for name, bim in stock_bimodules(grp).items():
+            assert derivation_spaces(bim).to_doc() == \
+                derivation_spaces(stock[name]).to_doc()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -429,10 +429,13 @@ def test_over_cap_group_exits_1(capsys, monkeypatch, tmp_path):
 def test_over_cap_spec_is_refused_before_its_table_is_built(
         capsys, monkeypatch, command, stage, group):
     # the declared order is read off the spec; building the n^2-entry
-    # table of either group would take minutes
-    def refuse(spec):
+    # table of either group would take minutes, so the builders refuse
+    # before they write a table, and from_table refuses too
+    def refuse(*args):
         raise AssertionError("group built")
-    monkeypatch.setattr(cli, "from_spec", refuse)
+    monkeypatch.setattr(finite_group, "from_table", refuse)
+    monkeypatch.setattr(finite_group, "_BUILDERS",
+                        dict.fromkeys(finite_group._BUILDERS, refuse))
     start = time.monotonic()
     rc, out, err = run(capsys, [command, "--group", group, "--prime", "2"])
     assert time.monotonic() - start < 0.5
@@ -461,7 +464,6 @@ def test_over_cap_file_is_refused_before_its_table_is_validated(
 
     def refuse(*args):
         raise AssertionError("table validated")
-    monkeypatch.setattr(cli, "from_table", refuse)
     monkeypatch.setattr(finite_group, "from_table", refuse)
     rc, out, err = run(capsys, [command, "--group", str(path),
                                 "--prime", "2"])
@@ -488,6 +490,17 @@ def test_order_cap_env_lowers_limit(capsys, monkeypatch):
     rc, _, err = run(capsys, ["check", "--group", "cyclic:30",
                               "--prime", "2"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "derivations"])
+def test_group_spec_is_parsed_once(capsys, monkeypatch, command):
+    # the order the cap reads and the group built come from one parse
+    parsed = []
+    factors = finite_group._factors
+    monkeypatch.setattr(finite_group, "_factors",
+                        lambda spec: parsed.append(spec) or factors(spec))
+    rc, _, _ = run(capsys, [command, "--group", " cyclic:6", "--prime", "2"])
+    assert rc == 0 and parsed == ["cyclic:6"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,18 +8,18 @@ import json
 import random
 
 import pytest
-from oracles import (associativity_failure, closure_subgroups, pair_closure,
-                     relabel, uncatalogued_groups)
+from oracles import (associativity_failure, closed_group, closure_subgroups,
+                     compose, pair_closure, relabel, uncatalogued_groups)
 
 import padicamen.finite_group as finite_group
 from padicamen.errors import (GroupValidationError, OrderCapError,
                               SpecParseError)
 from padicamen.finite_group import (DEFAULT_ORDER_CAP, ORDER_CAP_ENV,
                                     FiniteGroup, Subgroup, catalog, cyclic,
-                                    dihedral, enumerate_subgroups, from_file,
-                                    from_spec, from_table, order_cap, product,
-                                    quaternion8, require_within_cap,
-                                    spec_order, subgroup_index, symmetric)
+                                    dihedral, enumerate_subgroups, from_spec,
+                                    from_table, order_cap, parse_spec,
+                                    product, quaternion8, require_within_cap,
+                                    subgroup_index, symmetric)
 
 # commutative Latin square with two-sided identity 0 and two-sided
 # inverses (1 and every pair 2/4, 3/5) that is nevertheless not
@@ -249,22 +249,28 @@ def test_from_spec_strings():
             from_spec(bad)
 
 
-def test_spec_order_is_read_without_building(monkeypatch, tmp_path):
+def test_parse_spec_reads_the_order_without_building(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("a table was built")
     monkeypatch.setattr(finite_group, "from_table", refuse)
-    assert spec_order("cyclic:12") == 12
-    assert spec_order(" dihedral:5") == 10
-    assert spec_order("symmetric:4") == 24
-    assert spec_order("quaternion:8") == 8
-    assert spec_order("product:cyclic:1000,dihedral:1000") == 2 * 10 ** 6
-    assert spec_order(str(tmp_path / "table.json")) is None
+    assert parse_spec("cyclic:12")[0] == 12
+    assert parse_spec(" dihedral:5")[0] == 10
+    assert parse_spec("symmetric:4")[0] == 24
+    assert parse_spec("quaternion:8")[0] == 8
+    assert parse_spec("product:cyclic:1000,dihedral:1000")[0] == 2 * 10 ** 6
+    # a table file's order is the declared one, read before validation
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"name": "x", "order": 2, "labels": ["a", "b"],
+                                "table": [[0, 0], [0, 0]]}))
+    assert parse_spec(str(path))[0] == 2
     for bad in ("frobnicate:3", "cyclic:x", "cyclic:0", "dihedral:-1",
                 "symmetric:5", "quaternion:4", "product:cyclic:2",
                 "product:cyclic:2,product:cyclic:2,cyclic:2"):
         with pytest.raises(SpecParseError):
-            spec_order(bad)
+            parse_spec(bad)
     monkeypatch.undo()
+    with pytest.raises(GroupValidationError):
+        parse_spec(str(path))[1]()
     # from_spec itself builds past the cap; the CLI refuses such a spec
     assert from_spec("cyclic:30").order == 30 > DEFAULT_ORDER_CAP
 
@@ -286,13 +292,13 @@ def test_from_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SpecParseError):
-        from_file(str(bad))
+        from_spec(str(bad))
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"name": "x", "order": 1}))
     with pytest.raises(SpecParseError, match="missing"):
-        from_file(str(missing))
+        from_spec(str(missing))
     with pytest.raises(SpecParseError):
-        from_file(str(tmp_path / "nope.json"))
+        from_spec(str(tmp_path / "nope.json"))
 
 
 def test_subgroup_counts_match_group_theory():
@@ -351,10 +357,20 @@ def test_subgroup_lattice_matches_closure_oracle(monkeypatch):
     for g in catalog(24) + relabelled + uncatalogued + [
             from_spec("product:dihedral:4,cyclic:2"),
             from_spec("product:symmetric:4,cyclic:3")]:
-        assert enumerate_subgroups(g) == closure_subgroups(g), g.name
-    # the standard counts of A4, Dic12, SL(2,3), C2^3 and C2^4
+        assert [s.members for s in enumerate_subgroups(g)] == \
+            [s.members for s in closure_subgroups(g)], g.name
+    # the standard counts of A4, Dic12, SL(2,3), C2^3, C2^4 and A5
     assert [len(enumerate_subgroups(g)) for g in uncatalogued] == \
-        [10, 8, 15, 16, 67]
+        [10, 8, 15, 16, 67, 59]
+
+
+def test_symmetric_group_on_five_letters_has_156_subgroups(monkeypatch):
+    # the standard count; S5 is not solvable, and the closure oracle is
+    # not run at order 120
+    monkeypatch.setenv(ORDER_CAP_ENV, "120")
+    s5 = closed_group("S5", [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], compose)
+    assert s5.order == 120
+    assert len(enumerate_subgroups(s5)) == 156
 
 
 def test_subgroup_validation():
@@ -441,12 +457,6 @@ def test_enumerate_subgroups_respects_cap(monkeypatch):
     monkeypatch.setenv(ORDER_CAP_ENV, "4")
     with pytest.raises(OrderCapError):
         enumerate_subgroups(cyclic(6))
-
-
-def test_group_is_hashable_and_comparable():
-    assert cyclic(4) == cyclic(4)
-    assert hash(cyclic(4)) == hash(cyclic(4))
-    assert cyclic(4) != cyclic(5)
 
 
 def test_inverses_are_two_sided():

@@ -14,8 +14,9 @@ import padicamen.amenability as amenability
 import padicamen.group_algebra as group_algebra
 from padicamen.amenability import certify
 from padicamen.errors import InternalCheckError
-from padicamen.finite_group import (FiniteGroup, catalog, cyclic, dihedral,
-                                    from_table, quaternion8, symmetric)
+from padicamen.finite_group import (ORDER_CAP_ENV, FiniteGroup, catalog,
+                                    cyclic, dihedral, from_table, quaternion8,
+                                    symmetric)
 from padicamen.group_algebra import (AlgebraElement, GroupAlgebra,
                                      TensorAlgebra, augmentation,
                                      basis_classes, convolve, norm_exponent)
@@ -690,12 +691,13 @@ def test_pair_checks_match_per_pair_oracle(monkeypatch, seed):
     # factors' images again for every pair; with the true maps and with
     # each stand-in they agree on every verdict and witness
     rng = random.Random(seed)
-    # the five groups the catalog lacks, shared out over the seeds
+    # the six groups the catalog lacks, shared out over the seeds
     groups = list(relabelled_catalog(12, seed)) + [
         from_table(grp.name, *relabel(grp, rng))
         for grp in uncatalogued_groups()[seed::3]]
     for builder, stand_in in [(None, None)] + STAND_INS:
         monkeypatch.undo()
+        monkeypatch.setenv(ORDER_CAP_ENV, "60")
         if builder is not None:
             monkeypatch.setattr(hopf, builder, stand_in)
         failed = set()
@@ -821,6 +823,7 @@ def test_generating_set_decides_what_every_element_decides(monkeypatch):
             if len(members) == n:
                 continue
             monkeypatch.undo()
+            monkeypatch.setenv(ORDER_CAP_ENV, "60")
             for builder in (delta_map, antipode_map, e_basis_map):
                 monkeypatch.setattr(hopf, builder.__name__,
                                     _off_subgroup(builder, members))
@@ -840,7 +843,7 @@ def test_generating_set_decides_what_every_element_decides(monkeypatch):
                 dict.fromkeys(PAIR_CHECKS, witness),
                 counit_homomorphism=None), (grp.name, s)
             checked += 1
-    assert checked == 47
+    assert checked == 49
     # cyclic:1: S is empty and the row e is the whole check
     monkeypatch.undo()
     patch_convolve(monkeypatch, lambda f, h: convolve(f, h).scale(2))
