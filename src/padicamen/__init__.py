@@ -21,8 +21,7 @@ from .group_algebra import (AlgebraElement, GroupAlgebra, TensorAlgebra,
 from .hopf import (BasisMap, basis_tensor, e_map, eq1_check, lemma2_data,
                    lemma2_iso_check, pi0, verify_hopf_axioms)
 from .amenability import (STOCK_BIMODULES, Bimodule, DerivationReport,
-                          JohnsonCertificate, SchikhofVerdict,
-                          VirtualDiagonal, certify, derivation_spaces,
+                          SchikhofVerdict, certify, derivation_spaces,
                           diagonal_ideal_identity, invariant_functional_space,
                           johnson_check, mean_from_diagonal,
                           outer_tensor_bimodule, regular_bimodule,

@@ -24,8 +24,8 @@ For a finite group G over Q_p the story certified here is:
 
 Everything on the Johnson side (the mean, the quotient, the diagonal and
 the derivations) is an identity over the rationals and takes no prime.
-The prime is read only where a p-adic norm is: by schikhof_check, by the
-to_doc(prime) writers of the mean and the diagonal, and by certify.
+The prime is read only where a p-adic norm is: by schikhof_check and by
+certify, which writes the norms of the mean and the diagonal.
 
 A stage takes the results of the stages before it as arguments, in the
 order of the proof: schikhof_check the mean and the subgroup lattice,
@@ -73,30 +73,14 @@ def invariant_functional_space(group: FiniteGroup) -> List[AlgebraElement]:
         for root in sorted(set(classes))]
 
 
-class JohnsonCertificate(NamedTuple):
-    """Witness for the existence of a left-invariant mean with m(1) != 0,
-    normalized to m(1) = 1.  Every finite group has one.  johnson_check
-    raises unless the invariant space has dimension 1, so
-    invariant_space_dim is always 1."""
-
-    mean: AlgebraElement
-    invariant_space_dim = 1
-
-    def to_doc(self, prime: int):
-        return {
-            "amenable": True,
-            "invariant_space_dim": self.invariant_space_dim,
-            "mean": self.mean.to_doc(),
-            "mean_norm_exponent": norm_exponent(self.mean, prime),
-        }
-
-
-def johnson_check(group: FiniteGroup) -> JohnsonCertificate:
+def johnson_check(group: FiniteGroup) -> AlgebraElement:
     """Search the invariant space for a functional with m(1) != 0 and
-    normalize it.
+    return it normalized to m(1) = 1: the witness that a left-invariant
+    mean exists, which every finite group has.
 
-    The mean is required to equal the averaging functional
-    phi -> |G|^{-1} sum_g phi(g), which is normalized and left invariant.
+    The invariant space is required to have dimension 1 and the mean to
+    equal the averaging functional phi -> |G|^{-1} sum_g phi(g), which is
+    normalized and left invariant.
     """
     require_within_cap(group.order, "invariant mean computation")
     alg = GroupAlgebra(group)
@@ -117,7 +101,7 @@ def johnson_check(group: FiniteGroup) -> JohnsonCertificate:
     if mean != AlgebraElement(alg, dict.fromkeys(range(n), 1), n):
         raise InternalCheckError(
             "invariant-space mean disagrees with the averaging functional")
-    return JohnsonCertificate(mean)
+    return mean
 
 
 class SchikhofVerdict(NamedTuple):
@@ -129,8 +113,6 @@ class SchikhofVerdict(NamedTuple):
     independently and must agree.
     """
 
-    group_name: str
-    order: int
     prime: int
     amenable: bool
     mean_norm_exponent: int
@@ -166,10 +148,10 @@ class SchikhofVerdict(NamedTuple):
 
 def schikhof_check(group: FiniteGroup, prime: int,
                    subgroups: Sequence[Subgroup],
-                   johnson: JohnsonCertificate) -> SchikhofVerdict:
+                   mean: AlgebraElement) -> SchikhofVerdict:
     """Decide whether the normalized invariant mean is contractive.
 
-    subgroups is enumerate_subgroups(group) and johnson is
+    subgroups is enumerate_subgroups(group) and mean is
     johnson_check(group); neither reads the prime, so one of each serves
     every prime.  Both methods run in full: the norm method via the
     mean's exponent, the lattice method via every subgroup containment
@@ -178,7 +160,7 @@ def schikhof_check(group: FiniteGroup, prime: int,
     p | |G| by theorem.
     """
     require_prime(prime)
-    exponent = norm_exponent(johnson.mean, prime)
+    exponent = norm_exponent(mean, prime)
     norm_pass = exponent <= 0
 
     witness = None
@@ -199,8 +181,6 @@ def schikhof_check(group: FiniteGroup, prime: int,
             % (group.name, prime)
         )
     return SchikhofVerdict(
-        group_name=group.name,
-        order=group.order,
         prime=prime,
         amenable=norm_pass,
         mean_norm_exponent=exponent,
@@ -212,24 +192,8 @@ def schikhof_check(group: FiniteGroup, prime: int,
     )
 
 
-class VirtualDiagonal(NamedTuple):
-    """A virtual diagonal d, checked in closed form and balanced by
-    virtual_diagonal_construct; diagonal_ideal_identity decides pi0(d) =
-    delta_e and d.d = d on it."""
-
-    tensor: AlgebraElement
-
-    def to_doc(self, prime: int):
-        return {
-            "tensor": self.tensor.to_doc(),
-            "norm_exponent": format_norm_exponent(
-                norm_exponent(self.tensor, prime)),
-            "pi0": pi0(self.tensor).to_doc(),
-        }
-
-
 def virtual_diagonal_construct(group: FiniteGroup,
-                               johnson: JohnsonCertificate) -> VirtualDiagonal:
+                               mean: AlgebraElement) -> AlgebraElement:
     """Build the virtual diagonal by tracing the proof of the equivalence:
     lift delta_e through the quotient isomorphism of lemma2_iso_check and
     multiply the lift by E(mean).  The lift is the class of the unit
@@ -238,7 +202,7 @@ def virtual_diagonal_construct(group: FiniteGroup,
     identity (a (x) 1).d = (1 (x) a).d exactly, for a in S.  The other two
     identities, pi0(d) = delta_e and d.d = d, are decided once, by
     diagonal_ideal_identity on this d in the same certify run, as
-    pi0(1 (x) 1 - d) = 0 and d.(1 (x) 1 - d) = 0.  johnson is
+    pi0(1 (x) 1 - d) = 0 and d.(1 (x) 1 - d) = 0.  mean is
     johnson_check(group), the result of the earlier stage of the proof.
     """
     require_within_cap(group.order, "virtual diagonal construction")
@@ -258,7 +222,7 @@ def virtual_diagonal_construct(group: FiniteGroup,
     # every relation dies under .E(m) exactly when E(delta_a).E(m) = E(m)
     # for every a in S.  These extend to G through E(st) = E(s)E(t), which
     # e_homomorphism and eq1_check decide in the same certify run.
-    d = e_map(johnson.mean)
+    d = e_map(mean)
     for a in group.generators:
         if e_map(alg.delta(a)) * d != d:
             raise InternalCheckError(
@@ -278,10 +242,10 @@ def virtual_diagonal_construct(group: FiniteGroup,
         if basis_tensor(env, a, e) * d != basis_tensor(env, e, a) * d:
             raise InternalCheckError(
                 "balance identity fails at %s" % group.labels[a])
-    return VirtualDiagonal(d)
+    return d
 
 
-def mean_from_diagonal(diagonal: VirtualDiagonal) -> AlgebraElement:
+def mean_from_diagonal(d: AlgebraElement) -> AlgebraElement:
     """Recover the mean from the diagonal as its marginal (1 (x) epsilon)(d):
     m(phi) = sum_{g,h} d_{g,h} phi(g).  The map is the composite the
     counit_right Hopf diagram certifies.
@@ -290,10 +254,9 @@ def mean_from_diagonal(diagonal: VirtualDiagonal) -> AlgebraElement:
     johnson_check's mean, which is pinned to the averaging functional, so
     once that equality holds the marginal is normalized and invariant.
     """
-    t = diagonal.tensor
-    alg = t.algebra.base
+    alg = d.algebra.base
     marginal = BasisMap.identity(alg.dim).kron(counit_map(alg.group))
-    return marginal.apply(t, alg)
+    return marginal.apply(d, alg)
 
 
 class Bimodule:
@@ -413,8 +376,6 @@ class DerivationReport(NamedTuple):
     exists only for a Bimodule, whose axioms give Der = Inn by the
     cancellation at derivation_spaces, so all_inner always holds."""
 
-    group_name: str
-    order: int
     bimodule_name: str
     module_dim: int
     unknowns: int
@@ -478,8 +439,8 @@ def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
         pair for ra, la in zip(bimodule.right, bimodule.left)
         for pair in zip(ra.images, la.images)))
     inner_dim = dim - len(set(classes))
-    return DerivationReport(group.name, n, bimodule.name, dim,
-                            n * dim, inner_dim, inner_dim)
+    return DerivationReport(bimodule.name, dim, n * dim, inner_dim,
+                            inner_dim)
 
 
 def _kernel_generator_failure(u: AlgebraElement) -> Optional[int]:
@@ -496,9 +457,9 @@ def _kernel_generator_failure(u: AlgebraElement) -> Optional[int]:
 
 
 def diagonal_ideal_identity(group: FiniteGroup,
-                            diagonal: VirtualDiagonal) -> AlgebraElement:
+                            d: AlgebraElement) -> AlgebraElement:
     """Verify that u = 1 (x) 1 - d is a right identity of ker pi0, for d
-    the tensor of diagonal, from virtual_diagonal_construct(group).
+    the virtual diagonal from virtual_diagonal_construct(group).
 
     Three exact checks: pi0(u) = 0; d.u = 0; and x_s.u = x_s for s in the
     generating set S, x_s = delta_s (x) 1 - 1 (x) delta_s.  In the
@@ -514,7 +475,6 @@ def diagonal_ideal_identity(group: FiniteGroup,
     so u = 1 (x) 1 - 2d passes it.
     """
     require_within_cap(group.order, "kernel identity check")
-    d = diagonal.tensor
     u = d.algebra.one() - d
     if not pi0(u).is_zero():
         raise InternalCheckError("1 (x) 1 - d is not in ker pi0")
@@ -554,15 +514,15 @@ def certify(group: FiniteGroup, prime: int) -> dict:
     l2 = lemma2_iso_check(group, lemma2_data(group))
     if not l2.all_pass:
         raise InternalCheckError("quotient isomorphism check failed")
-    jc = johnson_check(group)
+    mean = johnson_check(group)
     subgroups = enumerate_subgroups(group)
-    sv = schikhof_check(group, prime, subgroups, jc)
+    sv = schikhof_check(group, prime, subgroups, mean)
     i0_identity(GroupAlgebra(group))
-    vd = virtual_diagonal_construct(group, jc)
-    m2 = mean_from_diagonal(vd)
-    if m2 != jc.mean:
+    d = virtual_diagonal_construct(group, mean)
+    m2 = mean_from_diagonal(d)
+    if m2 != mean:
         raise InternalCheckError("mean/diagonal round trip failed")
-    diagonal_ideal_identity(group, vd)
+    diagonal_ideal_identity(group, d)
 
     return {
         "schema": "padicamen.certificate/1",
@@ -572,9 +532,19 @@ def certify(group: FiniteGroup, prime: int) -> dict:
             "labels": list(group.labels),
         },
         "prime": prime,
-        "johnson": jc.to_doc(prime),
+        "johnson": {
+            "amenable": True,
+            # johnson_check raises unless the invariant space is a line
+            "invariant_space_dim": 1,
+            "mean": mean.to_doc(),
+            "mean_norm_exponent": norm_exponent(mean, prime),
+        },
         "schikhof": sv.to_doc(),
-        "diagonal": vd.to_doc(prime),
+        "diagonal": {
+            "tensor": d.to_doc(),
+            "norm_exponent": format_norm_exponent(norm_exponent(d, prime)),
+            "pi0": pi0(d).to_doc(),
+        },
         "checks": dict.fromkeys(CHECKS, "pass"),
     }
 

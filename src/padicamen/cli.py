@@ -146,9 +146,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for group in groups:
         subgroups = enumerate_subgroups(group)
-        jc = johnson_check(group)
+        mean = johnson_check(group)
         for p in primes:
-            sv = schikhof_check(group, p, subgroups, jc)
+            sv = schikhof_check(group, p, subgroups, mean)
             rows.append({
                 "group": group.name,
                 "order": group.order,

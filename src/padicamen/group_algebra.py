@@ -15,9 +15,11 @@ Elements are sparse and exact: a SparseVec, a dict from flat basis index
 to a nonzero int numerator, over one positive int denominator shared by
 every coefficient.  The pair is kept in lowest terms, so one value has
 one representation and equality is structural; products and sums are int
-arithmetic.  Rational input enters through from_coeffs, and the coeffs
-property reads the coefficients back as Fractions for documents and
-repr.  An element of l(G) is read in three ways, all legitimate in
+arithmetic.  A rational enters as a shared denominator: the averaging
+functional and the closed-form diagonal through the (num, den)
+constructor, the mean and e_0 through scale(Fraction(1, n)); from_coeffs
+builds an element from a map of rational coefficients, and the coeffs
+property reads them back as Fractions for documents and repr.  An element of l(G) is read in three ways, all legitimate in
 finite dimension: as an algebra element sum alpha_g delta_g, as a
 bounded function on G, and as the functional phi -> sum_g alpha_g phi(g)
 on functions.  A mean is an element read the third way, and its value on
@@ -155,7 +157,8 @@ class AlgebraElement:
     a nonzero int and den is a positive int.  The constructor brings the
     pair to lowest terms (den > 0, gcd(den, *num) = 1, den = 1 for zero),
     so equal elements have equal pairs.  It trusts its callers to pass
-    ints; rationals go through from_coeffs.  Nothing is mutated once the
+    ints; a rational coefficient enters through den, through scale by a
+    Fraction, or through from_coeffs.  Nothing is mutated once the
     element is built.
     """
 
@@ -176,7 +179,7 @@ class AlgebraElement:
     def from_coeffs(cls, algebra: GroupAlgebra,
                     coeffs: Mapping[int, ScalarLike]) -> "AlgebraElement":
         """The element with the given rational coefficients, zeros
-        dropped: the one way rationals enter."""
+        dropped."""
         fracs = {k: Fraction(c) for k, c in coeffs.items()}
         den = math.lcm(*(c.denominator for c in fracs.values()))
         return cls(algebra, {k: c.numerator * (den // c.denominator)

@@ -30,6 +30,8 @@ axioms, and `johnson_identity_failure` collects the linear forms of each
 identity (g, c) of it one at a time, at every g, for any actions.
 `closed_group` closes permutations or matrices mod p into a table, for
 groups the catalog lacks (`uncatalogued_groups`).
+`read_johnson_and_diagonal` reads the mean and the diagonal of a
+certificate document back by their labels, trusting none of its writers.
 `valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
 package only ever takes the valuations of nonzero int numerators and
 denominators.
@@ -460,3 +462,55 @@ def uncatalogued_groups() -> List[FiniteGroup]:
         # the 3-cycles (0 1 2) and (2 3 4)
         closed_group("A5", [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], compose),
     ]
+
+
+def read_johnson_and_diagonal(doc: dict, labels: Sequence[str],
+                              table: Sequence[Sequence[int]]
+                              ) -> Optional[str]:
+    """The first thing wrong in the "johnson" and "diagonal" sections of
+    a certificate document for the group with these labels and Cayley
+    table, or None.  It trusts no writer of the package: every
+    coefficient is parsed with Fraction and read by its label.  The mean
+    must be 1/n on every label and the diagonal exactly
+    sum_g 1/n delta_g (x) delta_{g^-1}, both with norm exponent v_p(n);
+    the diagonal must be balanced, (a (x) 1).d = (1 (x) a).d for every a,
+    in the enveloping algebra, whose second leg multiplies in the
+    opposite order, and pi0 must be printed as delta_e."""
+    n, p = len(labels), doc["prime"]
+    index = {label: k for k, label in enumerate(labels)}
+    e = next(x for x in range(n) if all(table[x][y] == y for y in range(n)))
+    inverse = [row.index(e) for row in table]
+    vp = 0
+    while n % p ** (vp + 1) == 0:
+        vp += 1
+
+    def parsed(coeffs):
+        return {index[label]: Fraction(text)
+                for label, text in coeffs.items()}
+    johnson, diagonal = doc["johnson"], doc["diagonal"]
+    tensor = diagonal["tensor"]
+    unknown = {*johnson["mean"], *tensor, *diagonal["pi0"],
+               *(h for row in tensor.values() for h in row)} - set(index)
+    if unknown:
+        return "labels %s are not the group's" % sorted(unknown)
+    if johnson["amenable"] is not True or \
+            johnson["invariant_space_dim"] != 1:
+        return "johnson: not a one-dimensional invariant space"
+    if parsed(johnson["mean"]) != dict.fromkeys(range(n), Fraction(1, n)):
+        return "johnson: the mean is not 1/n on every label"
+    if johnson["mean_norm_exponent"] != vp:
+        return "johnson: mean_norm_exponent is not v_p(n)"
+    d = {(index[g], h): c for g, row in tensor.items()
+         for h, c in parsed(row).items()}
+    for a in range(n):
+        # (a (x) 1).(g (x) h) = ag (x) h and (1 (x) a).(g (x) h) = g (x) ha
+        if {(table[a][g], h): c for (g, h), c in d.items()} != \
+                {(g, table[h][a]): c for (g, h), c in d.items()}:
+            return "diagonal: not balanced at %s" % labels[a]
+    if d != {(g, inverse[g]): Fraction(1, n) for g in range(n)}:
+        return "diagonal: not sum_g 1/n delta_g (x) delta_g^-1"
+    if diagonal["norm_exponent"] != vp:
+        return "diagonal: norm_exponent is not v_p(n)"
+    if parsed(diagonal["pi0"]) != {e: 1}:
+        return "diagonal: pi0 is not delta_e"
+    return None

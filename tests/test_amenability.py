@@ -33,14 +33,13 @@ from oracles import (apply, bimodule_axiom_failure, johnson_identity_failure,
 import padicamen.amenability as amenability
 import padicamen.hopf as hopf
 from padicamen import cli
-from padicamen.amenability import (STOCK_BIMODULES, Bimodule,
-                                   JohnsonCertificate, certify,
+from padicamen.amenability import (STOCK_BIMODULES, Bimodule, certify,
                                    derivation_spaces, diagonal_ideal_identity,
                                    invariant_functional_space, johnson_check,
                                    mean_from_diagonal, outer_tensor_bimodule,
                                    regular_bimodule, render_json,
                                    schikhof_check, stock_bimodules,
-                                   trivial_bimodule, VirtualDiagonal,
+                                   trivial_bimodule,
                                    virtual_diagonal_construct)
 from padicamen.errors import InternalCheckError, OrderCapError
 from padicamen.finite_group import (ORDER_CAP_ENV, FiniteGroup, catalog,
@@ -86,13 +85,13 @@ def test_invariant_space_is_one_dimensional_and_uniform():
 def test_johnson_mean_is_averaging_functional():
     for spec in ["cyclic:6", "symmetric:3", "quaternion:8"]:
         grp = from_spec(spec)
-        jc = johnson_check(grp)
-        assert jc.invariant_space_dim == 1
+        mean = johnson_check(grp)
         n = grp.order
-        assert jc.mean.coeffs == dict.fromkeys(range(n), Fraction(1, n))
+        assert mean.coeffs == dict.fromkeys(range(n), Fraction(1, n))
         for p in (2, 3, 5):
-            assert norm_exponent(jc.mean, p) == valuation(n, p)
-            doc = jc.to_doc(p)
+            assert norm_exponent(mean, p) == valuation(n, p)
+            doc = certify(grp, p)["johnson"]
+            assert doc["invariant_space_dim"] == 1
             assert doc["amenable"] is True
             assert doc["mean_norm_exponent"] == valuation(n, p)
 
@@ -100,9 +99,9 @@ def test_johnson_mean_is_averaging_functional():
 def test_schikhof_matches_order_divisibility_oracle():
     # analytic oracle, used only here: amenable iff p does not divide |G|
     for grp in catalog(12):
-        subgroups, jc = enumerate_subgroups(grp), johnson_check(grp)
+        subgroups, mean = enumerate_subgroups(grp), johnson_check(grp)
         for p in (2, 3, 5):
-            sv = schikhof_check(grp, p, subgroups, jc)
+            sv = schikhof_check(grp, p, subgroups, mean)
             assert sv.amenable == (grp.order % p != 0), (grp.name, p)
             assert sv.norm_method_pass == sv.lattice_method_pass
             if not sv.amenable:
@@ -133,13 +132,13 @@ def test_schikhof_reuses_precomputed_data(monkeypatch):
     # one lattice and one mean serve every prime; neither is rebuilt
     grp = dihedral(4)
     subs = enumerate_subgroups(grp)
-    jc = johnson_check(grp)
+    mean = johnson_check(grp)
 
     def refuse(group):
         raise AssertionError("schikhof_check rebuilt an input")
     for name in ("enumerate_subgroups", "johnson_check"):
         monkeypatch.setattr(amenability, name, refuse)
-    verdicts = [schikhof_check(grp, p, subs, jc) for p in (2, 3, 5)]
+    verdicts = [schikhof_check(grp, p, subs, mean) for p in (2, 3, 5)]
     assert [sv.amenable for sv in verdicts] == [False, True, True]
     assert {sv.subgroup_count for sv in verdicts} == {len(subs)}
 
@@ -147,20 +146,20 @@ def test_schikhof_reuses_precomputed_data(monkeypatch):
 def test_virtual_diagonal_closed_form():
     for spec in ["cyclic:4", "symmetric:3", "quaternion:8"]:
         grp = from_spec(spec)
-        vd = construct_diagonal(grp)
+        d = construct_diagonal(grp)
         n = grp.order
         expected = {
             g * n + grp.inverses[g]: Fraction(1, n) for g in range(n)
         }
-        assert vd.tensor.coeffs == expected
+        assert d.coeffs == expected
         env = GroupAlgebra(grp).enveloping
-        assert vd.tensor.algebra.compatible(env)
+        assert d.algebra.compatible(env)
 
 
 def test_virtual_diagonal_identities_reverified():
     grp = symmetric(3)
     alg = GroupAlgebra(grp)
-    d = construct_diagonal(grp).tensor
+    d = construct_diagonal(grp)
     one = alg.one()
     # (a (x) 1) d = (1 (x) a) d for every basis a
     for a in range(grp.order):
@@ -177,18 +176,16 @@ def test_virtual_diagonal_identities_reverified():
 def test_mean_from_diagonal_round_trip():
     for spec in ["cyclic:6", "dihedral:4", "symmetric:3"]:
         grp = from_spec(spec)
-        vd = construct_diagonal(grp)
-        m = mean_from_diagonal(vd)
-        jc = johnson_check(grp)
-        assert m == jc.mean
+        m = mean_from_diagonal(construct_diagonal(grp))
+        assert m == johnson_check(grp)
 
 
 def test_round_trip_rejects_tampered_diagonal(monkeypatch):
     # the marginal of delta_e (x) delta_e is delta_e, not the mean, and
     # mean_from_diagonal leaves that to certify's round trip
-    def tampered(group, johnson):
+    def tampered(group, mean):
         env, e = GroupAlgebra(group).enveloping, group.identity
-        return VirtualDiagonal(basis_tensor(env, e, e))
+        return basis_tensor(env, e, e)
     monkeypatch.setattr(amenability, "virtual_diagonal_construct", tampered)
     with pytest.raises(InternalCheckError, match="round trip failed"):
         certify(cyclic(3), 2)
@@ -198,10 +195,10 @@ def test_diagonal_ideal_identity_equals_one_minus_d():
     for spec in ["cyclic:4", "symmetric:3"]:
         grp = from_spec(spec)
         alg = GroupAlgebra(grp)
-        vd = construct_diagonal(grp)
-        u = diagonal_ideal_identity(grp, vd)
+        d = construct_diagonal(grp)
+        u = diagonal_ideal_identity(grp, d)
         env = alg.enveloping
-        expected = basis_tensor(env, grp.identity, grp.identity) - vd.tensor
+        expected = basis_tensor(env, grp.identity, grp.identity) - d
         assert u == expected
         assert pi0(u).is_zero()
         # right-identity property on random kernel elements
@@ -231,24 +228,21 @@ def test_virtual_diagonal_construct_rejects_each_corruption():
     # test_hopf.py::test_quotient_check_pins_the_lift_of_delta_e
     grp = symmetric(3)
     alg = GroupAlgebra(grp)
-    jc = johnson_check(grp)
-
-    def build(mean):
-        return virtual_diagonal_construct(grp, JohnsonCertificate(mean))
+    mean = johnson_check(grp)
 
     # E(delta_e) = 1 (x) 1, so E(delta_a).E(mean) = E(delta_a) != E(mean)
     with pytest.raises(InternalCheckError, match="quotient relation"):
-        build(alg.one())
+        virtual_diagonal_construct(grp, alg.one())
     # twice the mean is invariant too, so only the closed form catches it
     with pytest.raises(InternalCheckError, match="closed form"):
-        build(jc.mean.scale(2))
+        virtual_diagonal_construct(grp, mean.scale(2))
 
 
 def _ideal_identity_with(grp, coeffs):
     env = GroupAlgebra(grp).enveloping
     n = grp.order
-    fake = VirtualDiagonal(AlgebraElement.from_coeffs(
-        env, {g * n + h: c for (g, h), c in coeffs.items()}))
+    fake = AlgebraElement.from_coeffs(
+        env, {g * n + h: c for (g, h), c in coeffs.items()})
     return diagonal_ideal_identity(grp, fake)
 
 
@@ -307,8 +301,9 @@ def test_generating_set_decides_what_every_element_decides(seed):
     rng = random.Random(seed)
     for grp in relabelled_catalog(12, seed):
         n, table, alg = grp.order, grp.table, GroupAlgebra(grp)
-        jc = johnson_check(grp)
-        u = diagonal_ideal_identity(grp, virtual_diagonal_construct(grp, jc))
+        mean = johnson_check(grp)
+        u = diagonal_ideal_identity(grp,
+                                    virtual_diagonal_construct(grp, mean))
         env = u.algebra
         # x_g.w = 0 for every g when w is a function of the product yx of
         # the legs of its basis tensors x (x) y: two such w keep u.  The
@@ -341,7 +336,7 @@ def test_generating_set_decides_what_every_element_decides(seed):
 
         # E(delta_a).E(f) = E(f) for a in S exactly when for every a: the
         # relation check raises exactly when f is not left invariant
-        means = [jc.mean, jc.mean.scale(2), AlgebraElement(alg, {})]
+        means = [mean, mean.scale(2), AlgebraElement(alg, {})]
         means += [_indicator(alg, pair_closure(grp, frozenset(
             grp.generators[:size]))) for size in range(len(grp.generators))]
         means += [AlgebraElement(alg, {g: rng.randrange(1, 3)
@@ -353,7 +348,7 @@ def test_generating_set_decides_what_every_element_decides(seed):
             invariant = all(e_map(alg.delta(a)) * ef == ef
                             for a in grp.elements())
             try:
-                virtual_diagonal_construct(grp, JohnsonCertificate(f))
+                virtual_diagonal_construct(grp, f)
             except InternalCheckError as exc:
                 survives = "quotient relation" in str(exc)
             else:
@@ -871,9 +866,8 @@ def _nonconstant_functional(group):
                            {g: g + 1 for g in group.elements()})]
 
 
-def _twice_the_mean(group, johnson):
-    return virtual_diagonal_construct(
-        group, JohnsonCertificate(johnson.mean.scale(2)))
+def _twice_the_mean(group, mean):
+    return virtual_diagonal_construct(group, mean.scale(2))
 
 
 def _off_subgroups(stand_in_on):
@@ -945,13 +939,12 @@ NEGATIVE_CONTROLS = {
         "balance identity fails at"),
     "mean_diagonal_round_trip": (
         amenability, "mean_from_diagonal",
-        lambda vd: mean_from_diagonal(vd).scale(2),
+        lambda d: mean_from_diagonal(d).scale(2),
         "mean/diagonal round trip failed"),
     # 1 (x) 1 - 2d leaves ker pi0
     "multiplication_kernel_right_identity": (
         amenability, "diagonal_ideal_identity",
-        lambda group, diagonal: diagonal_ideal_identity(
-            group, VirtualDiagonal(diagonal.tensor.scale(2))),
+        lambda group, d: diagonal_ideal_identity(group, d.scale(2)),
         "is not in ker pi0"),
 }
 

@@ -32,7 +32,7 @@ def test_python_api_block_runs():
     names = {}
     exec(compile(python_api_block(), str(README), "exec"), names)
     assert names["sv"].amenable is False  # 3 divides |S3| = 6
-    assert names["vd"].tensor.coeffs == {
+    assert names["d"].coeffs == {
         g * 6 + names["grp"].inverses[g]: Fraction(1, 6) for g in range(6)}
     assert set(names["doc"]["checks"].values()) == {"pass"}
 

@@ -1,6 +1,7 @@
 """Valuation arithmetic against an independently coded oracle, and the
 prime check of the functions that read a p-adic norm."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from oracles import INFINITE_VALUATION, valuation
 
 import padicamen.amenability as amenability
+from padicamen import finite_group, group_algebra, hopf
 from padicamen.amenability import certify, johnson_check, schikhof_check
 from padicamen.finite_group import cyclic, enumerate_subgroups
 from padicamen.group_algebra import GroupAlgebra, norm_exponent
@@ -87,8 +89,7 @@ STAGES = ("GroupAlgebra", "verify_hopf_axioms", "eq1_check", "lemma2_data",
 def test_prime_readers_reject_non_primes(monkeypatch):
     # p = 1 would make int_valuation loop forever, and p = 0 divide by 0
     grp = cyclic(4)
-    mean = johnson_check(grp).mean
-    jc = amenability.JohnsonCertificate(mean)
+    mean = johnson_check(grp)
     subgroups = enumerate_subgroups(grp)
 
     def refuse(*args, **kwargs):
@@ -99,9 +100,35 @@ def test_prime_readers_reject_non_primes(monkeypatch):
         for call in (lambda: norm_exponent(GroupAlgebra(grp).ones(), bad),
                      lambda: norm_exponent(mean, bad),
                      lambda: certify(grp, bad),
-                     lambda: schikhof_check(grp, bad, subgroups, jc)):
+                     lambda: schikhof_check(grp, bad, subgroups, mean)):
             with pytest.raises(ValueError, match="not a prime"):
                 call()
+
+
+def _functions_and_methods(module):
+    """(name, function) for each function and method defined in module."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__",
+                             getattr(member, "fget", member))
+                if inspect.isfunction(fn) and \
+                        fn.__module__ == module.__name__:
+                    yield "%s.%s" % (name, attr), fn
+
+
+def test_only_the_norm_readers_take_a_prime():
+    # the algebras, the Hopf checks, the quotient, the mean, the diagonal
+    # and the derivations are the same over every Q_p
+    readers = {name for module in (group_algebra, hopf, amenability,
+                                   finite_group)
+               for name, fn in _functions_and_methods(module)
+               if {"p", "prime"} & set(inspect.signature(fn).parameters)}
+    assert readers == {"norm_exponent", "schikhof_check", "certify"}
 
 
 def test_is_prime():
