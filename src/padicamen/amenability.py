@@ -25,7 +25,8 @@ For a finite group G over Q_p the story certified here is:
 Everything on the Johnson side (the mean, the quotient, the diagonal and
 the derivations) is an identity over the rationals and takes no prime.
 The prime is read only where a p-adic norm is: by schikhof_check and by
-certify, which writes the norms of the mean and the diagonal.
+certify, which writes the Schikhof verdict and the norms of the mean and
+the diagonal.
 
 A stage takes the results of the stages before it as arguments, in the
 order of the proof: schikhof_check the mean and the subgroup lattice,
@@ -107,43 +108,19 @@ def johnson_check(group: FiniteGroup) -> AlgebraElement:
 class SchikhofVerdict(NamedTuple):
     """Dual-method verdict for the contractive-mean notion.
 
-    method_norm asks whether the normalized mean has norm exponent <= 0;
-    method_lattice sweeps every containment pair in the subgroup lattice
-    for an index divisible by p.  The two verdicts are computed
-    independently and must agree.
+    The norm method asks whether the normalized mean has norm exponent
+    mean_norm_exponent <= 0; the lattice method sweeps every containment
+    pair in the subgroup lattice for an index divisible by p, and witness
+    is the first such pair (s1, s2, index), or None.  The two verdicts are
+    computed independently and must agree, so amenable is each of them:
+    the mean is contractive and witness is None.
     """
 
-    prime: int
     amenable: bool
     mean_norm_exponent: int
-    norm_method_pass: bool
-    lattice_method_pass: bool
     witness: Optional[Tuple[Subgroup, Subgroup, int]]
     subgroup_count: int
     pairs_checked: int
-
-    def to_doc(self):
-        lattice = {
-            "pass": self.lattice_method_pass,
-            "subgroup_count": self.subgroup_count,
-            "pairs_checked": self.pairs_checked,
-        }
-        if self.witness is not None:
-            s1, s2, idx = self.witness
-            lattice["witness"] = {
-                "s1": s1.label_set(),
-                "s2": s2.label_set(),
-                "index": idx,
-                "prime": self.prime,
-            }
-        return {
-            "amenable": self.amenable,
-            "method_norm": {
-                "mean_norm_exponent": self.mean_norm_exponent,
-                "pass": self.norm_method_pass,
-            },
-            "method_lattice": lattice,
-        }
 
 
 def schikhof_check(group: FiniteGroup, prime: int,
@@ -180,16 +157,8 @@ def schikhof_check(group: FiniteGroup, prime: int,
             "norm and lattice methods disagree on %s at p=%d"
             % (group.name, prime)
         )
-    return SchikhofVerdict(
-        prime=prime,
-        amenable=norm_pass,
-        mean_norm_exponent=exponent,
-        norm_method_pass=norm_pass,
-        lattice_method_pass=lattice_pass,
-        witness=witness,
-        subgroup_count=len(subgroups),
-        pairs_checked=pairs,
-    )
+    return SchikhofVerdict(norm_pass, exponent, witness, len(subgroups),
+                           pairs)
 
 
 def virtual_diagonal_construct(group: FiniteGroup,
@@ -372,26 +341,15 @@ def stock_bimodules(group: FiniteGroup,
 
 
 class DerivationReport(NamedTuple):
-    """Derivation and inner-derivation counts for one bimodule.  A report
-    exists only for a Bimodule, whose axioms give Der = Inn by the
-    cancellation at derivation_spaces, so all_inner always holds."""
+    """Counts for one bimodule X: module_dim = dim X, the unknowns
+    D[g, c] of a derivation into X^*, n.dim X of them, and inner_dim =
+    dim Inn.  A report exists only for a Bimodule, whose axioms give
+    Der = Inn by the cancellation at derivation_spaces, so dim Der is
+    inner_dim and every derivation is inner."""
 
-    bimodule_name: str
     module_dim: int
     unknowns: int
-    derivation_dim: int
     inner_dim: int
-    all_inner = True
-
-    def to_doc(self):
-        return {
-            "bimodule": self.bimodule_name,
-            "module_dim": self.module_dim,
-            "unknowns": self.unknowns,
-            "derivation_dim": self.derivation_dim,
-            "inner_dim": self.inner_dim,
-            "all_inner": self.all_inner,
-        }
 
 
 def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
@@ -438,9 +396,7 @@ def derivation_spaces(bimodule: Bimodule) -> DerivationReport:
     classes = basis_classes(dim, (
         pair for ra, la in zip(bimodule.right, bimodule.left)
         for pair in zip(ra.images, la.images)))
-    inner_dim = dim - len(set(classes))
-    return DerivationReport(bimodule.name, dim, n * dim, inner_dim,
-                            inner_dim)
+    return DerivationReport(dim, n * dim, dim - len(set(classes)))
 
 
 def _kernel_generator_failure(u: AlgebraElement) -> Optional[int]:
@@ -499,17 +455,16 @@ CHECKS = ("hopf_axioms", "dual_action_identity", "quotient_isomorphism",
 def certify(group: FiniteGroup, prime: int) -> dict:
     """Run the full battery for one (group, prime) and assemble the
     certificate document.  Any failed internal check raises; a document
-    is only ever produced with every check passing.  Only the Schikhof
-    verdict and the two norm exponents of the document read the prime."""
+    is only ever produced with every check passing, and this is the one
+    writer of its sections.  Only the Schikhof verdict and the two norm
+    exponents of the document read the prime."""
     require_within_cap(group.order, "certificate run")
     require_prime(prime)
 
-    hopf_report = verify_hopf_axioms(group)
-    if not hopf_report.all_pass:
+    if not all(r.passed for r in verify_hopf_axioms(group).values()):
         raise InternalCheckError(
             "Hopf axioms failed on %s" % group.name)
-    eq1 = eq1_check(group)
-    if not eq1.all_pass:
+    if not all(eq1_check(group).values()):
         raise InternalCheckError("dual action identity failed")
     l2 = lemma2_iso_check(group, lemma2_data(group))
     if not l2.all_pass:
@@ -524,6 +479,15 @@ def certify(group: FiniteGroup, prime: int) -> dict:
         raise InternalCheckError("mean/diagonal round trip failed")
     diagonal_ideal_identity(group, d)
 
+    lattice = {
+        "pass": sv.amenable,
+        "subgroup_count": sv.subgroup_count,
+        "pairs_checked": sv.pairs_checked,
+    }
+    if sv.witness is not None:
+        s1, s2, idx = sv.witness
+        lattice["witness"] = {"s1": s1.label_set(), "s2": s2.label_set(),
+                              "index": idx, "prime": prime}
     return {
         "schema": "padicamen.certificate/1",
         "group": {
@@ -537,9 +501,15 @@ def certify(group: FiniteGroup, prime: int) -> dict:
             # johnson_check raises unless the invariant space is a line
             "invariant_space_dim": 1,
             "mean": mean.to_doc(),
-            "mean_norm_exponent": norm_exponent(mean, prime),
+            "mean_norm_exponent": sv.mean_norm_exponent,
         },
-        "schikhof": sv.to_doc(),
+        # schikhof_check raises unless both methods give this verdict
+        "schikhof": {
+            "amenable": sv.amenable,
+            "method_norm": {"mean_norm_exponent": sv.mean_norm_exponent,
+                            "pass": sv.amenable},
+            "method_lattice": lattice,
+        },
         "diagonal": {
             "tensor": d.to_doc(),
             "norm_exponent": format_norm_exponent(norm_exponent(d, prime)),

@@ -17,12 +17,13 @@ every coefficient.  The pair is kept in lowest terms, so one value has
 one representation and equality is structural; products and sums are int
 arithmetic.  A rational enters as a shared denominator: the averaging
 functional and the closed-form diagonal through the (num, den)
-constructor, the mean and e_0 through scale(Fraction(1, n)); from_coeffs
-builds an element from a map of rational coefficients, and the coeffs
-property reads them back as Fractions for documents and repr.  An element of l(G) is read in three ways, all legitimate in
-finite dimension: as an algebra element sum alpha_g delta_g, as a
-bounded function on G, and as the functional phi -> sum_g alpha_g phi(g)
-on functions.  A mean is an element read the third way, and its value on
+constructor, the mean and e_0 through scale(Fraction(1, n)); the coeffs
+property reads them back as Fractions for documents and repr.
+
+An element of l(G) is read in three ways, all legitimate in finite
+dimension: as an algebra element sum alpha_g delta_g, as a bounded
+function on G, and as the functional phi -> sum_g alpha_g phi(g) on
+functions.  A mean is an element read the third way, and its value on
 the constant function 1 is its augmentation: m(1) = augmentation(m).
 
 The algebras hold no prime: their elements and products are rational and
@@ -157,9 +158,8 @@ class AlgebraElement:
     a nonzero int and den is a positive int.  The constructor brings the
     pair to lowest terms (den > 0, gcd(den, *num) = 1, den = 1 for zero),
     so equal elements have equal pairs.  It trusts its callers to pass
-    ints; a rational coefficient enters through den, through scale by a
-    Fraction, or through from_coeffs.  Nothing is mutated once the
-    element is built.
+    ints; a rational coefficient enters through den or through scale by
+    a Fraction.  Nothing is mutated once the element is built.
     """
 
     __slots__ = ("algebra", "num", "den")
@@ -174,16 +174,6 @@ class AlgebraElement:
         self.algebra = algebra
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_coeffs(cls, algebra: GroupAlgebra,
-                    coeffs: Mapping[int, ScalarLike]) -> "AlgebraElement":
-        """The element with the given rational coefficients, zeros
-        dropped."""
-        fracs = {k: Fraction(c) for k, c in coeffs.items()}
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        return cls(algebra, {k: c.numerator * (den // c.denominator)
-                             for k, c in fracs.items() if c}, den)
 
     @property
     def coeffs(self) -> Dict[int, Fraction]:

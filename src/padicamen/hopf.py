@@ -181,54 +181,19 @@ def pi0(t: AlgebraElement) -> AlgebraElement:
 
 
 class AxiomResult(NamedTuple):
+    """One Hopf check: whether it passed, what it read, and the first
+    basis column or pair where it failed, if it did."""
+
     passed: bool
     checked: str
     witness: Optional[str] = None
 
-    def to_doc(self):
-        doc = {"pass": self.passed, "checked": self.checked}
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        return doc
 
-
-class HopfReport(NamedTuple):
-    """The Hopf diagrams and structural properties of one group.  The
-    antipode checked is always inversion, so antipode_corrupted, kept in
-    the document, is always false."""
-
-    group_name: str
-    order: int
-    axioms: "Dict[str, AxiomResult]"
-    antipode_corrupted = False
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.axioms.values())
-
-    def to_doc(self):
-        return {
-            "group": self.group_name,
-            "order": self.order,
-            "antipode_corrupted": self.antipode_corrupted,
-            "axioms": {name: r.to_doc() for name, r in self.axioms.items()},
-            "all_pass": self.all_pass,
-        }
-
-
-def _matrix_axiom(report: HopfReport, labels, name: str,
-                  lhs: BasisMap, rhs: BasisMap, checked: str):
-    j = lhs.first_column_difference(rhs)
-    if j is None:
-        report.axioms[name] = AxiomResult(True, checked)
-    else:
-        report.axioms[name] = AxiomResult(
-            False, checked, witness=f"basis column {labels[j % len(labels)]}")
-
-
-def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
+def verify_hopf_axioms(group: FiniteGroup) -> Dict[str, AxiomResult]:
     """Check the five Hopf diagrams plus the structural homomorphism and
-    involution properties, exactly, on the full delta basis.
+    involution properties, exactly, on the full delta basis, and return
+    each check's result by name: the six diagrams, then the four pair
+    checks.  The antipode checked is always inversion.
 
     Every check reads the maps of delta_map, antipode_map and e_basis_map,
     each built once per call: the diagrams compose them.  The pair checks
@@ -259,29 +224,24 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
     e = e_basis_map(group)
     mult = mult_map(group)
     ident = BasisMap.identity(n)
-    report = HopfReport(group.name, n, {})
-
-    basis_note = f"all {n} basis columns"
-    _matrix_axiom(
-        report, labels, "coassociativity",
-        delta.kron(ident).compose(delta), ident.kron(delta).compose(delta),
-        basis_note)
-    _matrix_axiom(
-        report, labels, "counit_left",
-        counit.kron(ident).compose(delta), ident, basis_note)
-    _matrix_axiom(
-        report, labels, "counit_right",
-        ident.kron(counit).compose(delta), ident, basis_note)
     nu_eps = unit_map(group).compose(counit)
-    _matrix_axiom(
-        report, labels, "antipode_left",
-        mult.compose(s.kron(ident)).compose(delta), nu_eps, basis_note)
-    _matrix_axiom(
-        report, labels, "antipode_right",
-        mult.compose(ident.kron(s)).compose(delta), nu_eps, basis_note)
-    _matrix_axiom(
-        report, labels, "antipode_involutive",
-        s.compose(s), ident, basis_note)
+
+    def diagram(lhs: BasisMap, rhs: BasisMap) -> AxiomResult:
+        j = lhs.first_column_difference(rhs)
+        return AxiomResult(j is None, f"all {n} basis columns",
+                           None if j is None else f"basis column {labels[j]}")
+
+    axioms = {
+        "coassociativity": diagram(delta.kron(ident).compose(delta),
+                                   ident.kron(delta).compose(delta)),
+        "counit_left": diagram(counit.kron(ident).compose(delta), ident),
+        "counit_right": diagram(ident.kron(counit).compose(delta), ident),
+        "antipode_left": diagram(
+            mult.compose(s.kron(ident)).compose(delta), nu_eps),
+        "antipode_right": diagram(
+            mult.compose(ident.kron(s)).compose(delta), nu_eps),
+        "antipode_involutive": diagram(s.compose(s), ident),
+    }
 
     tensor, env = alg.tensor, alg.enveloping
     basis = [alg.delta(g) for g in range(n)]
@@ -323,38 +283,17 @@ def verify_hopf_axioms(group: FiniteGroup) -> HopfReport:
                  "antipode_antihomomorphism", "e_homomorphism"):
         if name in first:
             g, h = first[name]
-            report.axioms[name] = AxiomResult(
+            axioms[name] = AxiomResult(
                 False, pair_note, f"pair ({labels[g]}, {labels[h]})")
         else:
-            report.axioms[name] = AxiomResult(True, pair_note)
-    return report
+            axioms[name] = AxiomResult(True, pair_note)
+    return axioms
 
 
-class Eq1Report(NamedTuple):
-    """Outcome of the dual-action identity E^*(phi).c = E^*(phi.E(c))."""
-
-    group_name: str
-    order: int
-    per_c: "Dict[str, bool]"
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.per_c.values())
-
-    def to_doc(self):
-        return {
-            "group": self.group_name,
-            "order": self.order,
-            "checked": f"all {self.order * self.order} basis functionals "
-                       f"x {self.order} basis elements",
-            "per_c": dict(sorted(self.per_c.items())),
-            "all_pass": self.all_pass,
-        }
-
-
-def eq1_check(group: FiniteGroup) -> Eq1Report:
-    """Verify E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
-    the enveloping algebra and every basis element c.
+def eq1_check(group: FiniteGroup) -> Dict[str, bool]:
+    """Decide E^*(phi).c = E^*(phi.E(c)) for every basis functional phi on
+    the enveloping algebra and every basis element c, and return the
+    verdict for each c by its label.
 
     On coefficient vectors the left side sends phi to L_c^T E^T phi and
     the right side to E^T l_E(c)^T phi, for L_c the left translation by c
@@ -372,16 +311,18 @@ def eq1_check(group: FiniteGroup) -> Eq1Report:
     env = GroupAlgebra(group).enveloping
     e = e_basis_map(group)
     left, _ = translations(group)
-    report = Eq1Report(group.name, group.order, {})
+    per_c = {}
     for c, label in enumerate(group.labels):
         by_ec = tuple(env.product_index(e.images[c], j) for j in e.images)
-        report.per_c[label] = e.compose(left[c]).images == by_ec
-    return report
+        per_c[label] = e.compose(left[c]).images == by_ec
+    return per_c
 
 
 class Lemma2Report(NamedTuple):
-    group_name: str
-    order: int
+    """The quotient's dimension, the order it must equal, and the three
+    properties of the map class(u) -> pi0(u) that lemma2_iso_check
+    decides."""
+
     quotient_dim: int
     expected_dim: int
     well_defined: bool
@@ -396,19 +337,6 @@ class Lemma2Report(NamedTuple):
     def all_pass(self) -> bool:
         return self.dim_ok and self.well_defined and self.bijective \
             and self.action_commutes
-
-    def to_doc(self):
-        return {
-            "group": self.group_name,
-            "order": self.order,
-            "quotient_dim": self.quotient_dim,
-            "expected_dim": self.expected_dim,
-            "dim_ok": self.dim_ok,
-            "well_defined": self.well_defined,
-            "bijective": self.bijective,
-            "action_commutes": self.action_commutes,
-            "all_pass": self.all_pass,
-        }
 
 
 class GeneratorRelations:
@@ -495,8 +423,6 @@ def lemma2_iso_check(group: FiniteGroup, lemma2: Lemma2Data) -> Lemma2Report:
         commutes(g, e) and commutes(e, g) for g in range(n))
 
     return Lemma2Report(
-        group_name=group.name,
-        order=n,
         quotient_dim=len(phi),
         expected_dim=n,
         well_defined=well_defined,

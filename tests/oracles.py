@@ -13,15 +13,20 @@ transpose of an injective one, which tests use to apply transposed
 actions.  The package decides the dual-action identity
 on the maps E L_c and l_E(c) E, whose transposes are its two sides, and
 `dual_action_verdicts` composes the transposed maps themselves, over all
-n^2 basis functionals.  `tensor_of` builds the elementary tensor
+n^2 basis functionals.  The package builds its elements from int
+numerators over one denominator, and `from_coeffs` builds one from a map
+of rational coefficients.  `tensor_of` builds the elementary tensor
 f (x) h coefficient by coefficient, and `relabel` moves a group's
 elements to other indices (by `permuted`, given the new index of each),
 for checks that relabelling changes no verdict;
 `relabelled_catalog` pairs each catalog group with such a copy.  The
 package checks the bimodule axioms on a generating set too, and
 `bimodule_axiom_failure` checks them at every pair.  A Bimodule holds
-only the actions of that set, and `stock_actions` gives the actions of
-every element of the stock bimodules, from their definitions.  The package reads
+only the actions of that set, and `stock_action_images` gives the
+actions of every element of the stock bimodules, from their definitions,
+as tuples of basis images, and `stock_actions` as BasisMaps;
+`leibniz_rows` are the rows of the derivation identity for any actions.
+The package reads
 each basis image of Delta, epsilon, S and E once for its Hopf pair checks,
 and `hopf_pair_witnesses` applies the maps again to both factors of
 every pair.  The package states part (b) of the derivation certificate,
@@ -30,19 +35,27 @@ axioms, and `johnson_identity_failure` collects the linear forms of each
 identity (g, c) of it one at a time, at every g, for any actions.
 `closed_group` closes permutations or matrices mod p into a table, for
 groups the catalog lacks (`uncatalogued_groups`).
-`read_johnson_and_diagonal` reads the mean and the diagonal of a
-certificate document back by their labels, trusting none of its writers.
+`read_johnson_and_diagonal` and `read_schikhof` read the sections of a
+certificate document back by their labels, and `read_verify` and
+`read_derivations` the verify and derivations documents, trusting none
+of the package's writers: they read the group off its labels and Cayley
+table alone, its subgroups by `subgroup_member_sets`, the sets
+`closure_subgroups` wraps, and its derivations, up to order 8, by
+`eliminated_derivation_dim` on the actions `stock_action_images` gives.
 `valuation` is v_p of a rational, with INFINITE_VALUATION at zero: the
 package only ever takes the valuations of nonzero int numerators and
 denominators.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
+
+from exact_linalg import Echelon
 
 from padicamen.finite_group import (FiniteGroup, Subgroup, catalog,
                                     from_table)
@@ -186,12 +199,22 @@ def dual_action_verdicts(group: FiniteGroup, e: BasisMap,
     return verdicts
 
 
+def from_coeffs(algebra: GroupAlgebra,
+                coeffs: Dict[int, Fraction]) -> AlgebraElement:
+    """The element of algebra with the given rational (or int)
+    coefficients, zeros dropped, over the least common denominator."""
+    fracs = {k: Fraction(c) for k, c in coeffs.items()}
+    den = math.lcm(*(c.denominator for c in fracs.values()))
+    return AlgebraElement(algebra, {k: c.numerator * (den // c.denominator)
+                                    for k, c in fracs.items() if c}, den)
+
+
 def tensor_of(f: AlgebraElement, h: AlgebraElement,
               target: GroupAlgebra) -> AlgebraElement:
     """The elementary tensor f (x) h in target, a tensor algebra of the
     algebra of f and h."""
     n = f.algebra.dim
-    return AlgebraElement.from_coeffs(target, {
+    return from_coeffs(target, {
         g * n + x: a * b
         for g, a in f.coeffs.items() for x, b in h.coeffs.items()})
 
@@ -271,24 +294,33 @@ def bimodule_axiom_failure(group: FiniteGroup, left: Sequence[BasisMap],
 
 def stock_actions(group: FiniteGroup, name: str
                   ) -> Tuple[int, List[BasisMap], List[BasisMap]]:
+    """stock_action_images(group.table, name), each action a BasisMap."""
+    dim, left, right = stock_action_images(group.table, name)
+    return (dim, [BasisMap(dim, images) for images in left],
+            [BasisMap(dim, images) for images in right])
+
+
+def stock_action_images(table: Sequence[Sequence[int]], name: str
+                        ) -> Tuple[int, List[Tuple[int, ...]],
+                                   List[Tuple[int, ...]]]:
     """(dimension, left, right) of the stock bimodule name, one action per
-    element and side, read off the table: on l(G) (regular) x -> gx and
-    x -> xg; on the trivial module the identity of dimension 1; on l(G)
-    (x) l(G) (outer_tensor) x (x) y -> gx (x) y and x (x) y -> x (x) yg,
-    n maps n^2 long per side."""
-    table, n = group.table, group.order
+    element and side, each the tuple of basis images, read off the table:
+    on l(G) (regular) x -> gx and x -> xg; on the trivial module the
+    identity of dimension 1; on l(G) (x) l(G) (outer_tensor)
+    x (x) y -> gx (x) y and x (x) y -> x (x) yg, n maps n^2 long per
+    side."""
+    n = len(table)
     if name == "regular":
-        return (n, [BasisMap(n, table[g]) for g in range(n)],
-                [BasisMap(n, (table[x][g] for x in range(n)))
-                 for g in range(n)])
+        return (n, [tuple(row) for row in table],
+                [tuple(table[x][g] for x in range(n)) for g in range(n)])
     if name == "trivial":
-        return 1, [BasisMap.identity(1)] * n, [BasisMap.identity(1)] * n
+        return 1, [(0,)] * n, [(0,)] * n
     if name == "outer_tensor":
         return (n * n,
-                [BasisMap(n * n, (table[g][x] * n + y for x in range(n)
-                                  for y in range(n))) for g in range(n)],
-                [BasisMap(n * n, (x * n + table[y][g] for x in range(n)
-                                  for y in range(n))) for g in range(n)])
+                [tuple(table[g][x] * n + y for x in range(n)
+                       for y in range(n)) for g in range(n)],
+                [tuple(x * n + table[y][g] for x in range(n)
+                       for y in range(n)) for g in range(n)])
     raise ValueError("no stock bimodule %r" % name)
 
 
@@ -326,14 +358,19 @@ def hopf_pair_witnesses(group: FiniteGroup) -> Dict[str, Optional[str]]:
 
 def pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:
     """The subgroup generated by seed, closed over all member pairs."""
+    return _table_closure(g.table, g.identity, seed)
+
+
+def _table_closure(table: Sequence[Sequence[int]], e: int,
+                   seed: frozenset) -> frozenset:
     members = set(seed)
-    members.add(g.identity)
+    members.add(e)
     frontier = list(members)
     while frontier:
         fresh = []
         for a in frontier:
             for b in list(members):
-                for c in (g.table[a][b], g.table[b][a]):
+                for c in (table[a][b], table[b][a]):
                     if c not in members:
                         members.add(c)
                         fresh.append(c)
@@ -341,31 +378,40 @@ def pair_closure(g: FiniteGroup, seed: frozenset) -> frozenset:
     return frozenset(members)
 
 
-def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
-    """Every subgroup, sorted by (order, member tuple): seed with each
-    cyclic subgroup, then extend the subgroups new in each round by every
-    element outside them, closing over all member pairs, until a round
-    finds nothing new.  A subgroup extended once gives nothing new when
-    extended again, so this is the fixpoint of extending every known
-    subgroup in every round."""
-    known = {frozenset({g.identity})}
-    for x in g.elements():
-        known.add(pair_closure(g, frozenset({x})))
+@functools.lru_cache(maxsize=8)
+def subgroup_member_sets(table: Tuple[Tuple[int, ...], ...]
+                         ) -> Tuple[Tuple[int, ...], ...]:
+    """The member tuple of every subgroup of the group with this Cayley
+    table, a tuple of tuples, sorted by (order, member tuple): seed with
+    each cyclic subgroup, then extend the subgroups new in each round by
+    every element outside them, closing over all member pairs, until a
+    round finds nothing new.  A subgroup extended once gives nothing new
+    when extended again, so this is the fixpoint of extending every known
+    subgroup in every round.  The last few tables are kept, as
+    read_schikhof asks again at every prime."""
+    n, e = len(table), identity_of(table)
+    known = {frozenset({e})}
+    for x in range(n):
+        known.add(_table_closure(table, e, frozenset({x})))
     fresh = set(known)
     while fresh:
         found = set()
         for base in fresh:
-            for x in g.elements():
+            for x in range(n):
                 if x in base:
                     continue
-                ext = pair_closure(g, base | {x})
+                ext = _table_closure(table, e, base | {x})
                 if ext not in known:
                     found.add(ext)
         known |= found
         fresh = found
-    subs = [Subgroup(g, tuple(sorted(m))) for m in known]
-    subs.sort(key=lambda s: (s.order, s.members))
-    return subs
+    return tuple(sorted((tuple(sorted(m)) for m in known),
+                        key=lambda m: (len(m), m)))
+
+
+def closure_subgroups(g: FiniteGroup) -> List[Subgroup]:
+    """Every subgroup, as subgroup_member_sets(g.table) orders them."""
+    return [Subgroup(g, m) for m in subgroup_member_sets(g.table)]
 
 
 def _collect(terms: Iterable[Tuple[int, int]]) -> Dict[int, int]:
@@ -464,6 +510,21 @@ def uncatalogued_groups() -> List[FiniteGroup]:
     ]
 
 
+def identity_of(table: Sequence[Sequence[int]]) -> int:
+    """The identity of the group with this Cayley table."""
+    n = len(table)
+    return next(x for x in range(n) if all(table[x][y] == y
+                                           for y in range(n)))
+
+
+def order_valuation(n: int, p: int) -> int:
+    """v_p(n) for a positive int n, by division alone."""
+    vp = 0
+    while n % p ** (vp + 1) == 0:
+        vp += 1
+    return vp
+
+
 def read_johnson_and_diagonal(doc: dict, labels: Sequence[str],
                               table: Sequence[Sequence[int]]
                               ) -> Optional[str]:
@@ -478,11 +539,9 @@ def read_johnson_and_diagonal(doc: dict, labels: Sequence[str],
     opposite order, and pi0 must be printed as delta_e."""
     n, p = len(labels), doc["prime"]
     index = {label: k for k, label in enumerate(labels)}
-    e = next(x for x in range(n) if all(table[x][y] == y for y in range(n)))
+    e = identity_of(table)
     inverse = [row.index(e) for row in table]
-    vp = 0
-    while n % p ** (vp + 1) == 0:
-        vp += 1
+    vp = order_valuation(n, p)
 
     def parsed(coeffs):
         return {index[label]: Fraction(text)
@@ -513,4 +572,173 @@ def read_johnson_and_diagonal(doc: dict, labels: Sequence[str],
         return "diagonal: norm_exponent is not v_p(n)"
     if parsed(diagonal["pi0"]) != {e: 1}:
         return "diagonal: pi0 is not delta_e"
+    return None
+
+
+def read_schikhof(doc: dict, labels: Sequence[str],
+                  table: Sequence[Sequence[int]]) -> Optional[str]:
+    """The first thing wrong in the "schikhof" section of a certificate
+    document for the group with these labels and Cayley table, or None.
+    The subgroups are subgroup_member_sets(table), the member sets of
+    closure_subgroups, read off the table alone.  The mean's norm
+    exponent must be v_p(n); the verdict and both methods' pass must be
+    p not dividing n; the counts must be those of the subgroups and of
+    the pairs s1 in s2; and a witness must appear exactly when the
+    lattice method fails: subgroups s1 in s2, read by label, with index
+    |s2|/|s1| divisible by p, the document's prime, and no earlier such
+    pair in ascending (order, member indices) order of s1, then s2."""
+    n, p = len(labels), doc["prime"]
+    section = doc["schikhof"]
+    norm, lattice = section["method_norm"], section["method_lattice"]
+    if norm["mean_norm_exponent"] != order_valuation(n, p):
+        return "schikhof: mean_norm_exponent is not v_p(n)"
+    if [section["amenable"], norm["pass"], lattice["pass"]] != \
+            [n % p != 0] * 3:
+        return "schikhof: a verdict is not p not dividing n"
+    subgroups = [frozenset(m) for m in subgroup_member_sets(table)]
+    pairs = [(s1, s2) for s1 in subgroups for s2 in subgroups if s1 <= s2]
+    if lattice["subgroup_count"] != len(subgroups):
+        return "schikhof: subgroup_count is not the number of subgroups"
+    if lattice["pairs_checked"] != len(pairs):
+        return "schikhof: pairs_checked is not the number of pairs s1 in s2"
+    witness = lattice.get("witness")
+    if (witness is None) != lattice["pass"]:
+        return "schikhof: a witness does not appear exactly on a fail"
+    if witness is None:
+        return None
+    index = {label: k for k, label in enumerate(labels)}
+    if not set(witness["s1"]) | set(witness["s2"]) <= set(index):
+        return "schikhof: the witness has labels that are not the group's"
+    s1, s2 = (frozenset(index[label] for label in witness[k])
+              for k in ("s1", "s2"))
+    if (s1, s2) not in pairs:
+        return "schikhof: the witness is not subgroups s1 in s2"
+    if witness["index"] != len(s2) // len(s1):
+        return "schikhof: the witness index is not |s2|/|s1|"
+    if witness["index"] % p != 0 or witness["prime"] != p:
+        return "schikhof: the witness index is not divisible by the prime"
+    if (s1, s2) != next(pair for pair in pairs
+                        if len(pair[1]) // len(pair[0]) % p == 0):
+        return "schikhof: the witness is not the first such pair"
+    return None
+
+
+HOPF_DIAGRAMS = ("coassociativity", "counit_left", "counit_right",
+                 "antipode_left", "antipode_right", "antipode_involutive")
+HOPF_PAIR_CHECKS = ("comultiplication_homomorphism", "counit_homomorphism",
+                    "antipode_antihomomorphism", "e_homomorphism")
+
+
+def read_verify(doc: dict, labels: Sequence[str]) -> Optional[str]:
+    """The first thing wrong in a verify document for the group with
+    these labels, or None.  Each section must name the document's group,
+    order and prime; the dual-action identity must hold at every label,
+    read on all n^2 basis functionals and n basis elements; the ten Hopf
+    axioms must pass, the six diagrams on all n basis columns and the
+    four pair checks on all n^2 basis pairs, with the antipode
+    uncorrupted; and the quotient must have dimension n with every flag
+    true."""
+    n = len(labels)
+    group = doc["group"]
+    if group["order"] != n or group["labels"] != list(labels):
+        return "group: not the order and the labels of the group"
+    sections = {name: doc[name] for name in
+                ("hopf", "dual_action_identity", "quotient_isomorphism")}
+    for name, section in sections.items():
+        if (section["group"], section["order"], section["prime"]) != \
+                (group["name"], n, doc["prime"]):
+            return "%s: group, order or prime is not the document's" % name
+    dual = sections["dual_action_identity"]
+    if sorted(dual["per_c"]) != sorted(labels):
+        return "dual_action_identity: per_c is not keyed by the labels"
+    if [*dual["per_c"].values(), dual["all_pass"]] != [True] * (n + 1):
+        return "dual_action_identity: fails at an element"
+    if dual["checked"] != "all %d basis functionals x %d basis elements" % (
+            n * n, n):
+        return "dual_action_identity: not checked on every basis pair"
+    hopf = sections["hopf"]
+    checked = {**dict.fromkeys(HOPF_DIAGRAMS, "all %d basis columns" % n),
+               **dict.fromkeys(HOPF_PAIR_CHECKS,
+                               "all %d basis pairs" % (n * n))}
+    if sorted(hopf["axioms"]) != sorted(checked):
+        return "hopf: not the ten axioms"
+    for name, result in hopf["axioms"].items():
+        if result["pass"] is not True or "witness" in result:
+            return "hopf: %s fails" % name
+        if result["checked"] != checked[name]:
+            return "hopf: %s is not checked on %s" % (name, checked[name])
+    if hopf["all_pass"] is not True:
+        return "hopf: all_pass is not true"
+    if hopf["antipode_corrupted"] is not False:
+        return "hopf: the antipode is corrupted"
+    quotient = sections["quotient_isomorphism"]
+    if (quotient["quotient_dim"], quotient["expected_dim"]) != (n, n):
+        return "quotient_isomorphism: the dimensions are not n"
+    if any(quotient[flag] is not True for flag in (
+            "dim_ok", "well_defined", "bijective", "action_commutes",
+            "all_pass")) or doc["all_pass"] is not True:
+        return "quotient_isomorphism: a check fails"
+    return None
+
+
+def leibniz_rows(table: Sequence[Sequence[int]], dim: int,
+                 left: Sequence[Sequence[int]],
+                 right: Sequence[Sequence[int]]) -> Iterator[FractionVec]:
+    """Every Leibniz row l(g, h, c) = D[gh, c] - D[h, R_g c] - D[g, L_h c],
+    in (g, h, c) order, over the unknowns D[g, c] at g*dim + c, for the
+    actions given by their basis images: left[h][c] is L_h c."""
+    n = len(table)
+    for g in range(n):
+        for h in range(n):
+            for c in range(dim):
+                yield {k: Fraction(v) for k, v in _collect((
+                    (table[g][h] * dim + c, 1), (h * dim + right[g][c], -1),
+                    (g * dim + left[h][c], -1))).items()}
+
+
+def eliminated_derivation_dim(table: Sequence[Sequence[int]],
+                              name: str) -> int:
+    """dim Der for the stock bimodule name: the unknowns less the rank of
+    the Leibniz rows, by elimination in exact_linalg."""
+    n = len(table)
+    dim, left, right = stock_action_images(table, name)
+    ech = Echelon(n * dim)
+    ech.add_rows(leibniz_rows(table, dim, left, right))
+    return n * dim - ech.rank
+
+
+def read_derivations(doc: dict, labels: Sequence[str],
+                     table: Sequence[Sequence[int]]) -> Optional[str]:
+    """The first thing wrong in a derivations document for the group with
+    these labels and Cayley table, or None.  Each bimodule must have
+    module_dim n, 1 or n^2 (regular, trivial, outer_tensor), n.module_dim
+    unknowns, every derivation inner, so derivation_dim = inner_dim, and
+    inner_dim n - k(G), 0 or n^2 - n, for k(G) the number of conjugacy
+    classes; at orders up to 8, inner_dim must also be the dim Der that
+    eliminated_derivation_dim finds, which is read first."""
+    n = len(labels)
+    e = identity_of(table)
+    inverse = [row.index(e) for row in table]
+    classes = {frozenset(table[table[g][x]][inverse[g]] for g in range(n))
+               for x in range(n)}
+    expected = {"regular": (n, n - len(classes)), "trivial": (1, 0),
+                "outer_tensor": (n * n, n * n - n)}
+    if doc["all_inner"] is not True:
+        return "all_inner is not true"
+    for name, section in doc["bimodules"].items():
+        if name not in expected or section["bimodule"] != name:
+            return "%s: not a stock bimodule" % name
+        dim, inner_dim = expected[name]
+        if section["module_dim"] != dim:
+            return "%s: module_dim is not %d" % (name, dim)
+        if section["unknowns"] != n * dim:
+            return "%s: unknowns is not n.module_dim" % name
+        if section["derivation_dim"] != section["inner_dim"] or \
+                section["all_inner"] is not True:
+            return "%s: a derivation is not inner" % name
+        if n <= 8 and section["inner_dim"] != \
+                eliminated_derivation_dim(table, name):
+            return "%s: inner_dim is not dim Der by elimination" % name
+        if section["inner_dim"] != inner_dim:
+            return "%s: inner_dim is not %d" % (name, inner_dim)
     return None
