@@ -490,11 +490,7 @@ def certify(group: FiniteGroup, prime: int) -> dict:
                               "index": idx, "prime": prime}
     return {
         "schema": "padicamen.certificate/1",
-        "group": {
-            "name": group.name,
-            "order": group.order,
-            "labels": list(group.labels),
-        },
+        "group": group_head(group),
         "prime": prime,
         "johnson": {
             "amenable": True,
@@ -517,6 +513,12 @@ def certify(group: FiniteGroup, prime: int) -> dict:
         },
         "checks": dict.fromkeys(CHECKS, "pass"),
     }
+
+
+def group_head(group: FiniteGroup) -> dict:
+    """The group section of every document: its name, order and labels."""
+    return {"name": group.name, "order": group.order,
+            "labels": list(group.labels)}
 
 
 def render_json(doc: dict) -> str:

@@ -23,8 +23,8 @@ import sys
 from typing import List, Optional
 
 from .amenability import (STOCK_BIMODULES, certify, derivation_spaces,
-                          johnson_check, render_json, schikhof_check,
-                          stock_bimodules)
+                          group_head, johnson_check, render_json,
+                          schikhof_check, stock_bimodules)
 from .errors import (GroupValidationError, InternalCheckError, OrderCapError,
                      OutputError, SpecParseError)
 from .finite_group import (FiniteGroup, catalog, enumerate_subgroups,
@@ -193,11 +193,7 @@ def cmd_verify(args) -> int:
     head = {"group": group.name, "order": n, "prime": prime}
     doc = {
         "schema": "padicamen.verify/1",
-        "group": {
-            "name": group.name,
-            "order": n,
-            "labels": list(group.labels),
-        },
+        "group": group_head(group),
         "prime": prime,
         "hopf": dict(
             head,
@@ -240,11 +236,7 @@ def cmd_derivations(args) -> int:
                for name, bim in stock_bimodules(group, names).items()}
     doc = {
         "schema": "padicamen.derivations/1",
-        "group": {
-            "name": group.name,
-            "order": group.order,
-            "labels": list(group.labels),
-        },
+        "group": group_head(group),
         "prime": prime,
         # Der = Inn on every Bimodule, by the cancellation written out at
         # derivation_spaces, so derivation_dim is inner_dim

@@ -21,17 +21,18 @@ elements, so every stage reads the map a check certified.  The counit is
 counit_map, which the counit diagrams read, and augmentation on
 elements, which the counit_homomorphism check reads.  The two sides
 of a check still come from independent code paths.  The diagrams compare
-compositions of index tuples.  A pair check compares a map applied to the
-convolution of two basis elements, read off G's table, with the product
-of their two images under the target's product rule
-(GroupAlgebra.product_index, whose second leg reads the opposite table in
-the enveloping algebra); each basis image is built once per call, and
-every pair with that factor reads it.  The four pair checks run in one
-loop over the rows g in S (S = group.generators) and every column h,
-which forms the convolution of each pair once and hands it to all four,
-each with its own comparison; every g is a nonempty word in S, so those
-rows decide all n^2 pairs, and only a failure reruns the loop over all
-of them to name each identity's first failing pair.  On coefficient
+compositions of index tuples, and read a tensor product of maps after
+Delta at Delta's n columns alone.  A pair check compares a map applied to
+a product, read off G's table, with the product of the images under the
+target's product rule (GroupAlgebra.product_index, whose second leg reads
+the opposite table in the enveloping algebra).  It decides a whole row g
+with one product per identity on the tagged element
+F = sum_h 2^h delta_h: the coefficients of the two sides are sums of
+distinct powers of two, one per column h, and they agree exactly when
+the identity holds at every pair (g, h).  The rows g in S
+(S = group.generators) decide all n^2 pairs, since every g is a nonempty
+word in S; a loop over every pair runs only when a row fails, and only
+to name each identity's first failing pair.  On coefficient
 vectors the two sides of the dual-action identity are (E L_c)^T and
 (l_E(c) E)^T, for L_c the left translation by c and l_E(c) the left
 multiplication by E(delta_c), and M^T = N^T exactly when M = N.  So
@@ -48,6 +49,7 @@ mistake in the other.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
@@ -100,6 +102,23 @@ class BasisMap:
             None if i is None or j is None else i * m + j
             for i in self.images for j in other.images))
 
+    def kron_compose(self, other: "BasisMap", inner: "BasisMap"
+                     ) -> "BasisMap":
+        """self.kron(other).compose(inner), read at the columns of inner
+        alone, without the ncols(self) * ncols(other) columns of the
+        tensor product map."""
+        m, r = other.ncols, other.nrows
+        if inner.nrows != self.ncols * m:
+            raise ValueError("composition dimension mismatch")
+        left, right = self.images, other.images
+
+        def image(k: Optional[int]) -> Optional[int]:
+            if k is None:
+                return None
+            i, j = left[k // m], right[k % m]
+            return None if i is None or j is None else i * r + j
+        return BasisMap(self.nrows * r, map(image, inner.images))
+
     def apply(self, f: AlgebraElement, target: GroupAlgebra) -> AlgebraElement:
         """The image of f in target, an algebra of dimension nrows: the
         coefficients of columns with one image add up, and a column sent
@@ -147,8 +166,8 @@ def antipode_map(group: FiniteGroup) -> BasisMap:
 
 
 def mult_map(group: FiniteGroup) -> BasisMap:
-    n = group.order
-    return BasisMap(n, (group.table[g][h] for g in range(n) for h in range(n)))
+    """delta_g (x) delta_h -> delta_gh: G's table read row by row."""
+    return BasisMap(group.order, chain.from_iterable(group.table))
 
 
 def unit_map(group: FiniteGroup) -> BasisMap:
@@ -196,23 +215,37 @@ def verify_hopf_axioms(group: FiniteGroup) -> Dict[str, AxiomResult]:
     checks.  The antipode checked is always inversion.
 
     Every check reads the maps of delta_map, antipode_map and e_basis_map,
-    each built once per call: the diagrams compose them.  The pair checks
-    apply them, and augmentation, to each basis element once per call.
-    Then one loop over the pairs (g, h) with g in S forms the convolution
-    of the two basis elements once per pair, and each of the four
-    identities applies its map to it and compares that with the product of
-    the two stored images: 4n|S| generic products and 3n|S| + 3n
-    applications of a BasisMap.  Those rows decide all n^2 basis pairs, by
-    the argument beside the loop; if an identity fails on them, the loop
-    reruns over all n^2, and each identity keeps its own first failing
-    pair in (g, h) order, so one failing identity hides no other.
+    each built once per call.  The diagrams compose them, and each
+    (A (x) B) after Delta is read at Delta's n columns by
+    BasisMap.kron_compose, so mult_map's is the one map with n^2 columns
+    built.
+
+    The pair checks decide each row g in S with one generic product per
+    identity on the tagged element F = sum_h 2^h delta_h.  convolve and
+    BasisMap.apply are linear, every structure map sends a basis vector to
+    one basis vector or to 0, and delta_g delta_h is a basis vector.  So
+    on either side of phi(delta_g F) = phi(delta_g) phi(F), the factors
+    swapped for the antipode, the coefficient of a basis vector is the sum
+    of 2^h over the columns h whose pair lands on it, an exact integer.
+    Two sums of distinct powers of two are equal only over the same set of
+    h, so the sides agree exactly when phi(delta_g delta_h) =
+    phi(delta_g) phi(delta_h) at every h, even where phi sends two columns
+    to one image.  Those rows decide all n^2
+    basis pairs, by the argument beside the loop.  A passing check makes
+    four generic products per row, delta_g F and the three products of
+    images, and applies a BasisMap six times per row and three times to
+    F: 4|S| and 6|S| + 3 for S nonempty.  If a row fails, a loop over all
+    n^2 pairs runs, only to name the witnesses: each identity keeps its
+    own first failing pair in (g, h) order, so one failing identity hides
+    no other.
+
     Replacing S with another permutation, such as the identity on a
     nonabelian group, fails the antipode checks; replacing Delta or E
     with a map that is no homomorphism fails its pair check.  A product
     rule that scales every product by the same constant c != 1 scales
     both sides of the Delta, S and E identities alike, so only
-    counit_homomorphism catches it: epsilon(delta_g delta_h) = c, where
-    epsilon(delta_g) epsilon(delta_h) = 1.
+    counit_homomorphism catches it: epsilon(delta_g F) = c epsilon(F),
+    where epsilon(delta_g) epsilon(F) = epsilon(F).
     """
     alg = GroupAlgebra(group)
     require_within_cap(group.order, "Hopf structure verification")
@@ -232,30 +265,44 @@ def verify_hopf_axioms(group: FiniteGroup) -> Dict[str, AxiomResult]:
                            None if j is None else f"basis column {labels[j]}")
 
     axioms = {
-        "coassociativity": diagram(delta.kron(ident).compose(delta),
-                                   ident.kron(delta).compose(delta)),
-        "counit_left": diagram(counit.kron(ident).compose(delta), ident),
-        "counit_right": diagram(ident.kron(counit).compose(delta), ident),
+        "coassociativity": diagram(delta.kron_compose(ident, delta),
+                                   ident.kron_compose(delta, delta)),
+        "counit_left": diagram(counit.kron_compose(ident, delta), ident),
+        "counit_right": diagram(ident.kron_compose(counit, delta), ident),
         "antipode_left": diagram(
-            mult.compose(s.kron(ident)).compose(delta), nu_eps),
+            mult.compose(s.kron_compose(ident, delta)), nu_eps),
         "antipode_right": diagram(
-            mult.compose(ident.kron(s)).compose(delta), nu_eps),
+            mult.compose(ident.kron_compose(s, delta)), nu_eps),
         "antipode_involutive": diagram(s.compose(s), ident),
     }
 
     tensor, env = alg.tensor, alg.enveloping
-    basis = [alg.delta(g) for g in range(n)]
-    delta_of = [delta.apply(b, tensor) for b in basis]
-    eps_of = [augmentation(b) for b in basis]
-    s_of = [s.apply(b, alg) for b in basis]
-    e_of = [e.apply(b, env) for b in basis]
-    def scan(rows: Iterable[int]) -> Dict[str, Tuple[int, int]]:
+    # F = sum_h 2^h delta_h, and its images, each built once per call
+    tagged = AlgebraElement(alg, {h: 1 << h for h in range(n)})
+    delta_f, eps_f = delta.apply(tagged, tensor), augmentation(tagged)
+    s_f, e_f = s.apply(tagged, alg), e.apply(tagged, env)
+
+    def row_holds(g: int) -> bool:
+        # the four identities at every pair (g, h), from one product each
+        b = alg.delta(g)
+        gf = convolve(b, tagged)
+        return (delta.apply(gf, tensor) == delta.apply(b, tensor) * delta_f
+                and augmentation(gf) == augmentation(b) * eps_f
+                and s.apply(gf, alg) == convolve(s_f, s.apply(b, alg))
+                and e.apply(gf, env) == e.apply(b, env) * e_f)
+
+    def scan() -> Dict[str, Tuple[int, int]]:
         # first failing pair of each identity, in (g, h) order
+        basis = [alg.delta(g) for g in range(n)]
+        delta_of = [delta.apply(b, tensor) for b in basis]
+        eps_of = [augmentation(b) for b in basis]
+        s_of = [s.apply(b, alg) for b in basis]
+        e_of = [e.apply(b, env) for b in basis]
         first: Dict[str, Tuple[int, int]] = {}
-        for g in rows:
+        for g, b in enumerate(basis):
             delta_g, eps_g, s_g, e_g = delta_of[g], eps_of[g], s_of[g], e_of[g]
             for h, c in enumerate(basis):
-                gh = convolve(basis[g], c)
+                gh = convolve(b, c)
                 if delta.apply(gh, tensor) != delta_g * delta_of[h]:
                     first.setdefault("comultiplication_homomorphism", (g, h))
                 if augmentation(gh) != eps_g * eps_of[h]:
@@ -272,11 +319,12 @@ def verify_hopf_axioms(group: FiniteGroup) -> Dict[str, AxiomResult]:
     # phi(s g' h) = phi(s) phi(g' h) = phi(s) phi(g') phi(h) = phi(s g') phi(h)
     # by induction on the word and associativity of the target's product,
     # so the rows S decide all n^2 pairs; the row e is read only when S is
-    # empty (cyclic:1).  Only a failure scans every row, to name each
-    # identity's first failing pair in (g, h) order.
-    first = scan(group.generators or (group.identity,))
-    if first:
-        first = scan(range(n))
+    # empty (cyclic:1).  Row g holds exactly when both sides agree on
+    # delta_g F, by the argument in the docstring.  Only a failure scans
+    # every pair, to name each identity's first failing pair in (g, h)
+    # order.
+    rows = group.generators or (group.identity,)
+    first = {} if all(map(row_holds, rows)) else scan()
 
     pair_note = f"all {n * n} basis pairs"
     for name in ("comultiplication_homomorphism", "counit_homomorphism",

@@ -119,7 +119,7 @@ def _short(file: str, old: str, *tests: str,
 
 REDUCTION_MUTANTS = (
     # verify_hopf_axioms: the pair checks on the rows S
-    _short(HOPF, "scan(group.generators or (group.identity,))",
+    _short(HOPF, "rows = group.generators or (group.identity,)",
            "tests/test_hopf.py"
            "::test_generating_set_decides_what_every_element_decides"),
     # i0_identity: (delta_s - delta_e).e_0 = delta_s - delta_e on S

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 from exact_linalg import Echelon
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (HOPF_PAIR_CHECKS, QuotientRelations, apply,
                      dual_action_verdicts, from_coeffs, hopf_pair_witnesses,
                      pair_closure, relabel, relabelled_catalog, tensor_of,
@@ -255,6 +257,12 @@ def test_basis_map_basics():
     kron = e.kron(m)
     assert kron.nrows == 12 and kron.ncols == 6
     assert kron.images == (11, None, 9, 5, None, 3)
+    # read at the columns of inner alone, repeated and None among them
+    inner = BasisMap(6, (5, None, 0, 5, 1))
+    assert e.kron_compose(m, inner) == kron.compose(inner)
+    assert e.kron_compose(m, inner).images == (3, None, 11, 3, None)
+    with pytest.raises(ValueError):
+        e.kron_compose(m, m)  # m lands in dimension 3, e (x) m reads 6
     assert m.first_column_difference(ident) == 0
     assert m.first_column_difference(m) is None
     assert m != BasisMap(4, (2, None, 0))
@@ -721,10 +729,57 @@ def test_pair_checks_match_per_pair_oracle(monkeypatch, seed):
         assert bool(failed) == (builder is not None), builder
 
 
-def test_pair_checks_apply_the_maps_to_each_basis_image_once(monkeypatch):
-    # per pair (g, h), g in S, one image of the product under each of
-    # Delta, S and E, and one image of each basis element under each:
-    # 3n|S| + 3n applications, where all n^2 pairs made 126
+def _edited(builder, kind, edits):
+    # the builder's map with one kind of edit made at each drawn (column,
+    # k), both read modulo the group's order: "zero" sends the column to
+    # 0, "copy" to the true image of k, so two columns share one image,
+    # "swap" exchanges its image with that of k, which keeps the multiset
+    # of images, and "any" sends it to the basis vector k of the target
+    def stand_in(group):
+        true = builder(group)
+        n, images = group.order, list(true.images)
+        for column, k in edits:
+            j = column % n
+            if kind == "swap":
+                images[j], images[k % n] = images[k % n], images[j]
+            else:
+                images[j] = {"zero": None, "copy": true.images[k % n],
+                             "any": k % true.nrows}[kind]
+        return BasisMap(true.nrows, images)
+    return stand_in
+
+
+DRAWN_GROUPS = catalog(12) + list(relabelled_catalog(12, 0))
+EDITS = st.tuples(st.sampled_from(("zero", "copy", "swap", "any")),
+                  st.lists(st.tuples(st.integers(0, 11), st.integers(0, 143)),
+                           max_size=3))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.tuples(EDITS, EDITS, EDITS))
+def test_pair_checks_match_oracle_on_drawn_stand_ins(edits):
+    # one product on delta_g F decides the row g for any map that sends a
+    # basis vector to one basis vector or to 0, two columns to one image
+    # included; a row passed where a pair fails would show as a verdict
+    # the oracle does not share
+    with pytest.MonkeyPatch.context() as mp:
+        for builder, drawn in zip((delta_map, antipode_map, e_basis_map),
+                                  edits):
+            mp.setattr(hopf, builder.__name__, _edited(builder, *drawn))
+        for grp in DRAWN_GROUPS:
+            report = verify_hopf_axioms(grp)
+            for name, witness in hopf_pair_witnesses(grp).items():
+                result = report[name]
+                assert (result.passed, result.witness) == \
+                    (witness is None, witness), (grp.name, name)
+
+
+def test_pair_checks_apply_the_maps_to_each_generating_row_once(
+        monkeypatch):
+    # per row g in S, the images of delta_g and of delta_g F under each of
+    # Delta, S and E, and the image of F under each once: 6|S| + 3
+    # applications, where a loop over the pairs (g, h), g in S, made
+    # 3n|S| + 3n = 54
     calls = []
     apply_map = BasisMap.apply
 
@@ -733,9 +788,26 @@ def test_pair_checks_apply_the_maps_to_each_basis_image_once(monkeypatch):
         return apply_map(self, f, target)
     monkeypatch.setattr(BasisMap, "apply", counted)
     grp = symmetric(3)
-    n, rows = grp.order, len(grp.generators)
+    rows = len(grp.generators)
     assert all_pass(verify_hopf_axioms(grp))
-    assert len(calls) <= 3 * n * rows + 3 * n == 54
+    assert len(calls) <= 6 * rows + 3 == 15
+
+
+def test_hopf_check_builds_one_map_with_n_squared_columns(monkeypatch):
+    # the diagrams read each tensor product of maps after Delta at Delta's
+    # n columns, so mult_map's is the one map of n^2 columns built
+    grp = symmetric(3)
+    n, mult = grp.order, mult_map(grp)
+    wide = []
+    init = BasisMap.__init__
+
+    def recorded(self, nrows, images):
+        init(self, nrows, images)
+        if self.ncols == n * n:
+            wide.append(self)
+    monkeypatch.setattr(BasisMap, "__init__", recorded)
+    assert all_pass(verify_hopf_axioms(grp))
+    assert wide == [mult]
 
 
 def patch_convolve(monkeypatch, stand_in):
@@ -745,12 +817,12 @@ def patch_convolve(monkeypatch, stand_in):
     monkeypatch.setattr(hopf, "convolve", stand_in)
 
 
-def test_passing_pair_checks_make_four_products_per_generating_row_pair(
+def test_passing_pair_checks_make_four_products_per_generating_row(
         monkeypatch):
-    # per pair (g, h), g in S, one product of the two basis elements,
-    # shared by the four identities, and one product of the two images
-    # for each of Delta, S and E: 4n|S|, where all n^2 pairs made
-    # 4n^2 = 144
+    # per row g in S, the product delta_g F, shared by the four
+    # identities, and one product of the two images for each of Delta, S
+    # and E: 4|S|, where a loop over the pairs (g, h), g in S, made
+    # 4n|S| = 48 and one over all n^2 pairs 4n^2 = 144
     calls = []
 
     def counted(f, h):
@@ -758,9 +830,9 @@ def test_passing_pair_checks_make_four_products_per_generating_row_pair(
         return convolve(f, h)
     patch_convolve(monkeypatch, counted)
     grp = symmetric(3)
-    n, rows = grp.order, len(grp.generators)
+    rows = len(grp.generators)
     assert all_pass(verify_hopf_axioms(grp))
-    assert len(calls) <= 4 * n * rows == 48
+    assert len(calls) <= 4 * rows == 8
 
 
 def test_each_identity_keeps_its_own_first_failing_pair(monkeypatch):
